@@ -9,11 +9,11 @@ bound; played against naive schedulers, it only gets worse for them.
 from fractions import Fraction
 
 from hierstretch import (
+    AdvHigh,
+    AdvLow,
+    AdvMid,
+    AdvTotalSize,
     SCHEDULERS,
-    adv_high,
-    adv_low,
-    adv_mid,
-    adv_totalsize,
     play_duel,
     ratio_bound,
     refine_theta,
@@ -41,20 +41,20 @@ m = Fraction(3)
 mu = ratio_bound(m).mu
 gamma = mu * Fraction(999, 1000)
 print(f"high-budget game at m = {m} (bound {ratio_bound(m).bound}):")
-show(adv_high(m, gamma), "A")
-show(adv_high(m, gamma), "greedy-m2")
+show(AdvHigh(m, gamma), "A")
+show(AdvHigh(m, gamma), "greedy-m2")
 print()
 
 m = Fraction(3, 5)
 print(f"mid game at m = {m} (bound {ratio_bound(m).bound}):")
-show(adv_mid(m, Fraction(1, 1000)), "C")
-show(adv_mid(m, Fraction(1, 1000)), "all-m1")
+show(AdvMid(m, Fraction(1, 1000)), "C")
+show(AdvMid(m, Fraction(1, 1000)), "all-m1")
 print()
 
 m = Fraction(1, 4)
 print(f"no-migration game at m = {m} (bound {ratio_bound(m).bound}):")
-show(adv_low(m), "baseline")
-show(adv_low(m), "least-loaded")
+show(AdvLow(m), "baseline")
+show(AdvLow(m), "least-loaded")
 print()
 
 theta = refine_theta()
@@ -64,5 +64,5 @@ print(
 )
 for m in (Fraction(1), Fraction(100)):
     print(f"at m = {m}:")
-    show(adv_totalsize(m, theta), "baseline")
-    show(adv_totalsize(m, theta), "greedy-m2")
+    show(AdvTotalSize(m, theta), "baseline")
+    show(AdvTotalSize(m, theta), "greedy-m2")

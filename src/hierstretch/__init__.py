@@ -13,10 +13,6 @@ from .adversary import (
     AdvTotalSize,
     DuelTranscript,
     Stop,
-    adv_high,
-    adv_low,
-    adv_mid,
-    adv_totalsize,
     play_duel,
     refine_theta,
 )
@@ -37,6 +33,7 @@ from .algorithms import (
     select_prefix_min,
 )
 from .core import (
+    EXACT_SEARCH_LIMIT,
     AssignmentDecision,
     Instance,
     Job,
@@ -64,6 +61,7 @@ from .errors import (
     BudgetExceeded,
     HierStretchError,
     HierarchyViolation,
+    IllegalDecision,
     InfeasibleConfig,
     NegativeM,
     ParseError,
@@ -84,7 +82,6 @@ from .harness import (
     run_stream,
 )
 from .oracle import (
-    EXHAUSTIVE_CAP,
     OptimalPrefixLoads,
     brute_opt,
     opt_prefix_loads,

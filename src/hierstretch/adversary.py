@@ -14,6 +14,7 @@ from fractions import Fraction
 from typing import Protocol, Union
 
 from .core import (
+    EXACT_SEARCH_LIMIT,
     AssignmentDecision,
     Job,
     MachineId,
@@ -25,16 +26,8 @@ from .core import (
     fraction_str,
     ratio_bound,
 )
-from .errors import (
-    BadEps,
-    BadGamma,
-    BadTheta,
-    BudgetExceeded,
-    HierarchyViolation,
-    RegimeMismatch,
-    UnknownJob,
-)
-from .oracle import EXHAUSTIVE_CAP, brute_opt
+from .errors import BadEps, BadGamma, BadTheta, IllegalDecision, RegimeMismatch
+from .oracle import brute_opt
 
 
 @dataclass(frozen=True)
@@ -322,27 +315,11 @@ class AdvTotalSize:
         ]
 
 
-def adv_high(m, gamma) -> AdvHigh:
-    return AdvHigh(m, gamma)
-
-
-def adv_mid(m, eps) -> AdvMid:
-    return AdvMid(m, eps)
-
-
-def adv_low(m) -> AdvLow:
-    return AdvLow(m)
-
-
-def adv_totalsize(m, theta_hat) -> AdvTotalSize:
-    return AdvTotalSize(m, theta_hat)
-
-
 ADVERSARIES = {
-    "high": adv_high,
-    "mid": adv_mid,
-    "low": adv_low,
-    "totalsize": adv_totalsize,
+    "high": AdvHigh,
+    "mid": AdvMid,
+    "low": AdvLow,
+    "totalsize": AdvTotalSize,
 }
 
 
@@ -431,20 +408,14 @@ class DuelTranscript:
         return json.dumps(self.to_json_dict(), indent=2)
 
 
-def play_duel(
-    adversary,
-    scheduler_name: str,
-    scheduler_fn,
-    m,
-    oracle_cap: int = EXHAUSTIVE_CAP,
-) -> DuelTranscript:
+def play_duel(adversary, scheduler_name: str, scheduler_fn, m) -> DuelTranscript:
     """Run the interactive game to completion.
 
     The adversary observes the post-migration schedule before every move.
-    An illegal scheduler decision (budget, hierarchy, or unknown job) ends
-    the duel as a scheduler loss, recorded on the transcript.  When the
-    emitted stream is small enough, the certificate is confirmed against
-    the brute-force oracle.
+    An illegal scheduler decision (any :class:`IllegalDecision`) ends the
+    duel as a scheduler loss, recorded on the transcript.  When the
+    emitted stream has at most ``EXACT_SEARCH_LIMIT`` grade-2 jobs, the
+    certificate is confirmed against the brute-force oracle.
     """
     m = as_fraction(m)
     transcript = DuelTranscript(
@@ -468,7 +439,7 @@ def play_duel(
         try:
             decision = scheduler_fn(state, job, m)
             state = apply_decision(state, job, decision, transcript.ledger, m)
-        except (BudgetExceeded, HierarchyViolation, UnknownJob) as exc:
+        except IllegalDecision as exc:
             transcript.illegal = f"{type(exc).__name__}: {exc}"
             break
         transcript.decisions.append(decision)
@@ -478,8 +449,8 @@ def play_duel(
     if transcript.illegal is None and transcript.certified_opt is not None:
         transcript.achieved_ratio = transcript.makespan / transcript.certified_opt
         gos2_count = sum(1 for job in transcript.jobs if job.gos == 2)
-        if gos2_count <= oracle_cap:
-            opt = brute_opt(transcript.jobs, cap=oracle_cap)
+        if gos2_count <= EXACT_SEARCH_LIMIT:
+            opt = brute_opt(transcript.jobs)
             if opt != transcript.certified_opt:
                 raise AssertionError(
                     f"adversary {adversary.name} certified optimum "

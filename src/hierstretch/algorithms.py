@@ -23,6 +23,7 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 from .core import (
+    EXACT_SEARCH_LIMIT,
     AssignmentDecision,
     Job,
     MachineId,
@@ -36,27 +37,19 @@ from .errors import RegimeMismatch, SizeLimit
 
 SchedulerFn = Callable[[ScheduleState, Job, Fraction], AssignmentDecision]
 
-EXACT_SEARCH_LIMIT = 24
-
 M1 = MachineId.M1
 M2 = MachineId.M2
 
 
 @dataclass(frozen=True)
 class WSelection:
-    """A chosen subset of candidates: positions, their total size, and the
-    minimum total the caller needed to move (when applicable)."""
+    """A chosen subset of candidates: positions and their total size."""
 
     chosen: tuple[int, ...]
     total: Fraction
-    target_deficit: Fraction | None = None
 
 
-def select_max_subset(
-    sizes: Sequence[Fraction],
-    cap: Fraction,
-    limit: int = EXACT_SEARCH_LIMIT,
-) -> WSelection:
+def select_max_subset(sizes: Sequence[Fraction], cap: Fraction) -> WSelection:
     """Subset of maximum total size not exceeding ``cap``, exact.
 
     Depth-first over positions in the given order with include-before-
@@ -66,8 +59,10 @@ def select_max_subset(
     if cap < 0:
         raise ValueError(f"cap must be >= 0, got {cap}")
     n = len(sizes)
-    if n > limit:
-        raise SizeLimit(f"{n} candidates exceed the exact-search limit {limit}")
+    if n > EXACT_SEARCH_LIMIT:
+        raise SizeLimit(
+            f"{n} candidates exceed the exact-search limit {EXACT_SEARCH_LIMIT}"
+        )
 
     suffix = [ZERO] * (n + 1)
     for i in range(n - 1, -1, -1):
@@ -125,10 +120,22 @@ def select_prefix_min(
             break
         total += size
         chosen.append(i)
-    return WSelection(chosen=tuple(chosen), total=total, target_deficit=floor)
+    return WSelection(chosen=tuple(chosen), total=total)
 
 
-def _require_regime(name: str, m: Fraction, regime: Regime) -> None:
+# the regime each migrating scheduler is proven for; the baseline never
+# migrates and keeps its 3/2 at every m
+SCHEDULER_REGIME: dict[str, Regime] = {
+    "A": Regime.HIGH,
+    "B": Regime.MID,
+    "C": Regime.LOW_C,
+    "D": Regime.LOW_D,
+}
+
+
+def require_regime(name: str, m: Fraction) -> None:
+    """Raise RegimeMismatch unless m lies in scheduler ``name``'s regime."""
+    regime = SCHEDULER_REGIME[name]
     actual = ratio_bound(m).regime
     if actual is not regime:
         raise RegimeMismatch(
@@ -151,7 +158,7 @@ def alg_a(state: ScheduleState, job: Job, m: Fraction) -> AssignmentDecision:
     machine 2 carries a maximum-total subset of size at most 1.
     """
     m = as_fraction(m)
-    _require_regime("A", m, Regime.HIGH)
+    require_regime("A", m)
     mu = _mu(m)
     y_prev = state.y
     if job.gos == 1 or y_prev >= 1 - mu:
@@ -178,7 +185,7 @@ def alg_b(state: ScheduleState, job: Job, m: Fraction) -> AssignmentDecision:
     """Mid-migration scheduler (3/4 <= m < 5/2): makespan at most 5/4 while
     migrating at most (3/4) * p_j per arrival."""
     m = as_fraction(m)
-    _require_regime("B", m, Regime.MID)
+    require_regime("B", m)
     y_prev = state.y
     if job.gos == 1 or y_prev >= Fraction(3, 4):
         return AssignmentDecision(M1, step=2)
@@ -197,8 +204,8 @@ def alg_b(state: ScheduleState, job: Job, m: Fraction) -> AssignmentDecision:
         migrations = tuple((sorted_y[i][0], M1) for i in selection.chosen)
         return AssignmentDecision(M2, migrations, step=4)
 
-    # medium arrival (1/2 < p < 3/4)
-    p_max, idx_max = state.max_y_with_index()
+    # medium arrival (1/2 < p < 3/4); machine 2 holds more than 1/2
+    idx_max, p_max = sorted_y[0]
     if p + p_max > Fraction(5, 4):
         return AssignmentDecision(M1, step=5)
     if p_max >= y_prev / 2:
@@ -224,7 +231,7 @@ def alg_c(state: ScheduleState, job: Job, m: Fraction) -> AssignmentDecision:
     covering the overflow migrates and the arrival takes machine 2.
     """
     m = as_fraction(m)
-    _require_regime("C", m, Regime.LOW_C)
+    require_regime("C", m)
     y_prev = state.y
     if job.gos == 1 or y_prev >= m:
         return AssignmentDecision(M1, step=2)
@@ -249,7 +256,7 @@ def alg_d(state: ScheduleState, job: Job, m: Fraction) -> AssignmentDecision:
     complement when it exceeds what the budget allows.
     """
     m = as_fraction(m)
-    _require_regime("D", m, Regime.LOW_D)
+    require_regime("D", m)
     y_prev = state.y
     if job.gos == 1 or y_prev >= m:
         return AssignmentDecision(M1, step=2)
@@ -280,14 +287,15 @@ def alg_d(state: ScheduleState, job: Job, m: Fraction) -> AssignmentDecision:
     return AssignmentDecision(M2, migrations, step=5)
 
 
-def baseline_nomig(state: ScheduleState, job: Job) -> AssignmentDecision:
+def baseline_nomig(state: ScheduleState, job: Job, m: Fraction) -> AssignmentDecision:
     """Threshold rule without migration: grade-2 jobs join machine 2 until
     its load reaches 1/2, everything else goes to machine 1.
 
     Achieves makespan at most 3/2 on any stream whose true optimum is 1:
     if machine 2 ends below 1/2 it holds every grade-2 job, so machine 1
     carries only grade-1 load (at most 1); otherwise machine 1 carries at
-    most 2 - 1/2 and machine 2 at most 1/2 + 1.
+    most 2 - 1/2 and machine 2 at most 1/2 + 1.  The migration factor m is
+    ignored.
     """
     if job.gos == 1 or state.y >= Fraction(1, 2):
         return AssignmentDecision(M1, step=2)
@@ -315,16 +323,12 @@ def all_to_m1(state: ScheduleState, job: Job, m: Fraction) -> AssignmentDecision
     return AssignmentDecision(M1)
 
 
-def _baseline_adapter(state: ScheduleState, job: Job, m: Fraction) -> AssignmentDecision:
-    return baseline_nomig(state, job)
-
-
 SCHEDULERS: dict[str, SchedulerFn] = {
     "A": alg_a,
     "B": alg_b,
     "C": alg_c,
     "D": alg_d,
-    "baseline": _baseline_adapter,
+    "baseline": baseline_nomig,
     "greedy-m2": greedy_to_m2,
     "least-loaded": greedy_least_loaded,
     "all-m1": all_to_m1,
@@ -332,10 +336,7 @@ SCHEDULERS: dict[str, SchedulerFn] = {
 
 # schedulers with a proven makespan guarantee, keyed by regime
 REGIME_ALGORITHM: dict[Regime, str] = {
-    Regime.HIGH: "A",
-    Regime.MID: "B",
-    Regime.LOW_D: "D",
-    Regime.LOW_C: "C",
+    **{regime: name for name, regime in SCHEDULER_REGIME.items()},
     Regime.NO_MIG: "baseline",
 }
 

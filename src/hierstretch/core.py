@@ -16,6 +16,7 @@ from typing import Iterable, Union
 from .errors import (
     BudgetExceeded,
     HierarchyViolation,
+    IllegalDecision,
     NegativeM,
     ParseError,
     UnknownJob,
@@ -25,6 +26,10 @@ RationalLike = Union[Fraction, int, str]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+# largest number of items an exact exponential search accepts: the
+# oracle's grade-2 jobs and scheduler A's rebalancing candidates
+EXACT_SEARCH_LIMIT = 24
 
 
 def as_fraction(value: RationalLike) -> Fraction:
@@ -63,6 +68,8 @@ class Job:
     """One stream element: positive size and a grade of service in {1, 2}.
 
     Grade-1 jobs may only ever run on machine 1; grade-2 jobs run anywhere.
+    A malformed field raises :class:`ParseError`; the grade must be the
+    int 1 or 2, so ``True`` and ``2.0`` are refused.
     """
 
     index: int
@@ -71,13 +78,15 @@ class Job:
 
     def __post_init__(self) -> None:
         if self.index < 1:
-            raise ValueError(f"job index must be >= 1, got {self.index}")
+            raise ParseError(f"job index must be >= 1, got {self.index}")
         if not isinstance(self.size, Fraction):
             object.__setattr__(self, "size", as_fraction(self.size))
         if self.size <= 0:
-            raise ValueError(f"job size must be positive, got {self.size}")
-        if self.gos not in (1, 2):
-            raise ValueError(f"grade of service must be 1 or 2, got {self.gos}")
+            raise ParseError(f"job {self.index} has non-positive size {self.size}")
+        if type(self.gos) is not int or self.gos not in (1, 2):
+            raise ParseError(
+                f"job {self.index} has bad grade of service {self.gos!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -92,9 +101,6 @@ class AssignmentDecision:
     target: MachineId
     migrations: tuple[tuple[int, MachineId], ...] = ()
     step: int | None = None
-
-    def migrated_indices(self) -> tuple[int, ...]:
-        return tuple(idx for idx, _ in self.migrations)
 
 
 @dataclass(frozen=True)
@@ -152,11 +158,6 @@ class ScheduleState:
         return cls()
 
     @property
-    def lam(self) -> Fraction:
-        """Running total of grade-1 sizes (same as x in any legal state)."""
-        return self.x
-
-    @property
     def load1(self) -> Fraction:
         return self.x + self.z
 
@@ -204,22 +205,6 @@ class ScheduleState:
         sizes = [self.jobs[idx].size for idx in self.y_indices()]
         return max(sizes) if sizes else ZERO
 
-    @property
-    def second_max_y_job(self) -> Fraction:
-        """Second largest size on machine 2; 0 when fewer than two jobs."""
-        sizes = sorted(
-            (self.jobs[idx].size for idx in self.y_indices()), reverse=True
-        )
-        return sizes[1] if len(sizes) >= 2 else ZERO
-
-    def max_y_with_index(self) -> tuple[Fraction, int | None]:
-        """(size, index) of the largest machine-2 job, ties by smaller index."""
-        items = self.sorted_y_desc()
-        if not items:
-            return ZERO, None
-        idx, size = items[0]
-        return size, idx
-
 
 def apply_decision(
     state: ScheduleState,
@@ -232,14 +217,15 @@ def apply_decision(
     per-arrival migration budget and the machine hierarchy.
 
     Returns the new state; the ledger gains one entry for this arrival.
-    Raises BudgetExceeded, HierarchyViolation, or UnknownJob on an illegal
-    decision, leaving the ledger untouched.
+    Raises an :class:`IllegalDecision` (BudgetExceeded, HierarchyViolation,
+    UnknownJob, or the base class itself) on an illegal decision, leaving
+    the ledger untouched.
     """
     m = as_fraction(m)
     if m < 0:
         raise NegativeM(f"migration factor must be >= 0, got {m}")
     if job.index in state.jobs:
-        raise ValueError(f"job {job.index} already scheduled")
+        raise IllegalDecision(f"job {job.index} already scheduled")
     if job.gos == 1 and decision.target is MachineId.M2:
         raise HierarchyViolation(
             f"grade-1 job {job.index} cannot run on machine 2"
@@ -249,13 +235,15 @@ def apply_decision(
     seen: set[int] = set()
     for idx, new_machine in decision.migrations:
         if idx in seen:
-            raise ValueError(f"job {idx} listed twice in one decision")
+            raise IllegalDecision(f"job {idx} listed twice in one decision")
         seen.add(idx)
         if idx not in state.jobs:
             raise UnknownJob(f"migration references unknown job {idx}")
         moved = state.jobs[idx]
         if state.assignment[idx] == new_machine:
-            raise ValueError(f"migration of job {idx} does not change machines")
+            raise IllegalDecision(
+                f"migration of job {idx} does not change machines"
+            )
         if moved.gos == 1 and new_machine is MachineId.M2:
             raise HierarchyViolation(
                 f"grade-1 job {idx} cannot migrate to machine 2"
@@ -417,13 +405,7 @@ def instance_from_json_dict(data: dict) -> Instance:
     for pos, entry in enumerate(raw_jobs, start=1):
         if not isinstance(entry, dict) or "p" not in entry or "g" not in entry:
             raise ParseError(f"job {pos} must be an object with 'p' and 'g'")
-        size = as_fraction(entry["p"])
-        gos = entry["g"]
-        if size <= 0:
-            raise ParseError(f"job {pos} has non-positive size {size}")
-        if gos not in (1, 2):
-            raise ParseError(f"job {pos} has bad grade of service {gos!r}")
-        jobs.append(Job(pos, size, gos))
+        jobs.append(Job(pos, entry["p"], entry["g"]))
     if declared_opt <= 0:
         raise ParseError(f"declared_opt must be positive, got {declared_opt}")
     return Instance(jobs=tuple(jobs), declared_opt=declared_opt)
@@ -456,11 +438,7 @@ class ValidationReport:
         return not self.failures
 
 
-def validate_instance(
-    instance: Instance,
-    check_opt: bool = False,
-    oracle_cap: int | None = None,
-) -> ValidationReport:
+def validate_instance(instance: Instance, check_opt: bool = False) -> ValidationReport:
     """Check the bin-stretching invariants of an instance.
 
     Structural checks: positive sizes (enforced at parse already), total
@@ -487,10 +465,9 @@ def validate_instance(
             f"{instance.declared_opt}"
         )
     if check_opt:
-        from .oracle import EXHAUSTIVE_CAP, brute_opt
+        from .oracle import brute_opt
 
-        cap = EXHAUSTIVE_CAP if oracle_cap is None else oracle_cap
-        opt = brute_opt(instance.jobs, cap=cap)
+        opt = brute_opt(instance.jobs)
         report.oracle_opt = opt
         if opt != instance.declared_opt:
             report.failures.append(

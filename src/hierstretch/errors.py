@@ -6,18 +6,23 @@ class HierStretchError(Exception):
 
 
 class ParseError(HierStretchError):
-    """Malformed instance file or rational literal."""
+    """Malformed instance file, job field or rational literal."""
 
 
-class BudgetExceeded(HierStretchError):
+class IllegalDecision(HierStretchError):
+    """A scheduler decision that cannot be applied to the schedule: a job
+    arriving twice, or a migration listed twice or not changing machines."""
+
+
+class BudgetExceeded(IllegalDecision):
     """A decision migrated more total size than the arrival's budget allows."""
 
 
-class HierarchyViolation(HierStretchError):
+class HierarchyViolation(IllegalDecision):
     """A grade-1 job was placed or moved onto machine 2."""
 
 
-class UnknownJob(HierStretchError):
+class UnknownJob(IllegalDecision):
     """A migration referenced a job index that is not in the schedule."""
 
 

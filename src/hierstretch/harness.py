@@ -19,18 +19,20 @@ from typing import Sequence
 
 from .adversary import (
     ADVERSARIES,
+    AdvHigh,
+    AdvLow,
+    AdvMid,
+    AdvTotalSize,
     DuelTranscript,
-    adv_high,
-    adv_low,
-    adv_mid,
-    adv_totalsize,
     play_duel,
     refine_theta,
 )
 from .algorithms import (
+    SCHEDULER_REGIME,
     SCHEDULERS,
     SchedulerFn,
     get_scheduler,
+    require_regime,
     scheduler_for_regime,
 )
 from .core import (
@@ -214,10 +216,9 @@ def resolve_algorithm(name: str, m) -> tuple[str, SchedulerFn]:
     if name == "auto":
         return scheduler_for_regime(m)
     fn = get_scheduler(name)
-    if name in ("A", "B", "C", "D"):
+    if name in SCHEDULER_REGIME:
         # surface the regime check now rather than on the first arrival
-        probe = Job(1, Fraction(1, 2), 2)
-        fn(ScheduleState.empty(), probe, as_fraction(m))
+        require_regime(name, as_fraction(m))
     return name, fn
 
 
@@ -360,20 +361,20 @@ def guarantee_suite(
     return summary
 
 
-def _tightness_duels() -> list[tuple[str, object, str]]:
+def tightness_duels() -> list[tuple[str, object, str]]:
     """Adversary-versus-matching-algorithm pairings at their tight points."""
     shave = 1 - Fraction(1, 1000)
     duels = []
     for m in (Fraction(5, 2), Fraction(3), Fraction(5)):
         gamma = ratio_bound(m).mu * shave
-        duels.append((fraction_str(m), adv_high(m, gamma), "A"))
+        duels.append((fraction_str(m), AdvHigh(m, gamma), "A"))
     eps = Fraction(1, 1000)
     for m in (Fraction(1, 2), Fraction(3, 5)):
-        duels.append((fraction_str(m), adv_mid(m, eps), "C"))
+        duels.append((fraction_str(m), AdvMid(m, eps), "C"))
     for m in (Fraction(2, 3), Fraction(7, 10)):
-        duels.append((fraction_str(m), adv_mid(m, eps), "D"))
+        duels.append((fraction_str(m), AdvMid(m, eps), "D"))
     for m in (Fraction(0), Fraction(1, 4), Fraction(49, 100)):
-        duels.append((fraction_str(m), adv_low(m), "baseline"))
+        duels.append((fraction_str(m), AdvLow(m), "baseline"))
     return duels
 
 
@@ -397,7 +398,7 @@ def adversary_suite() -> SuiteSummary:
     summary = SuiteSummary(name="adversaries")
     worst_gap: Fraction | None = None
 
-    for m_text, adv, algorithm in _tightness_duels():
+    for m_text, adv, algorithm in tightness_duels():
         transcript = play_duel(adv, algorithm, SCHEDULERS[algorithm], adv.m)
         summary.runs += 1
         tag = f"{adv.name} vs {algorithm} @ m={m_text}"
@@ -422,14 +423,14 @@ def adversary_suite() -> SuiteSummary:
     soundness = []
     shave = 1 - Fraction(1, 1000)
     for m in (Fraction(5, 2), Fraction(4)):
-        soundness.append(adv_high(m, ratio_bound(m).mu * shave))
+        soundness.append(AdvHigh(m, ratio_bound(m).mu * shave))
     for m in (Fraction(1, 2), Fraction(7, 10)):
-        soundness.append(adv_mid(m, Fraction(1, 1000)))
+        soundness.append(AdvMid(m, Fraction(1, 1000)))
     for m in (Fraction(0), Fraction(1, 4), Fraction(49, 100)):
-        soundness.append(adv_low(m))
+        soundness.append(AdvLow(m))
     theta = refine_theta()
     for m in (Fraction(1), Fraction(10)):
-        soundness.append(adv_totalsize(m, theta))
+        soundness.append(AdvTotalSize(m, theta))
     for adv in soundness:
         for name in FOREIGN_SCHEDULERS:
             transcript = play_duel(adv, name, SCHEDULERS[name], adv.m)
@@ -602,17 +603,17 @@ def _cmd_duel(args: argparse.Namespace) -> int:
             if args.gamma is not None
             else mu * (1 - Fraction(1, 1000))
         )
-        adv = adv_high(m, gamma)
+        adv = AdvHigh(m, gamma)
     elif kind == "mid":
         eps = as_fraction(args.eps) if args.eps is not None else Fraction(1, 1000)
-        adv = adv_mid(m, eps)
+        adv = AdvMid(m, eps)
     elif kind == "low":
-        adv = adv_low(m)
+        adv = AdvLow(m)
     else:
         theta = (
             as_fraction(args.theta) if args.theta is not None else refine_theta()
         )
-        adv = adv_totalsize(m, theta)
+        adv = AdvTotalSize(m, theta)
     scheduler_fn = get_scheduler(args.algorithm)
     transcript = play_duel(adv, args.algorithm, scheduler_fn, m)
     _print_transcript(transcript, args.json)

@@ -11,50 +11,61 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .core import Job, MachineId, ZERO
+from .core import EXACT_SEARCH_LIMIT, Job, MachineId, ZERO
 from .errors import SizeLimit
 
-EXHAUSTIVE_CAP = 24
 
+def _least_optimal_split(
+    jobs: Sequence[Job],
+) -> tuple[Fraction, tuple[MachineId, ...]]:
+    """The least optimal assignment of the grade-2 jobs, exact.
 
-def _split_jobs(jobs: Sequence[Job]) -> tuple[Fraction, list[Job]]:
+    Returns the optimal makespan and the machine of each grade-2 job in
+    arrival order.  Among optimal assignments the least is the one with
+    the smallest machine-2 load, then the lexicographically smallest
+    machine vector (machine 1 before machine 2).  Grade-1 jobs are pinned
+    to machine 1; empty input gives makespan 0.
+    """
     base1 = sum((job.size for job in jobs if job.gos == 1), ZERO)
-    gos2 = [job for job in jobs if job.gos == 2]
-    return base1, gos2
-
-
-def _check_cap(gos2: Sequence[Job], cap: int) -> None:
-    if len(gos2) > cap:
+    sizes = [job.size for job in jobs if job.gos == 2]
+    n = len(sizes)
+    if n > EXACT_SEARCH_LIMIT:
         raise SizeLimit(
-            f"{len(gos2)} grade-2 jobs exceed the exhaustive cap of {cap}"
+            f"{n} grade-2 jobs exceed the exact-search limit {EXACT_SEARCH_LIMIT}"
         )
+    # start from everything on machine 1: the least vector of all
+    best = base1 + sum(sizes, ZERO)
+    best_y = ZERO
+    best_mask = 0  # bit i set: grade-2 job i on machine 2
+
+    def search(i: int, load1: Fraction, y: Fraction, mask: int) -> None:
+        nonlocal best, best_y, best_mask
+        # partial loads only grow, so (max(load1, y), y) bounds the key of
+        # every leaf below; equal keys are kept, because machine 2 is tried
+        # first and a later leaf has the lexicographically smaller vector
+        low = max(load1, y)
+        if low >= best and (low > best or y > best_y):
+            return
+        if i == n:
+            best, best_y, best_mask = low, y, mask
+            return
+        search(i + 1, load1, y + sizes[i], mask | (1 << i))
+        search(i + 1, load1 + sizes[i], y, mask)
+
+    search(0, base1, ZERO, 0)
+    vector = tuple(
+        MachineId.M2 if best_mask >> i & 1 else MachineId.M1 for i in range(n)
+    )
+    return best, vector
 
 
-def brute_opt(jobs: Sequence[Job], cap: int = EXHAUSTIVE_CAP) -> Fraction:
+def brute_opt(jobs: Sequence[Job]) -> Fraction:
     """Minimum makespan over all feasible assignments, exact.
 
     Grade-1 jobs are forced onto machine 1; the 2^k placements of the k
     grade-2 jobs are searched with pruning.  Empty input gives 0.
     """
-    base1, gos2 = _split_jobs(jobs)
-    _check_cap(gos2, cap)
-    sizes = [job.size for job in gos2]
-    n = len(sizes)
-    best = base1 + sum(sizes, ZERO)  # everything on machine 1
-
-    def search(i: int, z: Fraction, y: Fraction) -> None:
-        nonlocal best
-        # partial loads only grow, so max(load1, y) bounds the subtree
-        if max(base1 + z, y) >= best:
-            return
-        if i == n:
-            best = max(base1 + z, y)
-            return
-        search(i + 1, z, y + sizes[i])
-        search(i + 1, z + sizes[i], y)
-
-    search(0, ZERO, ZERO)
-    return best
+    return _least_optimal_split(jobs)[0]
 
 
 @dataclass(frozen=True)
@@ -70,57 +81,27 @@ class OptimalPrefixLoads:
     opt: Fraction
 
 
-def opt_prefix_loads(
-    jobs: Sequence[Job], cap: int = EXHAUSTIVE_CAP
-) -> OptimalPrefixLoads:
+def opt_prefix_loads(jobs: Sequence[Job]) -> OptimalPrefixLoads:
     """Pick one optimal full assignment and report cumulative prefix loads.
 
     Deterministic tie-break among optima: smallest final machine-2 load,
     then the lexicographically smallest machine vector over grade-2 jobs
     in arrival order (machine 1 before machine 2).
     """
-    base1, gos2 = _split_jobs(jobs)
-    _check_cap(gos2, cap)
-    sizes = [job.size for job in gos2]
-    n = len(sizes)
-
-    best_key: tuple | None = None
-    best_vector: tuple[MachineId, ...] = ()
-
-    def search(i: int, z: Fraction, y: Fraction, vec: tuple[MachineId, ...]) -> None:
-        nonlocal best_key, best_vector
-        if best_key is not None and max(base1 + z, y) > best_key[0]:
-            return
-        if i == n:
-            key = (max(base1 + z, y), y, vec)
-            if best_key is None or key < best_key:
-                best_key = key
-                best_vector = vec
-            return
-        # machine 1 first so the first hit among ties is lexicographically least
-        search(i + 1, z + sizes[i], y, vec + (MachineId.M1,))
-        search(i + 1, z, y + sizes[i], vec + (MachineId.M2,))
-
-    search(0, ZERO, ZERO, ())
+    opt, vector = _least_optimal_split(jobs)
+    gos2_machines = iter(vector)
     machines: dict[int, MachineId] = {}
-    pos = 0
-    for job in jobs:
-        if job.gos == 1:
-            machines[job.index] = MachineId.M1
-        else:
-            machines[job.index] = best_vector[pos]
-            pos += 1
-
     loads = []
     load1 = ZERO
     load2 = ZERO
     for job in jobs:
-        if machines[job.index] is MachineId.M1:
+        machine = MachineId.M1 if job.gos == 1 else next(gos2_machines)
+        machines[job.index] = machine
+        if machine is MachineId.M1:
             load1 += job.size
         else:
             load2 += job.size
         loads.append((load1, load2))
-    opt = max(load1, load2) if jobs else ZERO
     return OptimalPrefixLoads(loads=tuple(loads), machines=machines, opt=opt)
 
 
@@ -134,15 +115,13 @@ class PrefixMonotoneReport:
         return not self.failures
 
 
-def prefix_opt_monotone_check(
-    jobs: Sequence[Job], cap: int = EXHAUSTIVE_CAP
-) -> PrefixMonotoneReport:
+def prefix_opt_monotone_check(jobs: Sequence[Job]) -> PrefixMonotoneReport:
     """Assert the brute-force optimum is non-decreasing over prefixes and
     never exceeds the optimum of the full input."""
     prefix_opts: list[Fraction] = []
     failures: list[str] = []
     for j in range(1, len(jobs) + 1):
-        prefix_opts.append(brute_opt(jobs[:j], cap=cap))
+        prefix_opts.append(brute_opt(jobs[:j]))
     for j in range(1, len(prefix_opts)):
         if prefix_opts[j] < prefix_opts[j - 1]:
             failures.append(

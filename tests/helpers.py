@@ -4,6 +4,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from hierstretch import (
+    AssignmentDecision,
+    MachineId,
     MigrationLedger,
     ScheduleState,
     apply_decision,
@@ -14,6 +16,18 @@ from hierstretch import (
 def stream(*pairs):
     """Jobs from (size, gos) pairs; sizes may be strings."""
     return jobs_from_pairs(pairs)
+
+
+def emitting(migrations):
+    """A scheduler that puts the first arrival on machine 2 and answers
+    every later one with machine 1 plus the given migrations."""
+
+    def scheduler(state, job, m):
+        if not state.jobs:
+            return AssignmentDecision(MachineId.M2)
+        return AssignmentDecision(MachineId.M1, migrations)
+
+    return scheduler
 
 
 def replay(jobs, scheduler_fn, m):

@@ -12,11 +12,12 @@ import time
 from fractions import Fraction
 
 from hierstretch import (
+    AdvHigh,
+    AdvLow,
+    AdvMid,
+    AdvTotalSize,
+    Regime,
     SCHEDULERS,
-    adv_high,
-    adv_low,
-    adv_mid,
-    adv_totalsize,
     brute_opt,
     opt_prefix_loads,
     play_duel,
@@ -31,8 +32,9 @@ from hierstretch.harness import (
     guarantee_suite,
     iter_suite_instances,
     main,
+    oracle_suite,
+    tightness_duels,
 )
-from hierstretch.core import Job
 
 SEED = 20260809
 GUARANTEE_COUNT = 10_000
@@ -103,22 +105,11 @@ def test_criterion_3_once_only(capsys):
 
 
 def test_criterion_4_adversary_tightness(capsys):
-    shave = 1 - Fraction(1, 1000)
-    eps = Fraction(1, 1000)
     window = Fraction(2, 1000)
-    duels = []
-    for m in (Fraction(5, 2), Fraction(3), Fraction(5)):
-        duels.append((adv_high(m, ratio_bound(m).mu * shave), "A"))
-    for m in (Fraction(1, 2), Fraction(3, 5)):
-        duels.append((adv_mid(m, eps), "C"))
-    for m in (Fraction(2, 3), Fraction(7, 10)):
-        duels.append((adv_mid(m, eps), "D"))
-    for m in (Fraction(0), Fraction(1, 4), Fraction(49, 100)):
-        duels.append((adv_low(m), "baseline"))
-
+    duels = tightness_duels()
     start = time.monotonic()
     failures = []
-    for adv, algorithm in duels:
+    for _, adv, algorithm in duels:
         transcript = play_duel(adv, algorithm, SCHEDULERS[algorithm], adv.m)
         tag = f"{adv.name} vs {algorithm} @ m={adv.m}"
         bound = ratio_bound(adv.m).bound
@@ -133,6 +124,10 @@ def test_criterion_4_adversary_tightness(capsys):
         if brute_opt(transcript.jobs) != transcript.certified_opt:
             failures.append(f"{tag}: certificate mismatch")
     elapsed = time.monotonic() - start
+    # every regime with a lower-bound game is played at its tight point
+    regimes = {ratio_bound(adv.m).regime for _, adv, _ in duels}
+    if regimes != {Regime.HIGH, Regime.LOW_D, Regime.LOW_C, Regime.NO_MIG}:
+        failures.append(f"tightness duels cover only {sorted(regimes)}")
     ok = not failures and elapsed < 10.0
     with capsys.disabled():
         _verdict(
@@ -149,13 +144,13 @@ def test_criterion_5_adversary_soundness(capsys):
     theta = refine_theta()
     adversaries = []
     for m in (Fraction(5, 2), Fraction(3), Fraction(5)):
-        adversaries.append(adv_high(m, ratio_bound(m).mu * shave))
+        adversaries.append(AdvHigh(m, ratio_bound(m).mu * shave))
     for m in (Fraction(1, 2), Fraction(3, 5), Fraction(2, 3), Fraction(7, 10)):
-        adversaries.append(adv_mid(m, eps))
+        adversaries.append(AdvMid(m, eps))
     for m in (Fraction(0), Fraction(1, 4), Fraction(49, 100)):
-        adversaries.append(adv_low(m))
+        adversaries.append(AdvLow(m))
     for m in (Fraction(1), Fraction(10), Fraction(100)):
-        adversaries.append(adv_totalsize(m, theta))
+        adversaries.append(AdvTotalSize(m, theta))
 
     failures = []
     count = 0
@@ -188,7 +183,7 @@ def test_criterion_6_known_total_size_separation(capsys):
         auto_name, _ = scheduler_for_regime(m)
         names = [auto_name, "baseline", "greedy-m2", "least-loaded", "all-m1"]
         for name in names:
-            transcript = play_duel(adv_totalsize(m, theta), name, SCHEDULERS[name], m)
+            transcript = play_duel(AdvTotalSize(m, theta), name, SCHEDULERS[name], m)
             count += 1
             if transcript.illegal is not None:
                 failures.append(f"{name}@m={m}: illegal play")
@@ -240,36 +235,16 @@ def test_criterion_7_prefix_load_floor(capsys):
 
 
 def test_criterion_8_oracle_sanity(capsys):
-    import random
-
-    from hierstretch import FillMode, GenConfig, generate, prefix_opt_monotone_check
-
-    rng = random.Random(SEED + 8)
-    failures = []
-    count = 0
-    for i in range(500):
-        config = GenConfig(
-            seed=rng.getrandbits(64),
-            n_gos2=rng.randint(2, 8),
-            n_gos1=rng.randint(0, 4),
-            fill_mode=FillMode.EXACT,
-        )
-        instance = generate(config)
-        count += 1
-        if brute_opt(instance.jobs) != 1:
-            failures.append(f"exact-fill instance {i}: optimum not 1")
-        report = prefix_opt_monotone_check(instance.jobs)
-        if not report.ok:
-            failures.append(f"exact-fill instance {i}: {report.failures[0]}")
-    for name, stream in LOWER_BOUND_STREAMS.items():
-        jobs = tuple(Job(i, p, g) for i, (p, g) in enumerate(stream, start=1))
-        if brute_opt(jobs) != 1:
-            failures.append(f"lower-bound stream {name!r} has optimum != 1")
+    # planted exact-fill optima and prefix monotonicity on 500 instances,
+    # then the explicit lower-bound streams
+    summary = oracle_suite(SEED + 8, 500)
+    expected_runs = 500 + len(LOWER_BOUND_STREAMS)
     with capsys.disabled():
         _verdict(
             "criterion 8: oracle sanity",
-            not failures,
-            failures[0] if failures else
-            f"{count} exact-fill optima = 1 with monotone prefix chains, "
-            "3 explicit lower-bound streams certified",
+            summary.ok and summary.runs == expected_runs,
+            summary.violations[0] if summary.violations else
+            f"{summary.runs} runs: 500 exact-fill optima = 1 with monotone "
+            f"prefix chains, {len(LOWER_BOUND_STREAMS)} explicit lower-bound "
+            "streams certified",
         )

@@ -313,7 +313,7 @@ def _window_checks(instance, m):
         if decision.step not in (4, 5):
             continue
         moved = sum(
-            (pre.jobs[i].size for i in decision.migrated_indices()), Fraction(0)
+            (pre.jobs[i].size for i, _ in decision.migrations), Fraction(0)
         )
         if name == "B" and decision.step == 5 and decision.target is M2:
             deficit = pre.y + job.size - Fraction(5, 4)
@@ -326,7 +326,7 @@ def _window_checks(instance, m):
         if name == "D" and decision.step == 5 and decision.target is M2:
             assert m <= post.y <= 2 - m
         # no scheduler ever migrates a grade-1 job
-        for idx in decision.migrated_indices():
+        for idx, _ in decision.migrations:
             assert pre.jobs[idx].gos == 2
 
 

@@ -11,6 +11,7 @@ from hierstretch import (
     AssignmentDecision,
     BudgetExceeded,
     HierarchyViolation,
+    IllegalDecision,
     Instance,
     Job,
     MachineId,
@@ -39,12 +40,14 @@ class TestJob:
 
     @pytest.mark.parametrize("size", [0, Fraction(0), Fraction(-1, 3)])
     def test_rejects_nonpositive_size(self, size):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParseError):
             Job(1, Fraction(size), 2)
 
     def test_rejects_bad_gos(self):
-        with pytest.raises(ValueError):
-            Job(1, Fraction(1), 3)
+        # a grade is the int 1 or 2: bools and floats are refused too
+        for gos in (3, True, 2.0):
+            with pytest.raises(ParseError):
+                Job(1, Fraction(1), gos)
 
     def test_coerces_strings(self):
         assert Job(1, "7/10", 2).size == Fraction(7, 10)
@@ -121,12 +124,19 @@ class TestApplyDecision:
         state = _state_with([("1/2", 2)], [M2])
         job = Job(2, Fraction(1), 2)
         decision = AssignmentDecision(M1, migrations=((1, M2),))
-        with pytest.raises(ValueError):
+        with pytest.raises(IllegalDecision, match="does not change machines"):
+            apply_decision(state, job, decision, MigrationLedger(), Fraction(10))
+
+    def test_duplicate_migration_rejected(self):
+        state = _state_with([("1/2", 2)], [M2])
+        job = Job(2, Fraction(1), 2)
+        decision = AssignmentDecision(M2, migrations=((1, M1), (1, M1)))
+        with pytest.raises(IllegalDecision, match="listed twice"):
             apply_decision(state, job, decision, MigrationLedger(), Fraction(10))
 
     def test_duplicate_arrival_rejected(self):
         state = _state_with([("1/2", 2)], [M2])
-        with pytest.raises(ValueError):
+        with pytest.raises(IllegalDecision, match="already scheduled"):
             apply_decision(
                 state,
                 Job(1, Fraction(1), 2),
@@ -158,17 +168,14 @@ class TestScheduleState:
         assert state.load1 == Fraction(1, 4) + Fraction(1, 5)
         assert state.makespan == state.load2
         assert state.max_y_job == Fraction(1, 2)
-        assert state.second_max_y_job == Fraction(1, 3)
         assert state.y_indices() == [2, 3]
         assert state.z_indices() == [4]
 
     def test_max_jobs_default_to_zero(self):
         empty = ScheduleState.empty()
         assert empty.max_y_job == 0
-        assert empty.second_max_y_job == 0
         one = _state_with([("1/2", 2)], [M2])
         assert one.max_y_job == Fraction(1, 2)
-        assert one.second_max_y_job == 0
 
     def test_sorted_y_breaks_ties_by_arrival(self):
         state = _state_with([("1/2", 2), ("1/2", 2)], [M2, M2])
@@ -296,6 +303,9 @@ class TestInstanceJson:
             {"declared_opt": "1", "jobs": [{"p": "nope", "g": 2}]},
             {"declared_opt": "0", "jobs": []},
             {"declared_opt": "1", "jobs": [{"g": 2}]},
+            {"declared_opt": "1", "jobs": [{"p": "1/2", "g": True}]},
+            {"declared_opt": "1", "jobs": [{"p": "1/2", "g": 2.0}]},
+            {"declared_opt": "1", "jobs": [{"p": "1/2", "g": "2"}]},
         ],
     )
     def test_parse_errors(self, data):

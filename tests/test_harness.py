@@ -10,6 +10,8 @@ import pytest
 
 from hierstretch import (
     Instance,
+    Job,
+    MachineId,
     SCHEDULERS,
     curve_rows,
     jobs_from_pairs,
@@ -18,7 +20,9 @@ from hierstretch import (
     run_stream,
 )
 from hierstretch.harness import ACCEPTANCE_M_VALUES, default_seed, resolve_algorithm
-from helpers import stream
+from helpers import emitting, stream
+
+M1, M2 = MachineId.M1, MachineId.M2
 
 
 class TestRunMachinery:
@@ -34,6 +38,25 @@ class TestRunMachinery:
             jobs, SCHEDULERS["baseline"], Fraction(0), bound=Fraction(5, 4)
         )
         assert any("bound" in violation for violation in result.violations)
+
+    @pytest.mark.parametrize(
+        "jobs, migrations, reason",
+        [
+            (stream(("1/2", 2), ("1", 2)), ((1, M1), (1, M1)), "listed twice"),
+            (stream(("1/2", 2), ("1", 2)), ((1, M2),), "does not change machines"),
+            (
+                (Job(1, Fraction(1, 2), 2), Job(1, Fraction(1), 2)),
+                (),
+                "already scheduled",
+            ),
+        ],
+    )
+    def test_run_stream_records_illegal_decisions(self, jobs, migrations, reason):
+        result = run_stream(jobs, emitting(migrations), Fraction(10))
+        assert len(result.decisions) == 1
+        assert len(result.violations) == 1
+        assert "IllegalDecision" in result.violations[0]
+        assert reason in result.violations[0]
 
     def test_rescaled_instance(self):
         # declared optimum 2: sizes are halved internally, reports rescale back

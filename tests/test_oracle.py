@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +18,29 @@ from hierstretch import (
     random_config,
 )
 from helpers import stream
+
+M1, M2 = MachineId.M1, MachineId.M2
+
+small_streams = st.lists(
+    st.tuples(
+        st.fractions(min_value="1/6", max_value=1, max_denominator=6),
+        st.sampled_from([1, 2]),
+    ),
+    max_size=7,
+)
+
+
+def least_split_by_enumeration(jobs):
+    """(makespan, machine-2 load, machine vector) of the least optimal
+    split, by listing every assignment of the grade-2 jobs."""
+    base1 = sum((job.size for job in jobs if job.gos == 1), Fraction(0))
+    sizes = [job.size for job in jobs if job.gos == 2]
+    keys = []
+    for vector in product((M1, M2), repeat=len(sizes)):
+        y = sum((s for s, mach in zip(sizes, vector) if mach is M2), Fraction(0))
+        load1 = base1 + sum(sizes, Fraction(0)) - y
+        keys.append((max(load1, y), y, vector))
+    return min(keys)
 
 
 class TestBruteOpt:
@@ -33,11 +57,6 @@ class TestBruteOpt:
     def test_size_limit(self):
         with pytest.raises(SizeLimit):
             brute_opt(stream(*[("1/100", 2)] * 25))
-        # the cap is a refusal threshold, not a hard-coded constant
-        jobs = stream(*[("1/100", 2)] * 10)
-        with pytest.raises(SizeLimit):
-            brute_opt(jobs, cap=9)
-        assert brute_opt(jobs, cap=10) == Fraction(5, 100)
 
     @settings(max_examples=120)
     @given(
@@ -75,6 +94,32 @@ class TestOptPrefixLoads:
         result = opt_prefix_loads(stream(("1", 2)))
         assert result.loads == ((Fraction(1), Fraction(0)),)
         assert result.machines[1] is MachineId.M1
+
+    def test_equal_jobs_fill_machine_one_first(self):
+        result = opt_prefix_loads(stream(*[("1/2", 2)] * 4))
+        assert [result.machines[i] for i in (1, 2, 3, 4)] == [M1, M1, M2, M2]
+        assert result.opt == 1
+
+    def test_smaller_second_load_beats_lexicographic_order(self):
+        # (M1, M1, M2) is lexicographically smaller, but puts 1 on machine 2
+        result = opt_prefix_loads(stream(("1/4", 2), ("1/4", 2), ("1", 2)))
+        assert [result.machines[i] for i in (1, 2, 3)] == [M2, M2, M1]
+        assert result.loads == (
+            (Fraction(0), Fraction(1, 4)),
+            (Fraction(0), Fraction(1, 2)),
+            (Fraction(1), Fraction(1, 2)),
+        )
+
+    @settings(max_examples=150)
+    @given(small_streams)
+    def test_least_optimal_split(self, pairs):
+        jobs = stream(*pairs)
+        result = opt_prefix_loads(jobs)
+        opt, y, vector = least_split_by_enumeration(jobs)
+        assert result.opt == brute_opt(jobs) == opt
+        assert tuple(result.machines[j.index] for j in jobs if j.gos == 2) == vector
+        if jobs:
+            assert result.loads[-1][1] == y
 
     def test_empty(self):
         result = opt_prefix_loads(())

@@ -21,7 +21,7 @@ from hierstretch import (
 def walkthrough(title, pairs, scheduler_name, m):
     m = Fraction(m)
     print(f"--- {title} (scheduler {scheduler_name}, m = {m}) ---")
-    state = ScheduleState.empty()
+    state = ScheduleState()
     ledger = MigrationLedger()
     scheduler = SCHEDULERS[scheduler_name]
     for job in jobs_from_pairs(pairs):

@@ -5,6 +5,7 @@ Each adversary watches where the scheduler puts its jobs (after all
 migrations settle) and picks the next job to hurt it most.  Played
 against the matching scheduler, the forced ratio creeps up to the tight
 bound; played against naive schedulers, it only gets worse for them.
+Every adversary below uses its default parameters.
 """
 from fractions import Fraction
 
@@ -16,7 +17,6 @@ from hierstretch import (
     SCHEDULERS,
     play_duel,
     ratio_bound,
-    refine_theta,
 )
 
 
@@ -38,17 +38,15 @@ def show(adversary, scheduler_name):
 
 
 m = Fraction(3)
-mu = ratio_bound(m).mu
-gamma = mu * Fraction(999, 1000)
 print(f"high-budget game at m = {m} (bound {ratio_bound(m).bound}):")
-show(AdvHigh(m, gamma), "A")
-show(AdvHigh(m, gamma), "greedy-m2")
+show(AdvHigh(m), "A")  # gamma defaults to mu * (1 - 1/1000)
+show(AdvHigh(m), "greedy-m2")
 print()
 
 m = Fraction(3, 5)
 print(f"mid game at m = {m} (bound {ratio_bound(m).bound}):")
-show(AdvMid(m, Fraction(1, 1000)), "C")
-show(AdvMid(m, Fraction(1, 1000)), "all-m1")
+show(AdvMid(m), "C")  # eps defaults to 1/1000
+show(AdvMid(m), "all-m1")
 print()
 
 m = Fraction(1, 4)
@@ -57,12 +55,11 @@ show(AdvLow(m), "baseline")
 show(AdvLow(m), "least-loaded")
 print()
 
-theta = refine_theta()
 print(
     "known-total-size game: even huge budgets stay above "
-    f"{float(min(2 * theta, (2 - theta) / (2 * theta))):.5f}"
+    f"{float(AdvTotalSize(1).claimed):.5f}"
 )
 for m in (Fraction(1), Fraction(100)):
     print(f"at m = {m}:")
-    show(AdvTotalSize(m, theta), "baseline")
-    show(AdvTotalSize(m, theta), "greedy-m2")
+    show(AdvTotalSize(m), "baseline")  # theta_hat defaults to refine_theta()
+    show(AdvTotalSize(m), "greedy-m2")

@@ -43,6 +43,7 @@ NextMove = Union[Job, Stop]
 
 class Adversary(Protocol):
     name: str
+    m: Fraction
 
     def params(self) -> dict: ...
 
@@ -51,12 +52,9 @@ class Adversary(Protocol):
     def migration_proof_checks(self) -> list[tuple[str, bool]]: ...
 
 
-def _machine(state: ScheduleState, index: int) -> MachineId:
-    return state.assignment[index]
-
-
 class AdvHigh:
-    """Forces ratio 1 + gamma for m >= 5/2 and any 0 < gamma < mu.
+    """Forces ratio 1 + gamma for m >= 5/2 and any 0 < gamma < mu; gamma
+    defaults to mu * (1 - 1/1000).
 
     Opens with two large jobs 1-gamma and 1-2*gamma.  If they end up on
     the same machine, six grains of sand of size gamma/2 make the optimum
@@ -67,13 +65,14 @@ class AdvHigh:
 
     name = "high"
 
-    def __init__(self, m, gamma) -> None:
+    def __init__(self, m, gamma=None) -> None:
         self.m = as_fraction(m)
-        self.gamma = as_fraction(gamma)
         if self.m < Fraction(5, 2):
             raise RegimeMismatch(f"high adversary needs m >= 5/2, got {self.m}")
         mu = ratio_bound(self.m).mu
-        assert mu is not None
+        self.gamma = (
+            mu * (1 - Fraction(1, 1000)) if gamma is None else as_fraction(gamma)
+        )
         if not 0 < self.gamma < mu:
             raise BadGamma(
                 f"gamma must satisfy 0 < gamma < mu = {mu}, got {self.gamma}"
@@ -94,7 +93,7 @@ class AdvHigh:
             return Job(2, 1 - 2 * g, 2)
         claimed = 1 + g
         if n == 2:
-            first, second = _machine(state, 1), _machine(state, 2)
+            first, second = state.assignment[1], state.assignment[2]
             if first == second:
                 return Job(3, g / 2, 2)  # sand branch
             if first is MachineId.M1:
@@ -128,7 +127,7 @@ class AdvHigh:
 
 
 class AdvMid:
-    """Forces ratio 2 - m - eps for 1/2 <= m < 3/4.
+    """Forces ratio 2 - m - eps for 1/2 <= m < 3/4 (eps 1/1000 by default).
 
     Opens with a job of size m + eps, which no later arrival can migrate.
     Depending on its machine, a grade-1 or grade-2 unit job (and possibly
@@ -137,7 +136,7 @@ class AdvMid:
 
     name = "mid"
 
-    def __init__(self, m, eps) -> None:
+    def __init__(self, m, eps=Fraction(1, 1000)) -> None:
         self.m = as_fraction(m)
         self.eps = as_fraction(eps)
         if not Fraction(1, 2) <= self.m < Fraction(3, 4):
@@ -161,13 +160,13 @@ class AdvMid:
         if n == 0:
             return Job(1, m + eps, 2)
         if n == 1:
-            if _machine(state, 1) is MachineId.M1:
+            if state.assignment[1] is MachineId.M1:
                 return Job(2, Fraction(1), 1)
             return Job(2, Fraction(1), 2)
         if n == 2:
             if issued[1].gos == 1:
                 return Stop(Fraction(1), claimed)
-            if _machine(state, 2) is MachineId.M2:
+            if state.assignment[2] is MachineId.M2:
                 return Stop(Fraction(1), claimed)
             return Job(3, 1 - m - eps, 1)
         return Stop(Fraction(1), claimed)
@@ -205,7 +204,7 @@ class AdvLow:
         if n == 0:
             return Job(1, half, 2)
         if n == 1:
-            if _machine(state, 1) is MachineId.M1:
+            if state.assignment[1] is MachineId.M1:
                 return Job(2, Fraction(1), 1)
             return Job(2, Fraction(1), 2)
         if n == 2:
@@ -229,18 +228,14 @@ class AdvLow:
 THETA_TOLERANCE = Fraction(1, 10**8)
 
 
-def refine_theta(
-    start: Fraction = Fraction(59307, 100000), steps: int = 1
-) -> Fraction:
-    """Newton steps on 4*t^2 + t - 2 with exact rationals.
+def refine_theta() -> Fraction:
+    """One exact Newton step on 4*t^2 + t - 2 from 0.59307.
 
-    One step from 0.59307 already lands within 1e-8 of the positive root
-    (sqrt(33) - 1) / 8, close enough for the known-total-size adversary.
+    It lands within 1e-8 of the positive root (sqrt(33) - 1) / 8, close
+    enough for the known-total-size adversary.
     """
-    t = as_fraction(start)
-    for _ in range(steps):
-        t = t - (4 * t * t + t - 2) / (8 * t + 1)
-    return t
+    t = Fraction(59307, 100000)
+    return t - (4 * t * t + t - 2) / (8 * t + 1)
 
 
 class AdvTotalSize:
@@ -249,18 +244,19 @@ class AdvTotalSize:
     Declares total size 2, then issues two jobs of size theta (the root of
     4*t^2 + t - 2, so 2*theta = (2 - theta) / (2*theta)) followed by sand
     too fine for any arrival's budget to move a large job.  Sand grade
-    depends on whether both large jobs sit on machine 2.
+    depends on whether both large jobs sit on machine 2.  ``theta_hat``
+    defaults to :func:`refine_theta`.
     """
 
     name = "totalsize"
 
-    def __init__(self, m, theta_hat) -> None:
+    def __init__(self, m, theta_hat=None) -> None:
         self.m = as_fraction(m)
+        self.theta = refine_theta() if theta_hat is None else as_fraction(theta_hat)
         if self.m <= 0:
             raise RegimeMismatch(
                 f"total-size adversary needs m > 0, got {self.m}"
             )
-        self.theta = as_fraction(theta_hat)
         residual = 4 * self.theta * self.theta + self.theta - 2
         if abs(residual) >= THETA_TOLERANCE:
             raise BadTheta(
@@ -293,8 +289,8 @@ class AdvTotalSize:
             return Job(2, self.theta, 2)
         if n == 2:
             both_on_m2 = (
-                _machine(state, 1) is MachineId.M2
-                and _machine(state, 2) is MachineId.M2
+                state.assignment[1] is MachineId.M2
+                and state.assignment[2] is MachineId.M2
             )
             sand_gos = 2 if both_on_m2 else 1
             return Job(3, self.sand_size, sand_gos)
@@ -425,7 +421,7 @@ def play_duel(adversary, scheduler_name: str, scheduler_fn, m) -> DuelTranscript
         m=m,
         bound=ratio_bound(m).bound,
     )
-    state = ScheduleState.empty()
+    state = ScheduleState()
     issued: tuple[Job, ...] = ()
     while True:
         move = adversary.next(state, issued)

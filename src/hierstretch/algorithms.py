@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Sequence
 
 from .core import (
@@ -144,11 +143,6 @@ def require_regime(name: str, m: Fraction) -> None:
         )
 
 
-@lru_cache(maxsize=1024)
-def _mu(m: Fraction) -> Fraction:
-    return Fraction(2, 1) / (2 * m + 3)
-
-
 def alg_a(state: ScheduleState, job: Job, m: Fraction) -> AssignmentDecision:
     """High-migration scheduler (m >= 5/2): final makespan at most 1 + mu.
 
@@ -159,7 +153,7 @@ def alg_a(state: ScheduleState, job: Job, m: Fraction) -> AssignmentDecision:
     """
     m = as_fraction(m)
     require_regime("A", m)
-    mu = _mu(m)
+    mu = ratio_bound(m).mu
     y_prev = state.y
     if job.gos == 1 or y_prev >= 1 - mu:
         return AssignmentDecision(M1, step=2)
@@ -167,7 +161,7 @@ def alg_a(state: ScheduleState, job: Job, m: Fraction) -> AssignmentDecision:
         return AssignmentDecision(M2, step=3)
 
     # rebalance: machine 2 gets a max-total subset of Z u Y u {j} capped at 1
-    candidates = sorted(state.z_indices() + state.y_indices())
+    candidates = sorted(idx for idx, held in state.jobs.items() if held.gos == 2)
     sizes = [state.jobs[idx].size for idx in candidates] + [job.size]
     selection = select_max_subset(sizes, Fraction(1))
     picked = set(selection.chosen)
@@ -238,11 +232,11 @@ def alg_c(state: ScheduleState, job: Job, m: Fraction) -> AssignmentDecision:
     p = job.size
     if y_prev + p <= 2 - m:
         return AssignmentDecision(M2, step=3)
-    if state.max_y_job > m * p:
+    sorted_y = state.sorted_y_desc()
+    if sorted_y and sorted_y[0][1] > m * p:
         return AssignmentDecision(M1, step=4)
 
     deficit = p + y_prev - (2 - m)
-    sorted_y = state.sorted_y_desc()
     selection = select_prefix_min([size for _, size in sorted_y], deficit)
     migrations = tuple((sorted_y[i][0], M1) for i in selection.chosen)
     return AssignmentDecision(M2, migrations, step=5)
@@ -346,11 +340,3 @@ def scheduler_for_regime(m) -> tuple[str, SchedulerFn]:
     name = REGIME_ALGORITHM[ratio_bound(m).regime]
     return name, SCHEDULERS[name]
 
-
-def get_scheduler(name: str) -> SchedulerFn:
-    try:
-        return SCHEDULERS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown scheduler {name!r}; choose from {sorted(SCHEDULERS)}"
-        ) from None

@@ -59,9 +59,6 @@ class MachineId(IntEnum):
     M1 = 1
     M2 = 2
 
-    def other(self) -> "MachineId":
-        return MachineId.M2 if self is MachineId.M1 else MachineId.M1
-
 
 @dataclass(frozen=True)
 class Job:
@@ -133,9 +130,6 @@ class MigrationLedger:
             return ZERO
         return max(entry.ratio for entry in self.entries)
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
 
 @dataclass(frozen=True)
 class ScheduleState:
@@ -153,10 +147,6 @@ class ScheduleState:
     y: Fraction = ZERO
     z: Fraction = ZERO
 
-    @classmethod
-    def empty(cls) -> "ScheduleState":
-        return cls()
-
     @property
     def load1(self) -> Fraction:
         return self.x + self.z
@@ -173,37 +163,16 @@ class ScheduleState:
     def arrived_total(self) -> Fraction:
         return self.x + self.y + self.z
 
-    def machine_of(self, index: int) -> MachineId:
-        return self.assignment[index]
-
-    def y_indices(self) -> list[int]:
-        """Grade-2 jobs currently on machine 2, ascending arrival order."""
-        return sorted(
-            idx
-            for idx, mach in self.assignment.items()
-            if mach is MachineId.M2
-        )
-
-    def z_indices(self) -> list[int]:
-        """Grade-2 jobs currently on machine 1, ascending arrival order."""
-        return sorted(
-            idx
-            for idx, mach in self.assignment.items()
-            if mach is MachineId.M1 and self.jobs[idx].gos == 2
-        )
-
     def sorted_y_desc(self) -> list[tuple[int, Fraction]]:
         """Machine-2 jobs as (index, size), non-increasing size, ties by
         smaller arrival index first."""
-        items = [(idx, self.jobs[idx].size) for idx in self.y_indices()]
+        items = [
+            (idx, self.jobs[idx].size)
+            for idx, mach in self.assignment.items()
+            if mach is MachineId.M2
+        ]
         items.sort(key=lambda pair: (-pair[1], pair[0]))
         return items
-
-    @property
-    def max_y_job(self) -> Fraction:
-        """Largest size on machine 2; 0 when machine 2 is empty."""
-        sizes = [self.jobs[idx].size for idx in self.y_indices()]
-        return max(sizes) if sizes else ZERO
 
 
 def apply_decision(
@@ -337,7 +306,9 @@ class Instance:
     """Ordered job stream with a declared optimal makespan.
 
     Streams are normalized so the declared optimum is 1 before scheduling;
-    :meth:`normalized` performs the exact rescale.
+    :meth:`normalized` performs the exact rescale.  Indices other than
+    1..n in order, or a non-positive declared optimum, raise
+    :class:`ParseError`.
     """
 
     jobs: tuple[Job, ...]
@@ -346,9 +317,13 @@ class Instance:
     def __post_init__(self) -> None:
         if not isinstance(self.declared_opt, Fraction):
             object.__setattr__(self, "declared_opt", as_fraction(self.declared_opt))
+        if self.declared_opt <= 0:
+            raise ParseError(
+                f"declared_opt must be positive, got {self.declared_opt}"
+            )
         for pos, job in enumerate(self.jobs, start=1):
             if job.index != pos:
-                raise ValueError(
+                raise ParseError(
                     f"job indices must be 1..n in order; position {pos} has {job.index}"
                 )
 
@@ -364,8 +339,6 @@ class Instance:
         """Rescale sizes by 1/declared_opt so the declared optimum is 1."""
         if self.declared_opt == 1:
             return self
-        if self.declared_opt <= 0:
-            raise ValueError("cannot normalize with a non-positive declared optimum")
         scale = 1 / self.declared_opt
         jobs = tuple(
             Job(job.index, job.size * scale, job.gos) for job in self.jobs
@@ -406,8 +379,6 @@ def instance_from_json_dict(data: dict) -> Instance:
         if not isinstance(entry, dict) or "p" not in entry or "g" not in entry:
             raise ParseError(f"job {pos} must be an object with 'p' and 'g'")
         jobs.append(Job(pos, entry["p"], entry["g"]))
-    if declared_opt <= 0:
-        raise ParseError(f"declared_opt must be positive, got {declared_opt}")
     return Instance(jobs=tuple(jobs), declared_opt=declared_opt)
 
 
@@ -447,11 +418,6 @@ def validate_instance(instance: Instance, check_opt: bool = False) -> Validation
     reproduce the declared optimum exactly.
     """
     report = ValidationReport()
-    if instance.declared_opt <= 0:
-        report.failures.append(
-            f"declared_opt must be positive, got {instance.declared_opt}"
-        )
-        return report
     total = instance.total_size
     if total > 2 * instance.declared_opt:
         report.failures.append(

@@ -98,7 +98,7 @@ def _slack_fill(rng: random.Random, config: GenConfig) -> list[tuple[Fraction, i
 
     if pinned_gos1:
         # grade-1 side sums to exactly 1, so the optimum cannot drop below 1
-        if n1 > d:
+        if max(n1, n2) > d:
             raise InfeasibleConfig("denominator bound too small for the job counts")
         jobs = [(Fraction(u, d), 1) for u in _break_units(rng, d, n1)]
         if n2 > 0:

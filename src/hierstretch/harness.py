@@ -19,19 +19,18 @@ from typing import Sequence
 
 from .adversary import (
     ADVERSARIES,
+    Adversary,
     AdvHigh,
     AdvLow,
     AdvMid,
     AdvTotalSize,
     DuelTranscript,
     play_duel,
-    refine_theta,
 )
 from .algorithms import (
     SCHEDULER_REGIME,
     SCHEDULERS,
     SchedulerFn,
-    get_scheduler,
     require_regime,
     scheduler_for_regime,
 )
@@ -50,7 +49,7 @@ from .core import (
     ratio_bound,
     validate_instance,
 )
-from .errors import HierStretchError, RegimeMismatch
+from .errors import HierStretchError, ParseError, RegimeMismatch
 from .generators import FillMode, GenConfig, generate, random_config
 from .oracle import brute_opt, prefix_opt_monotone_check
 
@@ -111,7 +110,6 @@ class RunResult:
     ledger: MigrationLedger
     decisions: list
     violations: list[str]
-    states: list[ScheduleState] | None = None
 
     @property
     def step45_count(self) -> int:
@@ -128,7 +126,6 @@ def run_stream(
     m,
     bound: Fraction | None = None,
     per_arrival_bound: bool = False,
-    collect_states: bool = False,
 ) -> RunResult:
     """Feed jobs through a scheduler with full budget/hierarchy enforcement.
 
@@ -137,11 +134,10 @@ def run_stream(
     arrival.  Conservation of total size is always verified at the end.
     """
     m = as_fraction(m)
-    state = ScheduleState.empty()
+    state = ScheduleState()
     ledger = MigrationLedger()
     decisions: list = []
     violations: list[str] = []
-    states: list[ScheduleState] | None = [state] if collect_states else None
 
     arrived = ZERO
     for job in jobs:
@@ -155,8 +151,6 @@ def run_stream(
             break
         decisions.append(decision)
         arrived += job.size
-        if states is not None:
-            states.append(state)
         if per_arrival_bound and bound is not None and state.makespan > bound:
             violations.append(
                 f"arrival {job.index}: makespan {state.makespan} > bound {bound}"
@@ -173,7 +167,6 @@ def run_stream(
         ledger=ledger,
         decisions=decisions,
         violations=violations,
-        states=states,
     )
 
 
@@ -215,11 +208,13 @@ def resolve_algorithm(name: str, m) -> tuple[str, SchedulerFn]:
     """Map an algorithm id (or 'auto') to a scheduler, checking the regime."""
     if name == "auto":
         return scheduler_for_regime(m)
-    fn = get_scheduler(name)
+    if name not in SCHEDULERS:
+        choices = ", ".join(["auto", *sorted(SCHEDULERS)])
+        raise ParseError(f"unknown scheduler {name!r}; choose from {choices}")
     if name in SCHEDULER_REGIME:
         # surface the regime check now rather than on the first arrival
         require_regime(name, as_fraction(m))
-    return name, fn
+    return name, SCHEDULERS[name]
 
 
 def run_instance(
@@ -294,25 +289,15 @@ class SuiteSummary:
         }
 
 
-def iter_suite_instances(seed: int, count: int, max_gos2: int = 10,
-                         max_gos1: int = 4, denominator_bound: int = 1000):
+def iter_suite_instances(seed: int, count: int):
     """Deterministic stream of generated instances for the suites."""
     rng = random.Random(seed)
     for _ in range(count):
-        config = random_config(
-            rng,
-            max_gos2=max_gos2,
-            max_gos1=max_gos1,
-            denominator_bound=denominator_bound,
-        )
+        config = random_config(rng)
         yield config, generate(config)
 
 
-def guarantee_suite(
-    seed: int,
-    count: int,
-    m_values: Sequence[Fraction] = ACCEPTANCE_M_VALUES,
-) -> SuiteSummary:
+def guarantee_suite(seed: int, count: int) -> SuiteSummary:
     """Run every generated instance under the regime's scheduler for each m.
 
     Checks, all exact: final (and per-arrival) makespan within the tight
@@ -321,9 +306,9 @@ def guarantee_suite(
     for schedulers B, C, and D.
     """
     summary = SuiteSummary(name="guarantees")
-    m_values = [as_fraction(m) for m in m_values]
     plans = [
-        (m, ratio_bound(m).bound, *scheduler_for_regime(m)) for m in m_values
+        (m, ratio_bound(m).bound, *scheduler_for_regime(m))
+        for m in ACCEPTANCE_M_VALUES
     ]
     worst_margin: Fraction | None = None
     max_step45: dict[str, int] = {}
@@ -361,21 +346,28 @@ def guarantee_suite(
     return summary
 
 
-def tightness_duels() -> list[tuple[str, object, str]]:
+def tightness_duels() -> list[tuple[Adversary, str]]:
     """Adversary-versus-matching-algorithm pairings at their tight points."""
-    shave = 1 - Fraction(1, 1000)
-    duels = []
-    for m in (Fraction(5, 2), Fraction(3), Fraction(5)):
-        gamma = ratio_bound(m).mu * shave
-        duels.append((fraction_str(m), AdvHigh(m, gamma), "A"))
-    eps = Fraction(1, 1000)
-    for m in (Fraction(1, 2), Fraction(3, 5)):
-        duels.append((fraction_str(m), AdvMid(m, eps), "C"))
-    for m in (Fraction(2, 3), Fraction(7, 10)):
-        duels.append((fraction_str(m), AdvMid(m, eps), "D"))
-    for m in (Fraction(0), Fraction(1, 4), Fraction(49, 100)):
-        duels.append((fraction_str(m), AdvLow(m), "baseline"))
-    return duels
+    plays = (
+        (AdvHigh, "A", ("5/2", "3", "5")),
+        (AdvMid, "C", ("1/2", "3/5")),
+        (AdvMid, "D", ("2/3", "7/10")),
+        (AdvLow, "baseline", ("0", "1/4", "49/100")),
+    )
+    return [(cls(m), name) for cls, name, ms in plays for m in ms]
+
+
+def soundness_adversaries() -> list[Adversary]:
+    """Every lower-bound game, with default parameters, at the migration
+    factors where its claimed ratio must bind any budget-respecting
+    scheduler."""
+    plays = (
+        (AdvHigh, ("5/2", "3", "4", "5")),
+        (AdvMid, ("1/2", "3/5", "2/3", "7/10")),
+        (AdvLow, ("0", "1/4", "49/100")),
+        (AdvTotalSize, ("1", "10", "100")),
+    )
+    return [cls(m) for cls, ms in plays for m in ms]
 
 
 def _delta_for(transcript: DuelTranscript) -> Fraction:
@@ -398,10 +390,10 @@ def adversary_suite() -> SuiteSummary:
     summary = SuiteSummary(name="adversaries")
     worst_gap: Fraction | None = None
 
-    for m_text, adv, algorithm in tightness_duels():
+    for adv, algorithm in tightness_duels():
         transcript = play_duel(adv, algorithm, SCHEDULERS[algorithm], adv.m)
         summary.runs += 1
-        tag = f"{adv.name} vs {algorithm} @ m={m_text}"
+        tag = f"{adv.name} vs {algorithm} @ m={fraction_str(adv.m)}"
         _check_duel(summary, tag, transcript, require_oracle=True)
         if transcript.achieved_ratio is not None:
             bound = transcript.bound
@@ -419,19 +411,7 @@ def adversary_suite() -> SuiteSummary:
             if worst_gap is None or gap > worst_gap:
                 worst_gap = gap
 
-    # soundness: the claimed ratio must bind any budget-respecting scheduler
-    soundness = []
-    shave = 1 - Fraction(1, 1000)
-    for m in (Fraction(5, 2), Fraction(4)):
-        soundness.append(AdvHigh(m, ratio_bound(m).mu * shave))
-    for m in (Fraction(1, 2), Fraction(7, 10)):
-        soundness.append(AdvMid(m, Fraction(1, 1000)))
-    for m in (Fraction(0), Fraction(1, 4), Fraction(49, 100)):
-        soundness.append(AdvLow(m))
-    theta = refine_theta()
-    for m in (Fraction(1), Fraction(10)):
-        soundness.append(AdvTotalSize(m, theta))
-    for adv in soundness:
+    for adv in soundness_adversaries():
         for name in FOREIGN_SCHEDULERS:
             transcript = play_duel(adv, name, SCHEDULERS[name], adv.m)
             summary.runs += 1
@@ -593,29 +573,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_duel(args: argparse.Namespace) -> int:
     m = as_fraction(args.m)
-    kind = args.adversary
-    if kind == "high":
-        mu = ratio_bound(m).mu
-        if mu is None:
-            raise RegimeMismatch(f"high adversary needs m >= 5/2, got {m}")
-        gamma = (
-            as_fraction(args.gamma)
-            if args.gamma is not None
-            else mu * (1 - Fraction(1, 1000))
-        )
-        adv = AdvHigh(m, gamma)
-    elif kind == "mid":
-        eps = as_fraction(args.eps) if args.eps is not None else Fraction(1, 1000)
-        adv = AdvMid(m, eps)
-    elif kind == "low":
-        adv = AdvLow(m)
-    else:
-        theta = (
-            as_fraction(args.theta) if args.theta is not None else refine_theta()
-        )
-        adv = AdvTotalSize(m, theta)
-    scheduler_fn = get_scheduler(args.algorithm)
-    transcript = play_duel(adv, args.algorithm, scheduler_fn, m)
+    # only the chosen adversary's own option is passed; the others are ignored
+    options = {"high": args.gamma, "mid": args.eps, "totalsize": args.theta}
+    given = options.get(args.adversary)
+    params = () if given is None else (given,)
+    adv = ADVERSARIES[args.adversary](m, *params)
+    transcript = play_duel(adv, args.algorithm, SCHEDULERS[args.algorithm], m)
     _print_transcript(transcript, args.json)
     if transcript.illegal is not None:
         return 1

@@ -33,7 +33,7 @@ def emitting(migrations):
 def replay(jobs, scheduler_fn, m):
     """Yield (pre_state, job, decision, post_state) for every arrival."""
     m = Fraction(m)
-    state = ScheduleState.empty()
+    state = ScheduleState()
     ledger = MigrationLedger()
     for job in jobs:
         decision = scheduler_fn(state, job, m)

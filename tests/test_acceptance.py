@@ -12,9 +12,7 @@ import time
 from fractions import Fraction
 
 from hierstretch import (
-    AdvHigh,
-    AdvLow,
-    AdvMid,
+    ADVERSARIES,
     AdvTotalSize,
     Regime,
     SCHEDULERS,
@@ -22,19 +20,20 @@ from hierstretch import (
     opt_prefix_loads,
     play_duel,
     ratio_bound,
-    refine_theta,
-    run_stream,
     scheduler_for_regime,
 )
 from hierstretch.harness import (
     ACCEPTANCE_M_VALUES,
+    FOREIGN_SCHEDULERS,
     LOWER_BOUND_STREAMS,
     guarantee_suite,
     iter_suite_instances,
     main,
     oracle_suite,
+    soundness_adversaries,
     tightness_duels,
 )
+from helpers import replay
 
 SEED = 20260809
 GUARANTEE_COUNT = 10_000
@@ -109,7 +108,7 @@ def test_criterion_4_adversary_tightness(capsys):
     duels = tightness_duels()
     start = time.monotonic()
     failures = []
-    for _, adv, algorithm in duels:
+    for adv, algorithm in duels:
         transcript = play_duel(adv, algorithm, SCHEDULERS[algorithm], adv.m)
         tag = f"{adv.name} vs {algorithm} @ m={adv.m}"
         bound = ratio_bound(adv.m).bound
@@ -125,7 +124,7 @@ def test_criterion_4_adversary_tightness(capsys):
             failures.append(f"{tag}: certificate mismatch")
     elapsed = time.monotonic() - start
     # every regime with a lower-bound game is played at its tight point
-    regimes = {ratio_bound(adv.m).regime for _, adv, _ in duels}
+    regimes = {ratio_bound(adv.m).regime for adv, _ in duels}
     if regimes != {Regime.HIGH, Regime.LOW_D, Regime.LOW_C, Regime.NO_MIG}:
         failures.append(f"tightness duels cover only {sorted(regimes)}")
     ok = not failures and elapsed < 10.0
@@ -139,23 +138,15 @@ def test_criterion_4_adversary_tightness(capsys):
 
 
 def test_criterion_5_adversary_soundness(capsys):
-    shave = 1 - Fraction(1, 1000)
-    eps = Fraction(1, 1000)
-    theta = refine_theta()
-    adversaries = []
-    for m in (Fraction(5, 2), Fraction(3), Fraction(5)):
-        adversaries.append(AdvHigh(m, ratio_bound(m).mu * shave))
-    for m in (Fraction(1, 2), Fraction(3, 5), Fraction(2, 3), Fraction(7, 10)):
-        adversaries.append(AdvMid(m, eps))
-    for m in (Fraction(0), Fraction(1, 4), Fraction(49, 100)):
-        adversaries.append(AdvLow(m))
-    for m in (Fraction(1), Fraction(10), Fraction(100)):
-        adversaries.append(AdvTotalSize(m, theta))
-
+    adversaries = soundness_adversaries()
     failures = []
+    # every lower-bound game takes part
+    kinds = {adv.name for adv in adversaries}
+    if kinds != set(ADVERSARIES):
+        failures.append(f"soundness duels cover only {sorted(kinds)}")
     count = 0
     for adv in adversaries:
-        for name in ("greedy-m2", "least-loaded", "all-m1"):
+        for name in FOREIGN_SCHEDULERS:
             transcript = play_duel(adv, name, SCHEDULERS[name], adv.m)
             count += 1
             if transcript.illegal is not None:
@@ -175,7 +166,6 @@ def test_criterion_5_adversary_soundness(capsys):
 
 
 def test_criterion_6_known_total_size_separation(capsys):
-    theta = refine_theta()
     floor = Fraction("1.18604")
     failures = []
     count = 0
@@ -183,7 +173,7 @@ def test_criterion_6_known_total_size_separation(capsys):
         auto_name, _ = scheduler_for_regime(m)
         names = [auto_name, "baseline", "greedy-m2", "least-loaded", "all-m1"]
         for name in names:
-            transcript = play_duel(AdvTotalSize(m, theta), name, SCHEDULERS[name], m)
+            transcript = play_duel(AdvTotalSize(m), name, SCHEDULERS[name], m)
             count += 1
             if transcript.illegal is not None:
                 failures.append(f"{name}@m={m}: illegal play")
@@ -213,12 +203,10 @@ def test_criterion_7_prefix_load_floor(capsys):
     violations = []
     runs = 0
     for _, instance in iter_suite_instances(seed=SEED + 7, count=1000):
-        result = run_stream(
-            instance.jobs, SCHEDULERS["A"], m, collect_states=True
-        )
         prefix = opt_prefix_loads(instance.jobs)
         runs += 1
-        for j, state in enumerate(result.states[1:], start=1):
+        steps = replay(instance.jobs, SCHEDULERS["A"], m)
+        for j, (_, _, _, state) in enumerate(steps, start=1):
             o_j2 = prefix.loads[j - 1][1]
             if state.y < min(floor_cap, o_j2):
                 violations.append(

@@ -184,6 +184,22 @@ class TestTotalSizeAdversary:
         assert abs(float(adv.claimed) - 1.18614) < 1e-4
 
 
+class TestDefaults:
+    def test_parameters_default_inside_their_ranges(self):
+        m = Fraction(3)
+        assert AdvHigh(m).gamma == ratio_bound(m).mu * Fraction(999, 1000)
+        assert AdvMid(Fraction(3, 5)).eps == Fraction(1, 1000)
+        assert AdvTotalSize(Fraction(1)).theta == THETA
+
+    def test_high_checks_regime_before_defaulting(self):
+        with pytest.raises(RegimeMismatch):
+            AdvHigh(Fraction(1))
+
+    def test_explicit_parameter_overrides_default(self):
+        assert AdvHigh(Fraction(5, 2), "1/5").gamma == Fraction(1, 5)
+        assert AdvMid(Fraction(3, 5), "1/100").eps == Fraction(1, 100)
+
+
 class TestDuelMechanics:
     def test_certificates_match_oracle(self):
         pairs = [

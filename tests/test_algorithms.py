@@ -247,6 +247,39 @@ class TestAlgorithmD:
         assert y_final == Fraction(51, 50)
         assert Fraction(7, 10) <= y_final <= Fraction(13, 10)
 
+    def test_step5_prefix_reaches_floor(self):
+        # largest machine-2 job 11/50 is short of the floor m/3 = 7/30, so
+        # the prefix takes the next one too (a floor of m/4 would stop)
+        result = run_stream(
+            stream(("1/5", 2), ("1/5", 2), ("11/50", 2), ("69/100", 2)),
+            alg_d,
+            Fraction(7, 10),
+        )
+        assert [dec.step for dec in result.decisions] == [3, 3, 3, 5]
+        assert result.decisions[3].target is M2
+        assert result.decisions[3].migrations == ((3, M1), (1, M1))
+        assert (result.final_state.load1, result.final_state.load2) == (
+            Fraction(21, 50),
+            Fraction(89, 100),
+        )
+
+    def test_step5_complement_swap_to_m2(self):
+        # the floor prefix 11/50 + 11/50 exceeds m * p = 427/1000, so its
+        # complement migrates and the arrival still joins machine 2
+        result = run_stream(
+            stream(("11/50", 2), ("11/50", 2), ("1/5", 2), ("11/200", 2),
+                   ("61/100", 2)),
+            alg_d,
+            Fraction(7, 10),
+        )
+        assert [dec.step for dec in result.decisions] == [3, 3, 3, 3, 5]
+        assert result.decisions[4].target is M2
+        assert result.decisions[4].migrations == ((3, M1), (4, M1))
+        assert (result.final_state.load1, result.final_state.load2) == (
+            Fraction(51, 200),
+            Fraction(21, 20),
+        )
+
     def test_step5_complement_swap_then_m1(self):
         result = run_stream(stream(("13/20", 2), ("17/25", 2)), alg_d, Fraction(7, 10))
         assert [dec.step for dec in result.decisions] == [3, 5]
@@ -306,10 +339,10 @@ class TestDeterminism:
                 assert first.decisions == second.decisions
 
 
-def _window_checks(instance, m):
+def _window_checks(jobs, m):
     """Post-rebalance windows for the migrating schedulers."""
     name, fn = scheduler_for_regime(m)
-    for pre, job, decision, post in replay(instance.jobs, fn, m):
+    for pre, job, decision, post in replay(jobs, fn, m):
         if decision.step not in (4, 5):
             continue
         moved = sum(
@@ -317,7 +350,7 @@ def _window_checks(instance, m):
         )
         if name == "B" and decision.step == 5 and decision.target is M2:
             deficit = pre.y + job.size - Fraction(5, 4)
-            assert job.size + pre.max_y_job <= Fraction(5, 4)
+            assert job.size + pre.sorted_y_desc()[0][1] <= Fraction(5, 4)
             assert deficit <= moved <= Fraction(3, 4) * job.size
             assert moved < Fraction(1, 2)
         if name == "C" and decision.step == 5:
@@ -337,7 +370,27 @@ class TestWindows:
         for _ in range(120):
             instance = generate(random_config(rng))
             for m in m_values:
-                _window_checks(instance, m)
+                _window_checks(instance.jobs, m)
+
+    @pytest.mark.parametrize(
+        "pairs, moved",
+        [
+            # largest job holds half of machine 2: all others migrate
+            ((("7/20", 2), ("7/20", 2), ("3/5", 2)), (2,)),
+            # largest job in [1/4, y/2): it migrates alone
+            ((("3/10", 2), ("1/5", 2), ("1/5", 2), ("3/5", 2)), (1,)),
+            # all jobs below 1/4: the shortest prefix reaching 1/4 migrates
+            ((("1/5", 2), ("1/5", 2), ("1/5", 2), ("3/25", 2), ("3/5", 2)), (1, 2)),
+            # that prefix exceeds 3/4 * p, so its complement migrates
+            ((("6/25", 2), ("6/25", 2), ("23/100", 2), ("11/20", 2)), (3,)),
+        ],
+    )
+    def test_b_step5_to_m2_window(self, pairs, moved):
+        jobs = stream(*pairs)
+        _window_checks(jobs, Fraction(1))
+        last = run_stream(jobs, alg_b, Fraction(1)).decisions[-1]
+        assert (last.step, last.target) == (5, M2)
+        assert last.migrations == tuple((idx, M1) for idx in moved)
 
 
 class TestGuaranteeSample:

@@ -5,11 +5,12 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from hierstretch import (
     AssignmentDecision,
     BudgetExceeded,
+    HierStretchError,
     HierarchyViolation,
     IllegalDecision,
     Instance,
@@ -55,7 +56,7 @@ class TestJob:
 
 def _state_with(pairs, machines):
     """Build a state by placing the given jobs directly."""
-    state = ScheduleState.empty()
+    state = ScheduleState()
     ledger = MigrationLedger()
     for (p, g), mach in zip(pairs, machines):
         job = Job(len(state.jobs) + 1, as_fraction(p), g)
@@ -75,7 +76,7 @@ class TestApplyDecision:
             apply_decision(state, job, decision, MigrationLedger(), Fraction(1, 2))
 
     def test_simple_placement(self):
-        state = ScheduleState.empty()
+        state = ScheduleState()
         job = Job(1, Fraction(1, 2), 2)
         new = apply_decision(
             state, job, AssignmentDecision(M2), MigrationLedger(), Fraction(0)
@@ -98,7 +99,7 @@ class TestApplyDecision:
         job = Job(1, Fraction(1), 1)
         with pytest.raises(HierarchyViolation):
             apply_decision(
-                ScheduleState.empty(),
+                ScheduleState(),
                 job,
                 AssignmentDecision(M2),
                 MigrationLedger(),
@@ -117,7 +118,7 @@ class TestApplyDecision:
         decision = AssignmentDecision(M1, migrations=((9, M1),))
         with pytest.raises(UnknownJob):
             apply_decision(
-                ScheduleState.empty(), job, decision, MigrationLedger(), Fraction(10)
+                ScheduleState(), job, decision, MigrationLedger(), Fraction(10)
             )
 
     def test_noop_migration_rejected(self):
@@ -148,7 +149,7 @@ class TestApplyDecision:
     def test_negative_m(self):
         with pytest.raises(NegativeM):
             apply_decision(
-                ScheduleState.empty(),
+                ScheduleState(),
                 Job(1, Fraction(1), 2),
                 AssignmentDecision(M1),
                 MigrationLedger(),
@@ -167,15 +168,13 @@ class TestScheduleState:
         assert state.z == Fraction(1, 5)
         assert state.load1 == Fraction(1, 4) + Fraction(1, 5)
         assert state.makespan == state.load2
-        assert state.max_y_job == Fraction(1, 2)
-        assert state.y_indices() == [2, 3]
-        assert state.z_indices() == [4]
+        # machine 2 holds jobs 2 and 3, largest first; job 4 stays on machine 1
+        assert state.sorted_y_desc() == [(2, Fraction(1, 2)), (3, Fraction(1, 3))]
 
     def test_max_jobs_default_to_zero(self):
-        empty = ScheduleState.empty()
-        assert empty.max_y_job == 0
+        assert ScheduleState().sorted_y_desc() == []
         one = _state_with([("1/2", 2)], [M2])
-        assert one.max_y_job == Fraction(1, 2)
+        assert one.sorted_y_desc() == [(1, Fraction(1, 2))]
 
     def test_sorted_y_breaks_ties_by_arrival(self):
         state = _state_with([("1/2", 2), ("1/2", 2)], [M2, M2])
@@ -312,6 +311,27 @@ class TestInstanceJson:
         with pytest.raises(ParseError):
             instance_from_json_dict(data)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.recursive(
+            st.none() | st.booleans() | st.integers(-3, 3) | st.floats()
+            | st.text(max_size=6) | st.sampled_from(["1/2", "0", "-1", "1/0", "2"]),
+            lambda inner: st.lists(inner, max_size=3)
+            | st.dictionaries(
+                st.sampled_from(["declared_opt", "jobs", "p", "g"]) | st.text(max_size=2),
+                inner,
+                max_size=3,
+            ),
+            max_leaves=12,
+        )
+    )
+    def test_arbitrary_json_raises_only_typed_errors(self, data):
+        try:
+            instance = instance_from_json_dict(data)
+        except HierStretchError:
+            return
+        assert isinstance(instance, Instance)
+
     def test_normalized_rescales(self):
         inst = Instance(jobs=stream(("3/2", 2), ("1", 1)), declared_opt=Fraction(2))
         scaled = inst.normalized()
@@ -319,8 +339,13 @@ class TestInstanceJson:
         assert [job.size for job in scaled.jobs] == [Fraction(3, 4), Fraction(1, 2)]
 
     def test_indices_must_be_sequential(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParseError):
             Instance(jobs=(Job(2, Fraction(1), 2),), declared_opt=Fraction(1))
+
+    @pytest.mark.parametrize("declared_opt", [0, Fraction(-1, 2), "0"])
+    def test_declared_opt_must_be_positive(self, declared_opt):
+        with pytest.raises(ParseError):
+            Instance(jobs=stream(("1/2", 2)), declared_opt=declared_opt)
 
 
 def test_fraction_helpers():

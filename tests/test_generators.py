@@ -4,6 +4,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hierstretch import (
     FillMode,
@@ -71,6 +72,15 @@ class TestSlackFill:
         with pytest.raises(InfeasibleConfig):
             generate(GenConfig(seed=0, n_gos2=0, n_gos1=0, fill_mode=FillMode.SLACK))
 
+    def test_pinned_gos1_side_needs_units_for_gos2(self):
+        # seed 1 pins the grade-1 side; 9 grade-2 jobs do not fit 8 units
+        config = GenConfig(
+            seed=1, n_gos2=9, n_gos1=2, denominator_bound=8,
+            fill_mode=FillMode.SLACK,
+        )
+        with pytest.raises(InfeasibleConfig):
+            generate(config)
+
 
 class TestDeterminismAndLimits:
     def test_same_seed_same_instance(self):
@@ -97,6 +107,25 @@ class TestDeterminismAndLimits:
         report = prefix_opt_monotone_check(instance.jobs)
         assert report.ok
         assert all(opt <= 1 for opt in report.prefix_opts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.builds(
+        GenConfig,
+        seed=st.integers(min_value=0, max_value=2**32),
+        n_gos2=st.integers(min_value=-1, max_value=8),
+        n_gos1=st.integers(min_value=-1, max_value=4),
+        denominator_bound=st.integers(min_value=-1, max_value=12),
+        fill_mode=st.sampled_from(FillMode),
+    )
+)
+def test_any_config_is_valid_or_infeasible(config):
+    try:
+        instance = generate(config)
+    except InfeasibleConfig:
+        return
+    assert validate_instance(instance, check_opt=True).valid
 
 
 class TestRandomConfig:

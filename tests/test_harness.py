@@ -12,6 +12,7 @@ from hierstretch import (
     Instance,
     Job,
     MachineId,
+    ParseError,
     SCHEDULERS,
     curve_rows,
     jobs_from_pairs,
@@ -19,7 +20,14 @@ from hierstretch import (
     run_instance,
     run_stream,
 )
-from hierstretch.harness import ACCEPTANCE_M_VALUES, default_seed, resolve_algorithm
+from hierstretch.harness import (
+    ACCEPTANCE_M_VALUES,
+    FOREIGN_SCHEDULERS,
+    default_seed,
+    resolve_algorithm,
+    soundness_adversaries,
+    tightness_duels,
+)
 from helpers import emitting, stream
 
 M1, M2 = MachineId.M1, MachineId.M2
@@ -74,6 +82,11 @@ class TestRunMachinery:
         assert resolve_algorithm("auto", Fraction(7, 10))[0] == "D"
         assert resolve_algorithm("auto", Fraction(11, 20))[0] == "C"
         assert resolve_algorithm("auto", Fraction(1, 4))[0] == "baseline"
+
+    def test_unknown_algorithm_is_a_parse_error(self):
+        inst = Instance(jobs=jobs_from_pairs([("1/2", 2)]))
+        with pytest.raises(ParseError, match="choose from auto, A, B"):
+            run_instance(inst, "nope", Fraction(1))
 
     def test_acceptance_m_values_cover_all_regimes(self):
         names = {resolve_algorithm("auto", m)[0] for m in ACCEPTANCE_M_VALUES}
@@ -153,6 +166,20 @@ class TestCli:
         out = capsys.readouterr().out
         assert "3/2" in out
 
+    def test_duel_ignores_options_of_other_adversaries(self, capsys):
+        assert main(["duel", "low", "baseline", "--m", "1/4"]) == 0
+        plain = capsys.readouterr().out
+        assert main(
+            ["duel", "low", "baseline", "--m", "1/4", "--gamma", "1/5"]
+        ) == 0
+        assert capsys.readouterr().out == plain
+
+    def test_duel_high_outside_regime(self, capsys):
+        assert main(["duel", "high", "A", "--m", "1"]) == 2
+        assert capsys.readouterr().err == (
+            "error: RegimeMismatch: high adversary needs m >= 5/2, got 1\n"
+        )
+
     def test_duel_totalsize_default_theta(self, capsys):
         assert main(["duel", "totalsize", "greedy-m2", "--m", "1", "--json"]) == 0
         data = json.loads(capsys.readouterr().out)
@@ -188,6 +215,14 @@ class TestCli:
         )
         assert main(["verify", str(path)]) == 1
 
+    def test_gen_infeasible_slack_exit_code(self, capsys):
+        code = main(
+            ["gen", "--seed", "1", "--fill", "slack", "--gos2", "9", "--gos1",
+             "2", "--denominator-bound", "8"]
+        )
+        assert code == 2
+        assert "InfeasibleConfig" in capsys.readouterr().err
+
     def test_parse_error_exit_code(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -211,3 +246,6 @@ class TestCli:
         assert main(["suite", "adversaries", "--json"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["ok"] is True
+        assert data["runs"] == len(tightness_duels()) + len(
+            FOREIGN_SCHEDULERS
+        ) * len(soundness_adversaries())

@@ -11,46 +11,34 @@ from .adversary import (
     AdvLow,
     AdvMid,
     AdvTotalSize,
-    DuelTranscript,
     Stop,
     play_duel,
     refine_theta,
 )
 from .algorithms import (
     SCHEDULERS,
-    WSelection,
     alg_a,
     alg_b,
     alg_c,
     alg_d,
-    all_to_m1,
-    baseline_nomig,
-    greedy_least_loaded,
-    greedy_to_m2,
     scheduler_for_regime,
     select_max_subset,
     select_prefix_max,
     select_prefix_min,
 )
 from .core import (
-    EXACT_SEARCH_LIMIT,
     AssignmentDecision,
     Instance,
     Job,
-    LedgerEntry,
     MachineId,
     MigrationLedger,
     Regime,
-    RegimeBound,
     ScheduleState,
-    ValidationReport,
     apply_decision,
     as_fraction,
-    dump_instance,
     fraction_str,
     instance_from_json_dict,
     jobs_from_pairs,
-    load_instance,
     ratio_bound,
     validate_instance,
 )
@@ -71,18 +59,12 @@ from .errors import (
 )
 from .generators import FillMode, GenConfig, generate, random_config
 from .harness import (
-    RunReport,
-    RunResult,
-    adversary_suite,
     curve_rows,
-    guarantee_suite,
     main,
-    oracle_suite,
     run_instance,
     run_stream,
 )
 from .oracle import (
-    OptimalPrefixLoads,
     brute_opt,
     opt_prefix_loads,
     prefix_opt_monotone_check,

@@ -1,14 +1,17 @@
 """The online schedulers and their subset-selection procedures.
 
-Five schedulers cover the migration-factor line:
+Schedulers A-D share one window: with r = ``ratio_bound(m).bound`` they
+keep machine 2 inside [2-r, r], and differ in how they rebalance an
+arrival that would push machine 2 above r:
 
-* ``alg_a`` (m >= 5/2) keeps machine 2 inside [1-mu, 1+mu] with
-  mu = 2/(2m+3), rebalancing via an exact max-subset-sum when needed.
-* ``alg_b`` (3/4 <= m < 5/2) keeps machine 2 inside [3/4, 5/4] and never
-  migrates more than (3/4) * p_j, whatever m is.
-* ``alg_c`` (1/2 <= m < 2/3) and ``alg_d`` (2/3 <= m < 3/4) keep machine 2
-  at most 2-m, differing in how the migrating subset is chosen.
-* ``baseline_nomig`` never migrates and achieves 3/2 when the optimum is 1.
+* ``alg_a`` (m >= 5/2, r = 1+mu with mu = 2/(2m+3)) repartitions all
+  grade-2 jobs via an exact max-subset-sum.
+* ``alg_b`` (3/4 <= m < 5/2, r = 5/4) never migrates more than
+  (3/4) * p_j, whatever m is.
+* ``alg_c`` (1/2 <= m < 2/3) and ``alg_d`` (2/3 <= m < 3/4), both with
+  r = 2-m, differ in how the migrating subset is chosen.
+* ``baseline_nomig`` ignores m, never migrates and achieves 3/2 when the
+  optimum is 1.
 
 All of them are deterministic pure functions of the visible state; the
 enforcement of budgets and hierarchy stays in :func:`core.apply_decision`.
@@ -27,12 +30,12 @@ from .core import (
     Job,
     MachineId,
     Regime,
+    RegimeBound,
     ScheduleState,
     ZERO,
-    as_fraction,
     ratio_bound,
 )
-from .errors import RegimeMismatch, SizeLimit
+from .errors import ParseError, RegimeMismatch, SizeLimit
 
 SchedulerFn = Callable[[ScheduleState, Job, Fraction], AssignmentDecision]
 
@@ -56,7 +59,7 @@ def select_max_subset(sizes: Sequence[Fraction], cap: Fraction) -> WSelection:
     the lexicographically smallest index set first, which is the tie-break.
     """
     if cap < 0:
-        raise ValueError(f"cap must be >= 0, got {cap}")
+        raise ParseError(f"cap must be >= 0, got {cap}")
     n = len(sizes)
     if n > EXACT_SEARCH_LIMIT:
         raise SizeLimit(
@@ -132,33 +135,52 @@ SCHEDULER_REGIME: dict[str, Regime] = {
 }
 
 
-def require_regime(name: str, m: Fraction) -> None:
-    """Raise RegimeMismatch unless m lies in scheduler ``name``'s regime."""
+def require_regime(name: str, m) -> RegimeBound:
+    """Return m's tight bound, or raise RegimeMismatch unless m lies in
+    scheduler ``name``'s regime."""
     regime = SCHEDULER_REGIME[name]
-    actual = ratio_bound(m).regime
-    if actual is not regime:
+    tight = ratio_bound(m)
+    if tight.regime is not regime:
         raise RegimeMismatch(
             f"scheduler {name} expects the {regime.value} regime; "
-            f"m={m} falls in {actual.value}"
+            f"m={tight.m} falls in {tight.regime.value}"
         )
+    return tight
+
+
+def _window(state: ScheduleState, job: Job, r: Fraction) -> AssignmentDecision | None:
+    """Steps 2-3 of schedulers A-D, for r = ratio_bound(m).bound: grade-1
+    jobs, or any job once machine 2 holds 2-r, go to machine 1; a job that
+    keeps machine 2 within r joins it; otherwise None (rebalancing)."""
+    if job.gos == 1 or state.y >= 2 - r:
+        return AssignmentDecision(M1, step=2)
+    if state.y + job.size <= r:
+        return AssignmentDecision(M2, step=3)
+    return None
+
+
+def _clear_prefix(state: ScheduleState, job: Job, r: Fraction) -> AssignmentDecision:
+    """Step 4 of B and D for a large arrival (p >= 2-r): the longest
+    machine-2 prefix within (2-r) * p moves to machine 1 so the arrival
+    fits under r; if it still does not fit, the arrival takes machine 1."""
+    sorted_y = state.sorted_y_desc()
+    selection = select_prefix_max([size for _, size in sorted_y], (2 - r) * job.size)
+    if state.y - selection.total + job.size > r:
+        return AssignmentDecision(M1, step=4)
+    migrations = tuple((sorted_y[i][0], M1) for i in selection.chosen)
+    return AssignmentDecision(M2, migrations, step=4)
 
 
 def alg_a(state: ScheduleState, job: Job, m: Fraction) -> AssignmentDecision:
     """High-migration scheduler (m >= 5/2): final makespan at most 1 + mu.
 
-    Rules, in order: grade-1 jobs or a machine 2 already at 1-mu send the
-    arrival to machine 1; if machine 2 stays within 1+mu the arrival joins
-    it; otherwise all grade-2 jobs plus the arrival are repartitioned so
-    machine 2 carries a maximum-total subset of size at most 1.
+    When the arrival does not fit the window, all grade-2 jobs plus the
+    arrival are repartitioned so machine 2 carries a maximum-total subset
+    of size at most 1.
     """
-    m = as_fraction(m)
-    require_regime("A", m)
-    mu = ratio_bound(m).mu
-    y_prev = state.y
-    if job.gos == 1 or y_prev >= 1 - mu:
-        return AssignmentDecision(M1, step=2)
-    if y_prev + job.size <= 1 + mu:
-        return AssignmentDecision(M2, step=3)
+    decision = _window(state, job, require_regime("A", m).bound)
+    if decision is not None:
+        return decision
 
     # rebalance: machine 2 gets a max-total subset of Z u Y u {j} capped at 1
     candidates = sorted(idx for idx, held in state.jobs.items() if held.gos == 2)
@@ -178,37 +200,27 @@ def alg_a(state: ScheduleState, job: Job, m: Fraction) -> AssignmentDecision:
 def alg_b(state: ScheduleState, job: Job, m: Fraction) -> AssignmentDecision:
     """Mid-migration scheduler (3/4 <= m < 5/2): makespan at most 5/4 while
     migrating at most (3/4) * p_j per arrival."""
-    m = as_fraction(m)
-    require_regime("B", m)
-    y_prev = state.y
-    if job.gos == 1 or y_prev >= Fraction(3, 4):
-        return AssignmentDecision(M1, step=2)
+    r = require_regime("B", m).bound
+    decision = _window(state, job, r)
+    if decision is not None:
+        return decision
     p = job.size
-    if y_prev + p <= Fraction(5, 4):
-        return AssignmentDecision(M2, step=3)
-
-    sorted_y = state.sorted_y_desc()
-    sizes = [size for _, size in sorted_y]
-
-    if p >= Fraction(3, 4):
-        # large arrival: clear the longest prefix that fits the budget
-        selection = select_prefix_max(sizes, Fraction(3, 4) * p)
-        if y_prev - selection.total + p > Fraction(5, 4):
-            return AssignmentDecision(M1, step=4)
-        migrations = tuple((sorted_y[i][0], M1) for i in selection.chosen)
-        return AssignmentDecision(M2, migrations, step=4)
+    if p >= 2 - r:
+        return _clear_prefix(state, job, r)
 
     # medium arrival (1/2 < p < 3/4); machine 2 holds more than 1/2
+    sorted_y = state.sorted_y_desc()
     idx_max, p_max = sorted_y[0]
-    if p + p_max > Fraction(5, 4):
+    if p + p_max > r:
         return AssignmentDecision(M1, step=5)
-    if p_max >= y_prev / 2:
+    if p_max >= state.y / 2:
         chosen = [idx for idx, _ in sorted_y if idx != idx_max]
     elif p_max >= Fraction(1, 4):
         chosen = [idx_max]
     else:
+        sizes = [size for _, size in sorted_y]
         selection = select_prefix_min(sizes, Fraction(1, 4))
-        if selection.total > Fraction(3, 4) * p:
+        if selection.total > (2 - r) * p:
             kept = set(selection.chosen)
             chosen = [sorted_y[i][0] for i in range(len(sizes)) if i not in kept]
         else:
@@ -224,19 +236,17 @@ def alg_c(state: ScheduleState, job: Job, m: Fraction) -> AssignmentDecision:
     machine-2 job is too big to migrate; otherwise the shortest prefix
     covering the overflow migrates and the arrival takes machine 2.
     """
-    m = as_fraction(m)
-    require_regime("C", m)
-    y_prev = state.y
-    if job.gos == 1 or y_prev >= m:
-        return AssignmentDecision(M1, step=2)
+    tight = require_regime("C", m)
+    m, r = tight.m, tight.bound
+    decision = _window(state, job, r)
+    if decision is not None:
+        return decision
     p = job.size
-    if y_prev + p <= 2 - m:
-        return AssignmentDecision(M2, step=3)
     sorted_y = state.sorted_y_desc()
     if sorted_y and sorted_y[0][1] > m * p:
         return AssignmentDecision(M1, step=4)
 
-    deficit = p + y_prev - (2 - m)
+    deficit = p + state.y - r
     selection = select_prefix_min([size for _, size in sorted_y], deficit)
     migrations = tuple((sorted_y[i][0], M1) for i in selection.chosen)
     return AssignmentDecision(M2, migrations, step=5)
@@ -249,25 +259,18 @@ def alg_d(state: ScheduleState, job: Job, m: Fraction) -> AssignmentDecision:
     smaller ones move a prefix of total in [m/3, 2m/3], swapped for its
     complement when it exceeds what the budget allows.
     """
-    m = as_fraction(m)
-    require_regime("D", m)
-    y_prev = state.y
-    if job.gos == 1 or y_prev >= m:
-        return AssignmentDecision(M1, step=2)
+    tight = require_regime("D", m)
+    m, r = tight.m, tight.bound
+    decision = _window(state, job, r)
+    if decision is not None:
+        return decision
     p = job.size
-    if y_prev + p <= 2 - m:
-        return AssignmentDecision(M2, step=3)
+    if p >= m:
+        return _clear_prefix(state, job, r)
 
+    y_prev = state.y
     sorted_y = state.sorted_y_desc()
     sizes = [size for _, size in sorted_y]
-
-    if p >= m:
-        selection = select_prefix_max(sizes, m * p)
-        if y_prev - selection.total + p > 2 - m:
-            return AssignmentDecision(M1, step=4)
-        migrations = tuple((sorted_y[i][0], M1) for i in selection.chosen)
-        return AssignmentDecision(M2, migrations, step=4)
-
     selection = select_prefix_min(sizes, m / 3)
     chosen = list(selection.chosen)
     w_total = selection.total
@@ -275,7 +278,7 @@ def alg_d(state: ScheduleState, job: Job, m: Fraction) -> AssignmentDecision:
         kept = set(chosen)
         chosen = [i for i in range(len(sizes)) if i not in kept]
         w_total = y_prev - w_total
-    if y_prev - w_total + p > 2 - m:
+    if y_prev - w_total + p > r:
         return AssignmentDecision(M1, step=5)
     migrations = tuple((sorted_y[i][0], M1) for i in chosen)
     return AssignmentDecision(M2, migrations, step=5)

@@ -187,7 +187,8 @@ def apply_decision(
 
     Returns the new state; the ledger gains one entry for this arrival.
     Raises an :class:`IllegalDecision` (BudgetExceeded, HierarchyViolation,
-    UnknownJob, or the base class itself) on an illegal decision, leaving
+    UnknownJob, or the base class itself) on an illegal decision, one
+    naming a machine that is not a :class:`MachineId` included, and leaves
     the ledger untouched.
     """
     m = as_fraction(m)
@@ -195,21 +196,30 @@ def apply_decision(
         raise NegativeM(f"migration factor must be >= 0, got {m}")
     if job.index in state.jobs:
         raise IllegalDecision(f"job {job.index} already scheduled")
-    if job.gos == 1 and decision.target is MachineId.M2:
+    target = decision.target
+    if not isinstance(target, MachineId):
+        raise IllegalDecision(f"job {job.index} sent to unknown machine {target!r}")
+    if job.gos == 1 and target is MachineId.M2:
         raise HierarchyViolation(
             f"grade-1 job {job.index} cannot run on machine 2"
         )
 
+    assignment = dict(state.assignment)
+    x, y, z = state.x, state.y, state.z
     migrated_total = ZERO
     seen: set[int] = set()
     for idx, new_machine in decision.migrations:
         if idx in seen:
             raise IllegalDecision(f"job {idx} listed twice in one decision")
         seen.add(idx)
-        if idx not in state.jobs:
+        moved = state.jobs.get(idx)
+        if moved is None:
             raise UnknownJob(f"migration references unknown job {idx}")
-        moved = state.jobs[idx]
-        if state.assignment[idx] == new_machine:
+        if not isinstance(new_machine, MachineId):
+            raise IllegalDecision(
+                f"job {idx} migrated to unknown machine {new_machine!r}"
+            )
+        if assignment[idx] is new_machine:
             raise IllegalDecision(
                 f"migration of job {idx} does not change machines"
             )
@@ -218,6 +228,10 @@ def apply_decision(
                 f"grade-1 job {idx} cannot migrate to machine 2"
             )
         migrated_total += moved.size
+        assignment[idx] = new_machine
+        shift = moved.size if new_machine is MachineId.M2 else -moved.size
+        y += shift
+        z -= shift
 
     budget = m * job.size
     if migrated_total > budget:
@@ -225,30 +239,16 @@ def apply_decision(
             f"arrival {job.index}: migrated {migrated_total} > budget {budget}"
         )
 
-    jobs = dict(state.jobs)
-    assignment = dict(state.assignment)
-    x, y, z = state.x, state.y, state.z
-
-    for idx, new_machine in decision.migrations:
-        moved = state.jobs[idx]
-        if new_machine is MachineId.M2:
-            z -= moved.size
-            y += moved.size
-        else:
-            y -= moved.size
-            z += moved.size
-        assignment[idx] = new_machine
-
-    jobs[job.index] = job
-    assignment[job.index] = decision.target
+    assignment[job.index] = target
     if job.gos == 1:
         x += job.size
-    elif decision.target is MachineId.M2:
+    elif target is MachineId.M2:
         y += job.size
     else:
         z += job.size
 
     ledger.record(job, migrated_total, m)
+    jobs = {**state.jobs, job.index: job}
     return ScheduleState(jobs=jobs, assignment=assignment, x=x, y=y, z=z)
 
 

@@ -126,8 +126,12 @@ def generate(config: GenConfig) -> Instance:
         raise InfeasibleConfig("denominator bound must be at least 1")
     if config.n_gos1 < 0 or config.n_gos2 < 0:
         raise InfeasibleConfig("job counts must be non-negative")
+    try:
+        fill_mode = FillMode(config.fill_mode)
+    except ValueError:
+        raise InfeasibleConfig(f"unknown fill mode {config.fill_mode!r}") from None
     rng = random.Random(config.seed)
-    if config.fill_mode is FillMode.EXACT:
+    if fill_mode is FillMode.EXACT:
         sized = _exact_fill(rng, config)
     else:
         sized = _slack_fill(rng, config)
@@ -138,25 +142,19 @@ def generate(config: GenConfig) -> Instance:
     return Instance(jobs=jobs, declared_opt=Fraction(1))
 
 
-def random_config(
-    rng: random.Random,
-    max_gos2: int = 10,
-    max_gos1: int = 4,
-    denominator_bound: int = 1000,
-) -> GenConfig:
-    """Sample a feasible configuration for property suites."""
+def random_config(rng: random.Random) -> GenConfig:
+    """Sample a feasible configuration for property suites: up to 10
+    grade-2 and 4 grade-1 jobs in 1/1000 units."""
     fill = FillMode.EXACT if rng.random() < 0.5 else FillMode.SLACK
-    n_gos1 = rng.randint(0, max_gos1)
+    n_gos1 = rng.randint(0, 4)
     if fill is FillMode.EXACT:
         low = 2 if n_gos1 == 0 else 1
-        n_gos2 = rng.randint(low, max(low, max_gos2))
     else:
         low = 1 if n_gos1 == 0 else 0
-        n_gos2 = rng.randint(low, max_gos2)
+    n_gos2 = rng.randint(low, 10)
     return GenConfig(
         seed=rng.getrandbits(64),
         n_gos2=n_gos2,
         n_gos1=n_gos1,
-        denominator_bound=denominator_bound,
         fill_mode=fill,
     )

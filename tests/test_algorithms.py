@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from hierstretch import (
     MachineId,
+    ParseError,
     RegimeMismatch,
     SizeLimit,
     alg_a,
@@ -53,7 +54,7 @@ class TestSelectMaxSubset:
             select_max_subset([Fraction(1)] * 25, Fraction(1))
 
     def test_negative_cap_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParseError):
             select_max_subset([Fraction(1)], Fraction(-1))
 
     @settings(max_examples=150)
@@ -211,7 +212,7 @@ class TestAlgorithmC:
         # at m = 1/2 the rebalancing steps need p > 1, impossible at opt 1
         rng = random.Random(42)
         for _ in range(30):
-            instance = generate(random_config(rng, max_gos2=8, max_gos1=3))
+            instance = generate(random_config(rng))
             got = run_stream(instance.jobs, alg_c, Fraction(1, 2))
             want = run_stream(
                 instance.jobs, SCHEDULERS["baseline"], Fraction(1, 2)
@@ -391,6 +392,30 @@ class TestWindows:
         last = run_stream(jobs, alg_b, Fraction(1)).decisions[-1]
         assert (last.step, last.target) == (5, M2)
         assert last.migrations == tuple((idx, M1) for idx in moved)
+
+    @pytest.mark.parametrize(
+        "fn, m, to_r, to_floor",
+        [
+            (alg_a, "5/2", ("1/2", "3/4"), ("3/4", "1/4")),
+            (alg_b, "1", ("1/2", "3/4"), ("3/4", "1/4")),
+            (alg_c, "11/20", ("1/2", "19/20"), ("11/20", "1/4")),
+            (alg_d, "7/10", ("3/5", "7/10"), ("7/10", "1/5")),
+        ],
+        ids=["A", "B", "C", "D"],
+    )
+    def test_window_edges_are_inclusive(self, fn, m, to_r, to_floor):
+        # an arrival filling machine 2 to exactly r joins it (step 3); a
+        # machine 2 at exactly 2 - r sends the next arrival away (step 2)
+        m = Fraction(m)
+        r = ratio_bound(m).bound
+        up = stream(*((p, 2) for p in to_r))
+        assert sum(job.size for job in up) == r
+        result = run_stream(up, fn, m)
+        assert [(d.step, d.target) for d in result.decisions] == [(3, M2), (3, M2)]
+        down = stream(*((p, 2) for p in to_floor))
+        assert down[0].size == 2 - r
+        result = run_stream(down, fn, m)
+        assert [(d.step, d.target) for d in result.decisions] == [(3, M2), (2, M1)]
 
 
 class TestGuaranteeSample:

@@ -146,6 +146,39 @@ class TestApplyDecision:
                 Fraction(1),
             )
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_arbitrary_decisions_refused_or_sound(self, data):
+        # any decision either raises an IllegalDecision, leaving the ledger
+        # as it was, or gives a sound state and a move within the budget
+        machines = st.sampled_from([M1, M2, 1, 2, 3])
+        m = data.draw(st.fractions(min_value=0, max_value=3, max_denominator=4))
+        sizes = st.fractions(min_value="1/8", max_value=1, max_denominator=8)
+        pairs = data.draw(
+            st.lists(st.tuples(sizes, st.sampled_from([1, 2])), min_size=1, max_size=6)
+        )
+        state, ledger = ScheduleState(), MigrationLedger()
+        for job in stream(*pairs):
+            moves = st.tuples(st.integers(0, job.index + 1), machines)
+            decision = AssignmentDecision(
+                data.draw(machines), tuple(data.draw(st.lists(moves, max_size=4)))
+            )
+            entries = list(ledger.entries)
+            try:
+                new = apply_decision(state, job, decision, ledger, m)
+            except IllegalDecision:
+                assert ledger.entries == entries
+                new = apply_decision(state, job, AssignmentDecision(M1), ledger, m)
+            else:
+                moved = sum(state.jobs[i].size for i, _ in decision.migrations)
+                assert moved <= m * job.size
+            state = new
+            assert all(isinstance(mach, MachineId) for mach in state.assignment.values())
+            assert state.arrived_total == sum(j.size for j in state.jobs.values())
+            assert all(
+                state.assignment[i] is M1 for i, j in state.jobs.items() if j.gos == 1
+            )
+
     def test_negative_m(self):
         with pytest.raises(NegativeM):
             apply_decision(

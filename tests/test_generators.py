@@ -117,7 +117,7 @@ class TestDeterminismAndLimits:
         n_gos2=st.integers(min_value=-1, max_value=8),
         n_gos1=st.integers(min_value=-1, max_value=4),
         denominator_bound=st.integers(min_value=-1, max_value=12),
-        fill_mode=st.sampled_from(FillMode),
+        fill_mode=st.sampled_from([*FillMode, "exact", "slack", "bogus"]),
     )
 )
 def test_any_config_is_valid_or_infeasible(config):
@@ -125,7 +125,10 @@ def test_any_config_is_valid_or_infeasible(config):
         instance = generate(config)
     except InfeasibleConfig:
         return
+    assert config.fill_mode in ("exact", "slack")
     assert validate_instance(instance, check_opt=True).valid
+    if config.fill_mode == "exact":
+        assert instance.total_size == 2
 
 
 class TestRandomConfig:
@@ -140,7 +143,7 @@ class TestRandomConfig:
     def test_respects_requested_caps(self):
         rng = random.Random(5)
         for _ in range(100):
-            config = random_config(rng, max_gos2=10, max_gos1=4)
+            config = random_config(rng)
             assert config.n_gos2 <= 10
             assert config.n_gos1 <= 4
             assert config.denominator_bound == 1000

@@ -129,7 +129,7 @@ class TestOptPrefixLoads:
     def test_loads_are_cumulative_and_bounded(self):
         rng = random.Random(5)
         for _ in range(25):
-            instance = generate(random_config(rng, max_gos2=7, max_gos1=3))
+            instance = generate(random_config(rng))
             result = opt_prefix_loads(instance.jobs)
             assert result.opt == brute_opt(instance.jobs)
             prev = (Fraction(0), Fraction(0))
@@ -153,5 +153,5 @@ class TestPrefixMonotone:
     def test_generated_instances_monotone(self):
         rng = random.Random(17)
         for _ in range(20):
-            instance = generate(random_config(rng, max_gos2=6, max_gos1=3))
+            instance = generate(random_config(rng))
             assert prefix_opt_monotone_check(instance.jobs).ok

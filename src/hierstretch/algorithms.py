@@ -29,11 +29,14 @@ from .core import (
     AssignmentDecision,
     Job,
     MachineId,
+    RationalLike,
     Regime,
     RegimeBound,
     ScheduleState,
     ZERO,
+    as_fraction,
     ratio_bound,
+    to_units,
 )
 from .errors import ParseError, RegimeMismatch, SizeLimit
 
@@ -51,13 +54,15 @@ class WSelection:
     total: Fraction
 
 
-def select_max_subset(sizes: Sequence[Fraction], cap: Fraction) -> WSelection:
+def select_max_subset(sizes: Sequence[RationalLike], cap: RationalLike) -> WSelection:
     """Subset of maximum total size not exceeding ``cap``, exact.
 
-    Depth-first over positions in the given order with include-before-
-    exclude, pruned by suffix sums; among equal-total optima this visits
-    the lexicographically smallest index set first, which is the tie-break.
+    On integer units after ``as_fraction`` (a float raises ParseError):
+    depth-first in the given order, include before exclude, pruned by
+    suffix sums; among equal-total optima this visits the lexicographically
+    smallest index set first, which is the tie-break.
     """
+    cap = as_fraction(cap)
     if cap < 0:
         raise ParseError(f"cap must be >= 0, got {cap}")
     n = len(sizes)
@@ -65,35 +70,33 @@ def select_max_subset(sizes: Sequence[Fraction], cap: Fraction) -> WSelection:
         raise SizeLimit(
             f"{n} candidates exceed the exact-search limit {EXACT_SEARCH_LIMIT}"
         )
+    units, unit = to_units([*map(as_fraction, sizes), cap])
+    cap_units = units.pop()
 
-    suffix = [ZERO] * (n + 1)
+    suffix = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + sizes[i]
+        suffix[i] = suffix[i + 1] + units[i]
 
-    best_total = ZERO
+    best_total = 0
     best: tuple[int, ...] = ()
 
-    def search(i: int, total: Fraction, chosen: tuple[int, ...]) -> None:
+    def search(i: int, total: int, chosen: tuple[int, ...]) -> None:
         nonlocal best_total, best
         reach = total + suffix[i]
         if reach <= best_total:
             return  # cannot strictly improve; equal totals are lex-larger
-        if reach <= cap:
+        if reach <= cap_units:  # always so at i == n, as total <= cap
             best_total = reach
             best = chosen + tuple(range(i, n))
             return
-        if i == n:
-            best_total = total
-            best = chosen
-            return
-        if total + sizes[i] <= cap:
-            search(i + 1, total + sizes[i], chosen + (i,))
-            if best_total == cap:
+        if total + units[i] <= cap_units:
+            search(i + 1, total + units[i], chosen + (i,))
+            if best_total == cap_units:
                 return
         search(i + 1, total, chosen)
 
-    search(0, ZERO, ())
-    return WSelection(chosen=best, total=best_total)
+    search(0, 0, ())
+    return WSelection(chosen=best, total=Fraction(best_total, unit))
 
 
 def select_prefix_max(
@@ -159,13 +162,17 @@ def _window(state: ScheduleState, job: Job, r: Fraction) -> AssignmentDecision |
     return None
 
 
-def _clear_prefix(state: ScheduleState, job: Job, r: Fraction) -> AssignmentDecision:
+def _clear_prefix(
+    state: ScheduleState, job: Job, tight: RegimeBound
+) -> AssignmentDecision:
     """Step 4 of B and D for a large arrival (p >= 2-r): the longest
-    machine-2 prefix within (2-r) * p moves to machine 1 so the arrival
-    fits under r; if it still does not fit, the arrival takes machine 1."""
+    machine-2 prefix within migration_cap * p moves to machine 1 so the
+    arrival fits under r; if it still does not fit, it takes machine 1."""
     sorted_y = state.sorted_y_desc()
-    selection = select_prefix_max([size for _, size in sorted_y], (2 - r) * job.size)
-    if state.y - selection.total + job.size > r:
+    selection = select_prefix_max(
+        [size for _, size in sorted_y], tight.migration_cap * job.size
+    )
+    if state.y - selection.total + job.size > tight.bound:
         return AssignmentDecision(M1, step=4)
     migrations = tuple((sorted_y[i][0], M1) for i in selection.chosen)
     return AssignmentDecision(M2, migrations, step=4)
@@ -187,26 +194,26 @@ def alg_a(state: ScheduleState, job: Job, m: Fraction) -> AssignmentDecision:
     sizes = [state.jobs[idx].size for idx in candidates] + [job.size]
     selection = select_max_subset(sizes, Fraction(1))
     picked = set(selection.chosen)
-    job_pos = len(sizes) - 1
     migrations = []
     for pos, idx in enumerate(candidates):
         new_machine = M2 if pos in picked else M1
         if state.assignment[idx] is not new_machine:
             migrations.append((idx, new_machine))
-    target = M2 if job_pos in picked else M1
+    target = M2 if len(candidates) in picked else M1  # the arrival is last
     return AssignmentDecision(target, tuple(migrations), step=4)
 
 
 def alg_b(state: ScheduleState, job: Job, m: Fraction) -> AssignmentDecision:
     """Mid-migration scheduler (3/4 <= m < 5/2): makespan at most 5/4 while
     migrating at most (3/4) * p_j per arrival."""
-    r = require_regime("B", m).bound
+    tight = require_regime("B", m)
+    r = tight.bound
     decision = _window(state, job, r)
     if decision is not None:
         return decision
     p = job.size
     if p >= 2 - r:
-        return _clear_prefix(state, job, r)
+        return _clear_prefix(state, job, tight)
 
     # medium arrival (1/2 < p < 3/4); machine 2 holds more than 1/2
     sorted_y = state.sorted_y_desc()
@@ -220,7 +227,7 @@ def alg_b(state: ScheduleState, job: Job, m: Fraction) -> AssignmentDecision:
     else:
         sizes = [size for _, size in sorted_y]
         selection = select_prefix_min(sizes, Fraction(1, 4))
-        if selection.total > (2 - r) * p:
+        if selection.total > tight.migration_cap * p:
             kept = set(selection.chosen)
             chosen = [sorted_y[i][0] for i in range(len(sizes)) if i not in kept]
         else:
@@ -266,7 +273,7 @@ def alg_d(state: ScheduleState, job: Job, m: Fraction) -> AssignmentDecision:
         return decision
     p = job.size
     if p >= m:
-        return _clear_prefix(state, job, r)
+        return _clear_prefix(state, job, tight)
 
     y_prev = state.y
     sorted_y = state.sorted_y_desc()

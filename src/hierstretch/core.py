@@ -1,12 +1,14 @@
 """Domain types, schedule bookkeeping, migration budgets, and tight bounds.
 
-Everything is exact: sizes, loads, budgets, and bounds are
-:class:`fractions.Fraction` values, so every guarantee in this package is a
-decidable comparison rather than a float tolerance.
+Everything is exact: sizes, loads, budgets, and bounds cross the API as
+:class:`fractions.Fraction` values, and the exponential searches run on
+ints after one scaling (:func:`to_units`), so every guarantee in this
+package is a decidable comparison rather than a float tolerance.
 """
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from fractions import Fraction
@@ -48,6 +50,13 @@ def as_fraction(value: RationalLike) -> Fraction:
     raise ParseError(f"not a rational: {value!r}")
 
 
+def to_units(values: list[Fraction]) -> tuple[list[int], int]:
+    """Scale exact rationals to ints over one common unit: returns each
+    ``value * unit`` and ``unit``, the lcm of the denominators (1 if none)."""
+    unit = math.lcm(*(value.denominator for value in values))
+    return [value.numerator * (unit // value.denominator) for value in values], unit
+
+
 def fraction_str(value: Fraction) -> str:
     """Canonical 'num/den' form: lowest terms, positive denominator."""
     return f"{value.numerator}/{value.denominator}"
@@ -60,13 +69,13 @@ class MachineId(IntEnum):
     M2 = 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Job:
     """One stream element: positive size and a grade of service in {1, 2}.
 
     Grade-1 jobs may only ever run on machine 1; grade-2 jobs run anywhere.
-    A malformed field raises :class:`ParseError`; the grade must be the
-    int 1 or 2, so ``True`` and ``2.0`` are refused.
+    A malformed field raises :class:`ParseError`: the index must be an int
+    >= 1 and the grade the int 1 or 2, so ``True`` and floats are refused.
     """
 
     index: int
@@ -74,8 +83,8 @@ class Job:
     gos: int
 
     def __post_init__(self) -> None:
-        if self.index < 1:
-            raise ParseError(f"job index must be >= 1, got {self.index}")
+        if type(self.index) is not int or self.index < 1:
+            raise ParseError(f"job index must be an int >= 1, got {self.index!r}")
         if not isinstance(self.size, Fraction):
             object.__setattr__(self, "size", as_fraction(self.size))
         if self.size <= 0:
@@ -126,9 +135,7 @@ class MigrationLedger:
     @property
     def max_ratio(self) -> Fraction:
         """Largest migrated_total / p_j over all arrivals (0 if none)."""
-        if not self.entries:
-            return ZERO
-        return max(entry.ratio for entry in self.entries)
+        return max((entry.ratio for entry in self.entries), default=ZERO)
 
 
 @dataclass(frozen=True)
@@ -187,9 +194,9 @@ def apply_decision(
 
     Returns the new state; the ledger gains one entry for this arrival.
     Raises an :class:`IllegalDecision` (BudgetExceeded, HierarchyViolation,
-    UnknownJob, or the base class itself) on an illegal decision, one
-    naming a machine that is not a :class:`MachineId` included, and leaves
-    the ledger untouched.
+    UnknownJob, or the base class itself) on an illegal decision, a
+    malformed migration entry or a machine that is not a :class:`MachineId`
+    included, and leaves the ledger untouched.
     """
     m = as_fraction(m)
     if m < 0:
@@ -208,7 +215,10 @@ def apply_decision(
     x, y, z = state.x, state.y, state.z
     migrated_total = ZERO
     seen: set[int] = set()
-    for idx, new_machine in decision.migrations:
+    for entry in decision.migrations:
+        if not (isinstance(entry, tuple) and len(entry) == 2 and type(entry[0]) is int):
+            raise IllegalDecision(f"migration {entry!r} is not an (int, machine) pair")
+        idx, new_machine = entry
         if idx in seen:
             raise IllegalDecision(f"job {idx} listed twice in one decision")
         seen.add(idx)
@@ -273,6 +283,11 @@ class RegimeBound:
     regime: Regime
     bound: Fraction
     mu: Fraction | None = None
+
+    @property
+    def migration_cap(self) -> Fraction:
+        """Migration factor the regime's scheduler keeps: m, or 3/4 if mid."""
+        return 2 - self.bound if self.regime is Regime.MID else self.m
 
 
 @lru_cache(maxsize=4096)

@@ -301,31 +301,29 @@ def guarantee_suite(seed: int, count: int) -> SuiteSummary:
     """Run every generated instance under the regime's scheduler for each m.
 
     Checks, all exact: final (and per-arrival) makespan within the tight
-    bound, per-arrival migration within m * p_j (3/4 * p_j for scheduler
-    B), no hierarchy violations, and at most one rebalancing step per run
-    for schedulers B, C, and D.
+    bound, per-arrival migration within ``migration_cap`` * p_j (m, or 3/4
+    for scheduler B), no hierarchy violations, and at most one rebalancing
+    step per run for schedulers B, C, and D.
     """
     summary = SuiteSummary(name="guarantees")
     plans = [
-        (m, ratio_bound(m).bound, *scheduler_for_regime(m))
-        for m in ACCEPTANCE_M_VALUES
+        (m, ratio_bound(m), *scheduler_for_regime(m)) for m in ACCEPTANCE_M_VALUES
     ]
     worst_margin: Fraction | None = None
     max_step45: dict[str, int] = {}
     for index, (config, instance) in enumerate(iter_suite_instances(seed, count)):
-        for m, bound, name, fn in plans:
+        for m, tight, name, fn in plans:
             result = run_stream(
-                instance.jobs, fn, m, bound=bound, per_arrival_bound=True
+                instance.jobs, fn, m, bound=tight.bound, per_arrival_bound=True
             )
             summary.runs += 1
             tag = f"instance#{index}(seed={config.seed}) {name}@m={m}"
             for violation in result.violations:
                 summary.add_violation(f"{tag}: {violation}")
-            migration_cap = Fraction(3, 4) if name == "B" else m
-            if result.ledger.max_ratio > migration_cap:
+            if result.ledger.max_ratio > tight.migration_cap:
                 summary.add_violation(
                     f"{tag}: migration ratio {result.ledger.max_ratio} "
-                    f"exceeds {migration_cap}"
+                    f"exceeds {tight.migration_cap}"
                 )
             fires = result.step45_count
             if name in ("B", "C", "D"):
@@ -334,7 +332,7 @@ def guarantee_suite(seed: int, count: int) -> SuiteSummary:
                     summary.add_violation(
                         f"{tag}: rebalancing fired {fires} times"
                     )
-            margin = bound - result.makespan
+            margin = tight.bound - result.makespan
             if worst_margin is None or margin < worst_margin:
                 worst_margin = margin
     if worst_margin is not None:

@@ -1,8 +1,9 @@
 """Brute-force offline optimum and prefix loads, used as ground truth.
 
-The search is exact over rationals: every assignment of grade-2 jobs is
-enumerated (grade-1 jobs are pinned to machine 1), with branch-and-bound
-pruning on the partial loads.  Deliberately a different computation path
+The search is exact: sizes are scaled once to integer units, every
+assignment of grade-2 jobs is enumerated on those ints (grade-1 jobs are
+pinned to machine 1) with branch-and-bound pruning on the partial loads,
+and results leave as Fractions.  Deliberately a different computation path
 from any scheduler, so tests can use it as an independent oracle.
 """
 from __future__ import annotations
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .core import EXACT_SEARCH_LIMIT, Job, MachineId, ZERO
+from .core import EXACT_SEARCH_LIMIT, Job, MachineId, ZERO, to_units
 from .errors import SizeLimit
 
 
@@ -26,19 +27,19 @@ def _least_optimal_split(
     machine vector (machine 1 before machine 2).  Grade-1 jobs are pinned
     to machine 1; empty input gives makespan 0.
     """
-    base1 = sum((job.size for job in jobs if job.gos == 1), ZERO)
-    sizes = [job.size for job in jobs if job.gos == 2]
+    units, unit = to_units([job.size for job in jobs])
+    sizes = [size for size, job in zip(units, jobs) if job.gos == 2]
     n = len(sizes)
     if n > EXACT_SEARCH_LIMIT:
         raise SizeLimit(
             f"{n} grade-2 jobs exceed the exact-search limit {EXACT_SEARCH_LIMIT}"
         )
     # start from everything on machine 1: the least vector of all
-    best = base1 + sum(sizes, ZERO)
-    best_y = ZERO
+    best = sum(units)
+    best_y = 0
     best_mask = 0  # bit i set: grade-2 job i on machine 2
 
-    def search(i: int, load1: Fraction, y: Fraction, mask: int) -> None:
+    def search(i: int, load1: int, y: int, mask: int) -> None:
         nonlocal best, best_y, best_mask
         # partial loads only grow, so (max(load1, y), y) bounds the key of
         # every leaf below; equal keys are kept, because machine 2 is tried
@@ -52,11 +53,11 @@ def _least_optimal_split(
         search(i + 1, load1, y + sizes[i], mask | (1 << i))
         search(i + 1, load1 + sizes[i], y, mask)
 
-    search(0, base1, ZERO, 0)
+    search(0, best - sum(sizes), 0, 0)
     vector = tuple(
         MachineId.M2 if best_mask >> i & 1 else MachineId.M1 for i in range(n)
     )
-    return best, vector
+    return Fraction(best, unit), vector
 
 
 def brute_opt(jobs: Sequence[Job]) -> Fraction:
@@ -92,8 +93,7 @@ def opt_prefix_loads(jobs: Sequence[Job]) -> OptimalPrefixLoads:
     gos2_machines = iter(vector)
     machines: dict[int, MachineId] = {}
     loads = []
-    load1 = ZERO
-    load2 = ZERO
+    load1 = load2 = ZERO
     for job in jobs:
         machine = MachineId.M1 if job.gos == 1 else next(gos2_machines)
         machines[job.index] = machine

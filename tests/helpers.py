@@ -2,6 +2,9 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
+
+from hypothesis import strategies as st
 
 from hierstretch import (
     AssignmentDecision,
@@ -10,6 +13,22 @@ from hierstretch import (
     ScheduleState,
     apply_decision,
     jobs_from_pairs,
+)
+from hierstretch.adversary import AdvTotalSize, refine_theta
+
+# sizes in (0, 1] over mixed and very large denominators: 1/7, 1/1000,
+# 1/10^6, refine_theta()'s 14,361,400,000, and the known-total-size
+# adversary's sand at m = 1, 10, 100 and 1000, together with theta and the
+# sand sizes themselves
+SAND_SIZES = [AdvTotalSize(m).sand_size for m in (1, 10, 100, 1000)]
+MIXED_DENOMINATORS = [7, 1000, 10**6, refine_theta().denominator] + [
+    size.denominator for size in SAND_SIZES
+]
+mixed_sizes = st.one_of(
+    st.sampled_from([refine_theta(), *SAND_SIZES]),
+    st.sampled_from(MIXED_DENOMINATORS).flatmap(
+        lambda d: st.integers(1, d).map(lambda k: Fraction(k, d))
+    ),
 )
 
 
@@ -40,6 +59,12 @@ def replay(jobs, scheduler_fn, m):
         new_state = apply_decision(state, job, decision, ledger, m)
         yield state, job, decision, new_state
         state = new_state
+
+
+def in_lowest_terms(value):
+    """True when ``value`` is a Fraction whose numerator and denominator
+    share no factor."""
+    return type(value) is Fraction and gcd(value.numerator, value.denominator) == 1
 
 
 def brute_force_max_subset(sizes, cap):

@@ -245,6 +245,8 @@ class TestDuelMechanics:
         [
             (((1, M1), (1, M1)), "listed twice"),
             (((1, M2),), "does not change machines"),
+            (((1,),), "not an (int, machine) pair"),
+            (((1, M1, M2),), "not an (int, machine) pair"),
         ],
     )
     def test_illegal_migrations_recorded_as_loss(self, migrations, reason):

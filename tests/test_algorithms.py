@@ -26,7 +26,13 @@ from hierstretch import (
     select_prefix_min,
     SCHEDULERS,
 )
-from helpers import brute_force_max_subset, replay, stream
+from helpers import (
+    brute_force_max_subset,
+    in_lowest_terms,
+    mixed_sizes,
+    replay,
+    stream,
+)
 
 M1, M2 = MachineId.M1, MachineId.M2
 
@@ -57,6 +63,19 @@ class TestSelectMaxSubset:
         with pytest.raises(ParseError):
             select_max_subset([Fraction(1)], Fraction(-1))
 
+    @pytest.mark.parametrize(
+        "sizes, cap",
+        [([Fraction(1, 2)], 0.5), ([0.5], Fraction(1)), ([Fraction(1, 2)], "half")],
+    )
+    def test_floats_and_bad_literals_rejected(self, sizes, cap):
+        with pytest.raises(ParseError):
+            select_max_subset(sizes, cap)
+
+    def test_int_and_literal_caps(self):
+        sizes = [Fraction(1, 2), Fraction(1, 3)]
+        assert select_max_subset(sizes, 1) == select_max_subset(sizes, Fraction(1))
+        assert select_max_subset(sizes, "1/2").total == Fraction(1, 2)
+
     @settings(max_examples=150)
     @given(
         st.lists(small_fractions, max_size=9),
@@ -67,6 +86,19 @@ class TestSelectMaxSubset:
         want_total, want_set = brute_force_max_subset(sizes, cap)
         assert sel.total == want_total
         assert tuple(sorted(sel.chosen)) == want_set
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(mixed_sizes, max_size=9),
+        st.integers(0, 3) | mixed_sizes | st.sampled_from([Fraction(5, 4)]),
+    )
+    def test_large_denominators_match_exhaustive_search(self, sizes, cap):
+        # int and Fraction caps over units up to the lcm of several
+        # 10^10..10^13 denominators
+        sel = select_max_subset(sizes, cap)
+        want_total, want_set = brute_force_max_subset(sizes, cap)
+        assert sel.total == want_total and in_lowest_terms(sel.total)
+        assert sel.chosen == want_set
 
 
 class TestPrefixSelectors:

@@ -29,6 +29,7 @@ from hierstretch import (
     ratio_bound,
     validate_instance,
 )
+from hierstretch.core import to_units
 from helpers import stream
 
 M1, M2 = MachineId.M1, MachineId.M2
@@ -50,8 +51,23 @@ class TestJob:
             with pytest.raises(ParseError):
                 Job(1, Fraction(1), gos)
 
+    @pytest.mark.parametrize("index", [0, True, 1.5, "1", None])
+    def test_rejects_bad_index(self, index):
+        # an index is an int >= 1, as strict as the grade
+        with pytest.raises(ParseError):
+            Job(index, Fraction(1), 2)
+
     def test_coerces_strings(self):
         assert Job(1, "7/10", 2).size == Fraction(7, 10)
+
+
+class TestToUnits:
+    def test_common_unit(self):
+        units = to_units([Fraction(1, 2), Fraction(2, 3), Fraction(5)])
+        assert units == ([3, 4, 30], 6)
+
+    def test_empty(self):
+        assert to_units([]) == ([], 1)
 
 
 def _state_with(pairs, machines):
@@ -149,8 +165,9 @@ class TestApplyDecision:
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_arbitrary_decisions_refused_or_sound(self, data):
-        # any decision either raises an IllegalDecision, leaving the ledger
-        # as it was, or gives a sound state and a move within the budget
+        # any decision, malformed migration entries included, either raises
+        # an IllegalDecision, leaving the ledger as it was, or gives a sound
+        # state and a move within the budget
         machines = st.sampled_from([M1, M2, 1, 2, 3])
         m = data.draw(st.fractions(min_value=0, max_value=3, max_denominator=4))
         sizes = st.fractions(min_value="1/8", max_value=1, max_denominator=8)
@@ -159,7 +176,14 @@ class TestApplyDecision:
         )
         state, ledger = ScheduleState(), MigrationLedger()
         for job in stream(*pairs):
-            moves = st.tuples(st.integers(0, job.index + 1), machines)
+            indices = st.integers(0, job.index + 1)
+            moves = st.tuples(indices, machines) | st.one_of(
+                st.tuples(indices),
+                st.tuples(indices, machines, machines),
+                st.tuples(st.lists(indices, max_size=2) | st.booleans(), machines),
+                st.lists(indices | machines, max_size=2),
+                st.none() | indices,
+            )
             decision = AssignmentDecision(
                 data.draw(machines), tuple(data.draw(st.lists(moves, max_size=4)))
             )
@@ -265,6 +289,13 @@ class TestRatioBound:
         if m1 > m2:
             m1, m2 = m2, m1
         assert ratio_bound(m1).bound >= ratio_bound(m2).bound
+
+    def test_migration_cap(self):
+        # B keeps 3/4 = 2 - 5/4 whatever m is; every other regime keeps m
+        for m in ("3/4", "1", "2"):
+            assert ratio_bound(m).migration_cap == Fraction(3, 4)
+        for m in ("0", "1/4", "11/20", "7/10", "5/2", "3"):
+            assert ratio_bound(m).migration_cap == Fraction(m)
 
     def test_scheme_property(self):
         # the excess over 1 vanishes as the budget grows

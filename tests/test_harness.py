@@ -57,6 +57,8 @@ class TestRunMachinery:
                 (),
                 "already scheduled",
             ),
+            (stream(("1/2", 2), ("1", 2)), ((1,),), "not an (int, machine) pair"),
+            (stream(("1/2", 2), ("1", 2)), (([1], M1),), "not an (int, machine) pair"),
         ],
     )
     def test_run_stream_records_illegal_decisions(self, jobs, migrations, reason):

@@ -17,7 +17,7 @@ from hierstretch import (
     prefix_opt_monotone_check,
     random_config,
 )
-from helpers import stream
+from helpers import in_lowest_terms, mixed_sizes, stream
 
 M1, M2 = MachineId.M1, MachineId.M2
 
@@ -118,6 +118,21 @@ class TestOptPrefixLoads:
         opt, y, vector = least_split_by_enumeration(jobs)
         assert result.opt == brute_opt(jobs) == opt
         assert tuple(result.machines[j.index] for j in jobs if j.gos == 2) == vector
+        if jobs:
+            assert result.loads[-1][1] == y
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(mixed_sizes, st.sampled_from([1, 2, 2])), max_size=7))
+    def test_least_optimal_split_large_denominators(self, pairs):
+        # the integer-unit search against enumeration over Fractions, with
+        # units up to the lcm of several 10^10..10^13 denominators
+        jobs = stream(*pairs)
+        result = opt_prefix_loads(jobs)
+        opt, y, vector = least_split_by_enumeration(jobs)
+        assert result.opt == brute_opt(jobs) == opt
+        assert tuple(result.machines[j.index] for j in jobs if j.gos == 2) == vector
+        assert in_lowest_terms(result.opt) and in_lowest_terms(brute_opt(jobs))
+        assert all(in_lowest_terms(load) for pair in result.loads for load in pair)
         if jobs:
             assert result.loads[-1][1] == y
 

@@ -5,20 +5,24 @@ settled) and either emits the next job or stops with a certified optimal
 makespan and the ratio it claims to force against any scheduler that
 respects the migration budget.  Adversaries are pure functions of the
 observed state and the jobs already issued, so duels replay exactly.
+The low (m < 1/2) and mid (1/2 <= m < 3/4) games are one opener game
+played with opener size 1/2 or m + eps.  A duel transcript keeps the
+issued jobs and the ledger, whose entries record each applied arrival's
+decision, migrated volume and budget.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Protocol, Union
+from typing import Protocol, Sequence, Union
 
 from .core import (
     EXACT_SEARCH_LIMIT,
-    AssignmentDecision,
     Job,
     MachineId,
     MigrationLedger,
+    ONE,
     ScheduleState,
     ZERO,
     apply_decision,
@@ -47,7 +51,7 @@ class Adversary(Protocol):
 
     def params(self) -> dict: ...
 
-    def next(self, state: ScheduleState, issued: tuple[Job, ...]) -> NextMove: ...
+    def next(self, state: ScheduleState, issued: Sequence[Job]) -> NextMove: ...
 
     def migration_proof_checks(self) -> list[tuple[str, bool]]: ...
 
@@ -84,7 +88,7 @@ class AdvHigh:
     def params(self) -> dict:
         return {"gamma": self.gamma}
 
-    def next(self, state: ScheduleState, issued: tuple[Job, ...]) -> NextMove:
+    def next(self, state: ScheduleState, issued: Sequence[Job]) -> NextMove:
         g = self.gamma
         n = len(issued)
         if n == 0:
@@ -126,13 +130,45 @@ class AdvHigh:
         ]
 
 
-class AdvMid:
-    """Forces ratio 2 - m - eps for 1/2 <= m < 3/4 (eps 1/1000 by default).
+class OpenerGame:
+    """Forces ratio 2 - s with a grade-2 opener of size s, 1/2 <= s < 1,
+    that no later arrival can migrate (m < s).
 
-    Opens with a job of size m + eps, which no later arrival can migrate.
-    Depending on its machine, a grade-1 or grade-2 unit job (and possibly
-    a grade-1 filler) pins some machine at 2 - m - eps or worse.
+    A unit job follows: grade 1 if the opener sits on machine 1, which
+    then holds 1 + s >= 2 - s; grade 2 otherwise.  If the unit job joins
+    the opener on machine 2, that machine holds 1 + s; if it takes machine
+    1, a grade-1 filler of size 1 - s leaves machine 1 at 2 - s.  The
+    optimum is 1 throughout.  Subclasses set ``m`` and ``opener``.
     """
+
+    m: Fraction
+    opener: Fraction
+
+    def next(self, state: ScheduleState, issued: Sequence[Job]) -> NextMove:
+        s = self.opener
+        n = len(issued)
+        if n == 0:
+            return Job(1, s, 2)
+        if n == 1:
+            return Job(2, ONE, 1 if state.assignment[1] is MachineId.M1 else 2)
+        if n == 2 and issued[1].gos == 2 and state.assignment[2] is MachineId.M1:
+            return Job(3, 1 - s, 1)
+        return Stop(ONE, 2 - s)
+
+    def migration_proof_checks(self) -> list[tuple[str, bool]]:
+        m, s = self.m, self.opener
+        return [
+            ("the unit job cannot move the opener", m * 1 < s),
+            (
+                "the filler moves neither earlier job",
+                m * (1 - s) < s and m * (1 - s) < 1,
+            ),
+        ]
+
+
+class AdvMid(OpenerGame):
+    """Forces ratio 2 - m - eps for 1/2 <= m < 3/4 (eps 1/1000 by default):
+    the opener game with s = m + eps."""
 
     name = "mid"
 
@@ -149,43 +185,18 @@ class AdvMid:
             raise BadEps(f"1/eps must be an integer, got {self.eps}")
         if self.m + self.eps >= 1:
             raise BadEps(f"m + eps must stay below 1, got {self.m + self.eps}")
+        self.opener = self.m + self.eps
 
     def params(self) -> dict:
         return {"eps": self.eps}
 
-    def next(self, state: ScheduleState, issued: tuple[Job, ...]) -> NextMove:
-        m, eps = self.m, self.eps
-        n = len(issued)
-        claimed = 2 - m - eps
-        if n == 0:
-            return Job(1, m + eps, 2)
-        if n == 1:
-            if state.assignment[1] is MachineId.M1:
-                return Job(2, Fraction(1), 1)
-            return Job(2, Fraction(1), 2)
-        if n == 2:
-            if issued[1].gos == 1:
-                return Stop(Fraction(1), claimed)
-            if state.assignment[2] is MachineId.M2:
-                return Stop(Fraction(1), claimed)
-            return Job(3, 1 - m - eps, 1)
-        return Stop(Fraction(1), claimed)
 
-    def migration_proof_checks(self) -> list[tuple[str, bool]]:
-        m, eps = self.m, self.eps
-        return [
-            ("the unit job cannot move the opener", m * 1 < m + eps),
-            (
-                "the filler moves neither earlier job",
-                m * (1 - m - eps) < m + eps and m * (1 - m - eps) < 1,
-            ),
-        ]
-
-
-class AdvLow:
-    """Forces ratio 3/2 for m < 1/2; migration never helps here."""
+class AdvLow(OpenerGame):
+    """Forces ratio 3/2 for m < 1/2: the opener game with s = 1/2, so
+    migration never helps here."""
 
     name = "low"
+    opener = Fraction(1, 2)
 
     def __init__(self, m) -> None:
         self.m = as_fraction(m)
@@ -196,33 +207,6 @@ class AdvLow:
 
     def params(self) -> dict:
         return {}
-
-    def next(self, state: ScheduleState, issued: tuple[Job, ...]) -> NextMove:
-        n = len(issued)
-        half = Fraction(1, 2)
-        claimed = Fraction(3, 2)
-        if n == 0:
-            return Job(1, half, 2)
-        if n == 1:
-            if state.assignment[1] is MachineId.M1:
-                return Job(2, Fraction(1), 1)
-            return Job(2, Fraction(1), 2)
-        if n == 2:
-            if issued[1].gos == 1:
-                return Stop(Fraction(1), claimed)
-            return Job(3, half, 1)
-        return Stop(Fraction(1), claimed)
-
-    def migration_proof_checks(self) -> list[tuple[str, bool]]:
-        m = self.m
-        half = Fraction(1, 2)
-        return [
-            ("the unit job cannot move the opener", m * 1 < half),
-            (
-                "the closer moves neither earlier job",
-                m * half < half and m * half < 1,
-            ),
-        ]
 
 
 THETA_TOLERANCE = Fraction(1, 10**8)
@@ -281,7 +265,7 @@ class AdvTotalSize:
     def claimed(self) -> Fraction:
         return min(2 * self.theta, (2 - self.theta) / (2 * self.theta))
 
-    def next(self, state: ScheduleState, issued: tuple[Job, ...]) -> NextMove:
+    def next(self, state: ScheduleState, issued: Sequence[Job]) -> NextMove:
         n = len(issued)
         if n == 0:
             return Job(1, self.theta, 2)
@@ -328,7 +312,6 @@ class DuelTranscript:
     scheduler: str
     m: Fraction
     jobs: list[Job] = field(default_factory=list)
-    decisions: list[AssignmentDecision] = field(default_factory=list)
     ledger: MigrationLedger = field(default_factory=MigrationLedger)
     final_loads: tuple[Fraction, Fraction] = (ZERO, ZERO)
     certified_opt: Fraction | None = None
@@ -357,18 +340,18 @@ class DuelTranscript:
             ],
             "decisions": [
                 {
-                    "target": int(dec.target),
+                    "target": int(entry.decision.target),
                     "migrations": [
-                        [idx, int(mach)] for idx, mach in dec.migrations
+                        [idx, int(mach)] for idx, mach in entry.decision.migrations
                     ],
-                    "step": dec.step,
+                    "step": entry.decision.step,
                 }
-                for dec in self.decisions
+                for entry in self.ledger.entries
             ],
             "ledger": [
                 {
-                    "job": entry.job_index,
-                    "p": fraction_str(entry.job_size),
+                    "job": entry.job.index,
+                    "p": fraction_str(entry.job.size),
                     "migrated": fraction_str(entry.migrated_total),
                     "budget": fraction_str(entry.budget),
                 }
@@ -422,15 +405,13 @@ def play_duel(adversary, scheduler_name: str, scheduler_fn, m) -> DuelTranscript
         bound=ratio_bound(m).bound,
     )
     state = ScheduleState()
-    issued: tuple[Job, ...] = ()
     while True:
-        move = adversary.next(state, issued)
+        move = adversary.next(state, transcript.jobs)
         if isinstance(move, Stop):
             transcript.certified_opt = move.certified_opt
             transcript.claimed_min_ratio = move.claimed_min_ratio
             break
         job = move
-        issued = issued + (job,)
         transcript.jobs.append(job)
         try:
             decision = scheduler_fn(state, job, m)
@@ -438,7 +419,6 @@ def play_duel(adversary, scheduler_name: str, scheduler_fn, m) -> DuelTranscript
         except IllegalDecision as exc:
             transcript.illegal = f"{type(exc).__name__}: {exc}"
             break
-        transcript.decisions.append(decision)
 
     transcript.final_loads = (state.load1, state.load2)
     transcript.proof_checks = adversary.migration_proof_checks()

@@ -174,8 +174,8 @@ def _clear_prefix(
     )
     if state.y - selection.total + job.size > tight.bound:
         return AssignmentDecision(M1, step=4)
-    migrations = tuple((sorted_y[i][0], M1) for i in selection.chosen)
-    return AssignmentDecision(M2, migrations, step=4)
+    moved = sorted_y[: len(selection.chosen)]
+    return AssignmentDecision(M2, tuple((idx, M1) for idx, _ in moved), step=4)
 
 
 def alg_a(state: ScheduleState, job: Job, m: Fraction) -> AssignmentDecision:
@@ -217,23 +217,21 @@ def alg_b(state: ScheduleState, job: Job, m: Fraction) -> AssignmentDecision:
 
     # medium arrival (1/2 < p < 3/4); machine 2 holds more than 1/2
     sorted_y = state.sorted_y_desc()
-    idx_max, p_max = sorted_y[0]
+    p_max = sorted_y[0][1]
     if p + p_max > r:
         return AssignmentDecision(M1, step=5)
     if p_max >= state.y / 2:
-        chosen = [idx for idx, _ in sorted_y if idx != idx_max]
+        moved = sorted_y[1:]
     elif p_max >= Fraction(1, 4):
-        chosen = [idx_max]
+        moved = sorted_y[:1]
     else:
-        sizes = [size for _, size in sorted_y]
-        selection = select_prefix_min(sizes, Fraction(1, 4))
+        selection = select_prefix_min([size for _, size in sorted_y], Fraction(1, 4))
+        k = len(selection.chosen)
         if selection.total > tight.migration_cap * p:
-            kept = set(selection.chosen)
-            chosen = [sorted_y[i][0] for i in range(len(sizes)) if i not in kept]
+            moved = sorted_y[k:]
         else:
-            chosen = [sorted_y[i][0] for i in selection.chosen]
-    migrations = tuple((idx, M1) for idx in chosen)
-    return AssignmentDecision(M2, migrations, step=5)
+            moved = sorted_y[:k]
+    return AssignmentDecision(M2, tuple((idx, M1) for idx, _ in moved), step=5)
 
 
 def alg_c(state: ScheduleState, job: Job, m: Fraction) -> AssignmentDecision:
@@ -255,8 +253,8 @@ def alg_c(state: ScheduleState, job: Job, m: Fraction) -> AssignmentDecision:
 
     deficit = p + state.y - r
     selection = select_prefix_min([size for _, size in sorted_y], deficit)
-    migrations = tuple((sorted_y[i][0], M1) for i in selection.chosen)
-    return AssignmentDecision(M2, migrations, step=5)
+    moved = sorted_y[: len(selection.chosen)]
+    return AssignmentDecision(M2, tuple((idx, M1) for idx, _ in moved), step=5)
 
 
 def alg_d(state: ScheduleState, job: Job, m: Fraction) -> AssignmentDecision:
@@ -275,20 +273,15 @@ def alg_d(state: ScheduleState, job: Job, m: Fraction) -> AssignmentDecision:
     if p >= m:
         return _clear_prefix(state, job, tight)
 
-    y_prev = state.y
     sorted_y = state.sorted_y_desc()
-    sizes = [size for _, size in sorted_y]
-    selection = select_prefix_min(sizes, m / 3)
-    chosen = list(selection.chosen)
-    w_total = selection.total
+    selection = select_prefix_min([size for _, size in sorted_y], m / 3)
+    k = len(selection.chosen)
+    moved, w_total = sorted_y[:k], selection.total
     if w_total > min(2 * m / 3, m * p):
-        kept = set(chosen)
-        chosen = [i for i in range(len(sizes)) if i not in kept]
-        w_total = y_prev - w_total
-    if y_prev - w_total + p > r:
+        moved, w_total = sorted_y[k:], state.y - w_total
+    if state.y - w_total + p > r:
         return AssignmentDecision(M1, step=5)
-    migrations = tuple((sorted_y[i][0], M1) for i in chosen)
-    return AssignmentDecision(M2, migrations, step=5)
+    return AssignmentDecision(M2, tuple((idx, M1) for idx, _ in moved), step=5)
 
 
 def baseline_nomig(state: ScheduleState, job: Job, m: Fraction) -> AssignmentDecision:

@@ -18,6 +18,7 @@ from typing import Iterable, Union
 from .errors import (
     BudgetExceeded,
     HierarchyViolation,
+    HierStretchError,
     IllegalDecision,
     NegativeM,
     ParseError,
@@ -109,33 +110,27 @@ class AssignmentDecision:
     step: int | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LedgerEntry:
-    job_index: int
-    job_size: Fraction
+    """One applied arrival: the job, the decision that placed it, the
+    volume it migrated and its budget m * p_j."""
+
+    job: Job
+    decision: AssignmentDecision
     migrated_total: Fraction
     budget: Fraction
 
-    @property
-    def ratio(self) -> Fraction:
-        return self.migrated_total / self.job_size
-
 
 class MigrationLedger:
-    """Per-arrival record of migrated volume against the budget m * p_j."""
+    """Per-arrival record of decisions and migrated volume, in arrival order."""
 
     def __init__(self) -> None:
         self.entries: list[LedgerEntry] = []
 
-    def record(self, job: Job, migrated_total: Fraction, m: Fraction) -> LedgerEntry:
-        entry = LedgerEntry(job.index, job.size, migrated_total, m * job.size)
-        self.entries.append(entry)
-        return entry
-
     @property
     def max_ratio(self) -> Fraction:
         """Largest migrated_total / p_j over all arrivals (0 if none)."""
-        return max((entry.ratio for entry in self.entries), default=ZERO)
+        return max((e.migrated_total / e.job.size for e in self.entries), default=ZERO)
 
 
 @dataclass(frozen=True)
@@ -195,14 +190,20 @@ def apply_decision(
     Returns the new state; the ledger gains one entry for this arrival.
     Raises an :class:`IllegalDecision` (BudgetExceeded, HierarchyViolation,
     UnknownJob, or the base class itself) on an illegal decision, a
-    malformed migration entry or a machine that is not a :class:`MachineId`
-    included, and leaves the ledger untouched.
+    decision that is not an :class:`AssignmentDecision` with a tuple of
+    migrations, a malformed migration entry or a machine that is not a
+    :class:`MachineId` included, and leaves the ledger untouched.
     """
     m = as_fraction(m)
     if m < 0:
         raise NegativeM(f"migration factor must be >= 0, got {m}")
     if job.index in state.jobs:
         raise IllegalDecision(f"job {job.index} already scheduled")
+    if not (
+        isinstance(decision, AssignmentDecision)
+        and isinstance(decision.migrations, tuple)
+    ):
+        raise IllegalDecision(f"job {job.index} got malformed decision {decision!r}")
     target = decision.target
     if not isinstance(target, MachineId):
         raise IllegalDecision(f"job {job.index} sent to unknown machine {target!r}")
@@ -257,7 +258,7 @@ def apply_decision(
     else:
         z += job.size
 
-    ledger.record(job, migrated_total, m)
+    ledger.entries.append(LedgerEntry(job, decision, migrated_total, budget))
     jobs = {**state.jobs, job.index: job}
     return ScheduleState(jobs=jobs, assignment=assignment, x=x, y=y, z=z)
 
@@ -401,15 +402,18 @@ def load_instance(path: str) -> Instance:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # bad UTF-8, bad JSON
         raise ParseError(f"cannot read instance {path!r}: {exc}") from exc
     return instance_from_json_dict(data)
 
 
 def dump_instance(instance: Instance, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(instance.to_json())
-        handle.write("\n")
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(instance.to_json())
+            handle.write("\n")
+    except OSError as exc:
+        raise HierStretchError(f"cannot write instance {path!r}: {exc}") from exc
 
 
 @dataclass

@@ -11,7 +11,8 @@ class ParseError(HierStretchError):
 
 class IllegalDecision(HierStretchError):
     """A scheduler decision that cannot be applied to the schedule: a job
-    arriving twice, or a migration listed twice or not changing machines."""
+    arriving twice, a malformed decision, or a migration listed twice or
+    not changing machines."""
 
 
 class BudgetExceeded(IllegalDecision):

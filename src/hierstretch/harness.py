@@ -35,6 +35,7 @@ from .algorithms import (
     scheduler_for_regime,
 )
 from .core import (
+    AssignmentDecision,
     Instance,
     Job,
     MigrationLedger,
@@ -108,8 +109,11 @@ class RunResult:
 
     final_state: ScheduleState
     ledger: MigrationLedger
-    decisions: list
     violations: list[str]
+
+    @property
+    def decisions(self) -> list[AssignmentDecision]:
+        return [entry.decision for entry in self.ledger.entries]
 
     @property
     def step45_count(self) -> int:
@@ -136,7 +140,6 @@ def run_stream(
     m = as_fraction(m)
     state = ScheduleState()
     ledger = MigrationLedger()
-    decisions: list = []
     violations: list[str] = []
 
     arrived = ZERO
@@ -149,7 +152,6 @@ def run_stream(
         except HierStretchError as exc:
             violations.append(f"arrival {job.index}: {type(exc).__name__}: {exc}")
             break
-        decisions.append(decision)
         arrived += job.size
         if per_arrival_bound and bound is not None and state.makespan > bound:
             violations.append(
@@ -162,12 +164,7 @@ def run_stream(
             f"conservation broken: loads sum to {state.arrived_total}, "
             f"arrived {arrived}"
         )
-    return RunResult(
-        final_state=state,
-        ledger=ledger,
-        decisions=decisions,
-        violations=violations,
-    )
+    return RunResult(final_state=state, ledger=ledger, violations=violations)
 
 
 @dataclass
@@ -513,7 +510,8 @@ def _print_transcript(transcript: DuelTranscript, as_json: bool) -> None:
     for key, value in transcript.adversary_params.items():
         print(f"  {key:<9}: {_fmt(value)}")
     print(f"jobs issued: {len(transcript.jobs)}")
-    for job, dec in zip(transcript.jobs, transcript.decisions):
+    for entry in transcript.ledger.entries:
+        job, dec = entry.job, entry.decision
         moved = (
             ""
             if not dec.migrations

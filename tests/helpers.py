@@ -37,14 +37,17 @@ def stream(*pairs):
     return jobs_from_pairs(pairs)
 
 
-def emitting(migrations):
+def emitting(later):
     """A scheduler that puts the first arrival on machine 2 and answers
-    every later one with machine 1 plus the given migrations."""
+    every later one with ``later``: a tuple is taken as the migrations of
+    a move to machine 1, anything else is returned as it is."""
 
     def scheduler(state, job, m):
         if not state.jobs:
             return AssignmentDecision(MachineId.M2)
-        return AssignmentDecision(MachineId.M1, migrations)
+        if isinstance(later, tuple):
+            return AssignmentDecision(MachineId.M1, later)
+        return later
 
     return scheduler
 

@@ -52,7 +52,7 @@ class TestHighAdversary:
         assert transcript.certified_opt == 1
         assert transcript.oracle_checked
         # observed script: opener to machine 2, the rest to machine 1
-        targets = [dec.target for dec in transcript.decisions]
+        targets = [entry.decision.target for entry in transcript.ledger.entries]
         assert targets == [M2, M1, M1, M1]
 
     def test_same_machine_branch_plays_sand(self):
@@ -115,6 +115,14 @@ class TestMidAdversary:
         assert len(transcript.jobs) == 2
         assert transcript.final_loads[1] == Fraction(151, 100)
         assert transcript.achieved_ratio >= transcript.claimed_min_ratio
+        # the low game is the same opener game with s = 1/2: it stops once
+        # the unit job joins the opener on machine 2
+        for m in (Fraction(0), Fraction(1, 4), Fraction(49, 100)):
+            transcript = duel(AdvLow(m), "greedy-m2")
+            assert [job.gos for job in transcript.jobs] == [2, 2]
+            assert transcript.final_loads == (0, Fraction(3, 2))
+            assert transcript.achieved_ratio == Fraction(3, 2)
+            assert transcript.oracle_checked
 
 
 class TestLowAdversary:
@@ -247,6 +255,9 @@ class TestDuelMechanics:
             (((1, M2),), "does not change machines"),
             (((1,),), "not an (int, machine) pair"),
             (((1, M1, M2),), "not an (int, machine) pair"),
+            (None, "malformed decision None"),
+            (AssignmentDecision(M1, None), "malformed"),
+            (AssignmentDecision(M1, 5), "malformed"),
         ],
     )
     def test_illegal_migrations_recorded_as_loss(self, migrations, reason):

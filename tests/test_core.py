@@ -165,9 +165,9 @@ class TestApplyDecision:
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_arbitrary_decisions_refused_or_sound(self, data):
-        # any decision, malformed migration entries included, either raises
-        # an IllegalDecision, leaving the ledger as it was, or gives a sound
-        # state and a move within the budget
+        # any decision, malformed decisions and migration entries included,
+        # either raises an IllegalDecision, leaving the ledger as it was, or
+        # gives a sound state and a move within the budget
         machines = st.sampled_from([M1, M2, 1, 2, 3])
         m = data.draw(st.fractions(min_value=0, max_value=3, max_denominator=4))
         sizes = st.fractions(min_value="1/8", max_value=1, max_denominator=8)
@@ -184,8 +184,9 @@ class TestApplyDecision:
                 st.lists(indices | machines, max_size=2),
                 st.none() | indices,
             )
-            decision = AssignmentDecision(
-                data.draw(machines), tuple(data.draw(st.lists(moves, max_size=4)))
+            migrations = st.lists(moves, max_size=4).map(tuple) | st.none() | indices
+            decision = data.draw(
+                st.builds(AssignmentDecision, machines, migrations) | st.none()
             )
             entries = list(ledger.entries)
             try:
@@ -305,12 +306,23 @@ class TestRatioBound:
 
 class TestMigrationLedger:
     def test_max_ratio(self):
-        ledger = MigrationLedger()
+        ledger, state = MigrationLedger(), ScheduleState()
         assert ledger.max_ratio == 0
-        ledger.record(Job(1, Fraction(1, 2), 2), Fraction(1, 4), Fraction(2))
-        ledger.record(Job(2, Fraction(1, 3), 2), Fraction(1, 4), Fraction(2))
+        jobs = stream(("1/4", 2), ("1/2", 2), ("1/3", 2))
+        decisions = [
+            AssignmentDecision(M2),
+            AssignmentDecision(M2, ((1, M1),)),
+            AssignmentDecision(M1, ((1, M2),)),
+        ]
+        for job, decision in zip(jobs, decisions):
+            state = apply_decision(state, job, decision, ledger, Fraction(2))
+        # one entry per arrival: the job, its decision, moved volume, budget
+        assert [e.job for e in ledger.entries] == list(jobs)
+        assert [e.decision for e in ledger.entries] == decisions
+        moved = [e.migrated_total for e in ledger.entries]
+        assert moved == [0, Fraction(1, 4), Fraction(1, 4)]
+        assert [e.budget for e in ledger.entries] == [Fraction(1, 2), 1, Fraction(2, 3)]
         assert ledger.max_ratio == Fraction(3, 4)
-        assert ledger.entries[0].budget == Fraction(1)
 
 
 class TestValidateInstance:

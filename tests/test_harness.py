@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from hierstretch import (
+    AssignmentDecision,
     Instance,
     Job,
     MachineId,
@@ -59,6 +60,9 @@ class TestRunMachinery:
             ),
             (stream(("1/2", 2), ("1", 2)), ((1,),), "not an (int, machine) pair"),
             (stream(("1/2", 2), ("1", 2)), (([1], M1),), "not an (int, machine) pair"),
+            (stream(("1/2", 2), ("1", 2)), None, "malformed decision None"),
+            (stream(("1/2", 2), ("1", 2)), AssignmentDecision(M1, None), "malformed"),
+            (stream(("1/2", 2), ("1", 2)), AssignmentDecision(M1, 5), "malformed"),
         ],
     )
     def test_run_stream_records_illegal_decisions(self, jobs, migrations, reason):
@@ -226,10 +230,22 @@ class TestCli:
         assert "InfeasibleConfig" in capsys.readouterr().err
 
     def test_parse_error_exit_code(self, tmp_path, capsys):
-        path = tmp_path / "broken.json"
-        path.write_text("{not json")
-        assert main(["run", str(path), "--m", "1"]) == 2
-        assert "ParseError" in capsys.readouterr().err
+        broken, binary = tmp_path / "broken.json", tmp_path / "binary"
+        deep = tmp_path / "deep.json"
+        broken.write_text("{not json")
+        binary.write_bytes(b"\x7fELF\xff\xfe\x00")
+        deep.write_text("[" * 100_000)
+        for path in (broken, binary, deep):
+            for argv in (["run", str(path), "--m", "1"], ["verify", str(path)]):
+                assert main(argv) == 2
+                err = capsys.readouterr().err
+                assert err.startswith("error: ParseError: ") and err.count("\n") == 1
+
+    def test_unwritable_output_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "x.json"
+        assert main(["gen", "--seed", "1", "-o", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: HierStretchError: cannot write instance")
 
     def test_suite_oracle_smoke(self, capsys):
         assert main(["suite", "oracle", "--seed", "7", "--count", "20"]) == 0

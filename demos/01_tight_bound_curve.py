@@ -13,7 +13,7 @@ tight competitive ratio is exact in every one of them:
 """
 from fractions import Fraction
 
-from hierstretch import curve_rows, ratio_bound
+from hierstretch.core import ratio_bound
 
 grid = [
     Fraction(v)
@@ -23,7 +23,7 @@ grid = [
 
 print("tight competitive ratio by migration factor")
 print(f"{'m':>8}  {'regime':<6}  {'bound':>10}  {'decimal':>10}")
-for row in curve_rows(grid):
+for row in map(ratio_bound, grid):
     print(
         f"{str(row.m):>8}  {row.regime.value:<6}  {str(row.bound):>10}  "
         f"{float(row.bound):>10.6f}"

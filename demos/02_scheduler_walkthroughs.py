@@ -8,10 +8,10 @@ arrival's budget was actually spent.
 """
 from fractions import Fraction
 
-from hierstretch import (
+from hierstretch.algorithms import SCHEDULERS
+from hierstretch.core import (
     MigrationLedger,
     ScheduleState,
-    SCHEDULERS,
     apply_decision,
     jobs_from_pairs,
     ratio_bound,

@@ -9,15 +9,15 @@ Every adversary below uses its default parameters.
 """
 from fractions import Fraction
 
-from hierstretch import (
+from hierstretch.adversary import (
     AdvHigh,
     AdvLow,
     AdvMid,
     AdvTotalSize,
-    SCHEDULERS,
     play_duel,
-    ratio_bound,
 )
+from hierstretch.algorithms import SCHEDULERS
+from hierstretch.core import ratio_bound
 
 
 def show(adversary, scheduler_name):

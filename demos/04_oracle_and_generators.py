@@ -8,17 +8,14 @@ against.
 """
 from fractions import Fraction
 
-from hierstretch import (
-    FillMode,
-    GenConfig,
+from hierstretch.algorithms import scheduler_for_regime
+from hierstretch.core import ratio_bound, validate_instance
+from hierstretch.generators import FillMode, GenConfig, generate
+from hierstretch.harness import run_stream
+from hierstretch.oracle import (
     brute_opt,
-    generate,
     opt_prefix_loads,
     prefix_opt_monotone_check,
-    ratio_bound,
-    run_stream,
-    scheduler_for_regime,
-    validate_instance,
 )
 
 config = GenConfig(seed=20260809, n_gos2=5, n_gos1=2, fill_mode=FillMode.EXACT)

@@ -57,7 +57,8 @@ class WSelection:
 def select_max_subset(sizes: Sequence[RationalLike], cap: RationalLike) -> WSelection:
     """Subset of maximum total size not exceeding ``cap``, exact.
 
-    On integer units after ``as_fraction`` (a float raises ParseError):
+    On integer units after ``as_fraction`` (a float or a size <= 0 raises
+    ParseError):
     depth-first in the given order, include before exclude, pruned by
     suffix sums; among equal-total optima this visits the lexicographically
     smallest index set first, which is the tie-break.
@@ -72,6 +73,8 @@ def select_max_subset(sizes: Sequence[RationalLike], cap: RationalLike) -> WSele
         )
     units, unit = to_units([*map(as_fraction, sizes), cap])
     cap_units = units.pop()
+    if units and min(units) <= 0:
+        raise ParseError(f"sizes must be > 0, got {Fraction(min(units), unit)}")
 
     suffix = [0] * (n + 1)
     for i in range(n - 1, -1, -1):

@@ -51,6 +51,14 @@ def as_fraction(value: RationalLike) -> Fraction:
     raise ParseError(f"not a rational: {value!r}")
 
 
+def as_migration_factor(value: RationalLike) -> Fraction:
+    """:func:`as_fraction` for a migration factor m, which must be >= 0."""
+    m = as_fraction(value)
+    if m < 0:
+        raise NegativeM(f"migration factor must be >= 0, got {m}")
+    return m
+
+
 def to_units(values: list[Fraction]) -> tuple[list[int], int]:
     """Scale exact rationals to ints over one common unit: returns each
     ``value * unit`` and ``unit``, the lcm of the denominators (1 if none)."""
@@ -194,9 +202,7 @@ def apply_decision(
     migrations, a malformed migration entry or a machine that is not a
     :class:`MachineId` included, and leaves the ledger untouched.
     """
-    m = as_fraction(m)
-    if m < 0:
-        raise NegativeM(f"migration factor must be >= 0, got {m}")
+    m = as_migration_factor(m)
     if job.index in state.jobs:
         raise IllegalDecision(f"job {job.index} already scheduled")
     if not (
@@ -311,10 +317,7 @@ def ratio_bound(m: RationalLike) -> RegimeBound:
     (2m+5)/(2m+3) for m >= 5/2; 5/4 on [3/4, 5/2); 2-m on [1/2, 3/4);
     3/2 below 1/2.  Non-increasing in m and continuous at every boundary.
     """
-    m = as_fraction(m)
-    if m < 0:
-        raise NegativeM(f"migration factor must be >= 0, got {m}")
-    return _ratio_bound_cached(m)
+    return _ratio_bound_cached(as_migration_factor(m))
 
 
 @dataclass(frozen=True)
@@ -323,8 +326,8 @@ class Instance:
 
     Streams are normalized so the declared optimum is 1 before scheduling;
     :meth:`normalized` performs the exact rescale.  Indices other than
-    1..n in order, or a non-positive declared optimum, raise
-    :class:`ParseError`.
+    1..n in order, an element that is not a :class:`Job`, or a non-positive
+    declared optimum raise :class:`ParseError`.
     """
 
     jobs: tuple[Job, ...]
@@ -338,6 +341,8 @@ class Instance:
                 f"declared_opt must be positive, got {self.declared_opt}"
             )
         for pos, job in enumerate(self.jobs, start=1):
+            if not isinstance(job, Job):
+                raise ParseError(f"position {pos} holds {job!r}, not a Job")
             if job.index != pos:
                 raise ParseError(
                     f"job indices must be 1..n in order; position {pos} has {job.index}"
@@ -374,10 +379,12 @@ class Instance:
 
 
 def jobs_from_pairs(pairs: Iterable[tuple[RationalLike, int]]) -> tuple[Job, ...]:
-    """Build an indexed job tuple from (size, gos) pairs in arrival order."""
-    return tuple(
-        Job(i, as_fraction(p), g) for i, (p, g) in enumerate(pairs, start=1)
-    )
+    """Build an indexed job tuple from (size, gos) pairs in arrival order;
+    an entry that is not such a pair raises :class:`ParseError`."""
+    try:
+        return tuple(Job(i, p, g) for i, (p, g) in enumerate(pairs, start=1))
+    except (TypeError, ValueError) as exc:  # an entry that does not unpack
+        raise ParseError(f"job list must hold (size, gos) pairs: {exc}") from None
 
 
 def instance_from_json_dict(data: dict) -> Instance:

@@ -122,6 +122,9 @@ def _slack_fill(rng: random.Random, config: GenConfig) -> list[tuple[Fraction, i
 
 def generate(config: GenConfig) -> Instance:
     """Deterministic-per-seed instance with declared (and true) optimum 1."""
+    counts = (config.n_gos2, config.n_gos1, config.denominator_bound)
+    if any(type(value) is not int for value in counts):
+        raise InfeasibleConfig(f"counts and denominator bound must be ints: {counts}")
     if config.denominator_bound < 1:
         raise InfeasibleConfig("denominator bound must be at least 1")
     if config.n_gos1 < 0 or config.n_gos2 < 0:

@@ -39,11 +39,11 @@ from .core import (
     Instance,
     Job,
     MigrationLedger,
-    RegimeBound,
     ScheduleState,
     ZERO,
     apply_decision,
     as_fraction,
+    as_migration_factor,
     dump_instance,
     fraction_str,
     load_instance,
@@ -133,11 +133,12 @@ def run_stream(
 ) -> RunResult:
     """Feed jobs through a scheduler with full budget/hierarchy enforcement.
 
+    A negative ``m`` raises :class:`NegativeM` before the first arrival.
     Records a violation (and stops) if the scheduler produces an illegal
     decision; optionally checks the makespan against ``bound`` after every
     arrival.  Conservation of total size is always verified at the end.
     """
-    m = as_fraction(m)
+    m = as_migration_factor(m)
     state = ScheduleState()
     ledger = MigrationLedger()
     violations: list[str] = []
@@ -252,11 +253,6 @@ def run_instance(
     )
 
 
-def curve_rows(grid: Sequence) -> list[RegimeBound]:
-    """Exact tight bound for every migration factor in the grid."""
-    return [ratio_bound(m) for m in grid]
-
-
 @dataclass
 class SuiteSummary:
     name: str
@@ -302,6 +298,8 @@ def guarantee_suite(seed: int, count: int) -> SuiteSummary:
     for scheduler B), no hierarchy violations, and at most one rebalancing
     step per run for schedulers B, C, and D.
     """
+    if count < 0:
+        raise ParseError(f"suite count must be >= 0, got {count}")
     summary = SuiteSummary(name="guarantees")
     plans = [
         (m, ratio_bound(m), *scheduler_for_regime(m)) for m in ACCEPTANCE_M_VALUES
@@ -430,6 +428,8 @@ def _check_duel(
 
 def oracle_suite(seed: int, count: int) -> SuiteSummary:
     """Planted-optimum and prefix-monotonicity checks for the oracle."""
+    if count < 0:
+        raise ParseError(f"suite count must be >= 0, got {count}")
     summary = SuiteSummary(name="oracle")
     rng = random.Random(seed)
     for i in range(count):
@@ -567,7 +567,8 @@ def _cmd_duel(args: argparse.Namespace) -> int:
 
 
 def _cmd_curve(args: argparse.Namespace) -> int:
-    rows = curve_rows([as_fraction(text) for text in args.m_values])
+    grid = [as_fraction(text) for text in args.m_values]  # parse all m, then bound
+    rows = [ratio_bound(m) for m in grid]
     if args.csv:
         writer = csv.writer(sys.stdout)
         writer.writerow(["m", "regime", "bound_num", "bound_den", "bound_decimal"])

@@ -6,7 +6,8 @@ from math import gcd
 
 from hypothesis import strategies as st
 
-from hierstretch import (
+from hierstretch.adversary import AdvTotalSize, refine_theta
+from hierstretch.core import (
     AssignmentDecision,
     MachineId,
     MigrationLedger,
@@ -14,7 +15,6 @@ from hierstretch import (
     apply_decision,
     jobs_from_pairs,
 )
-from hierstretch.adversary import AdvTotalSize, refine_theta
 
 # sizes in (0, 1] over mixed and very large denominators: 1/7, 1/1000,
 # 1/10^6, refine_theta()'s 14,361,400,000, and the known-total-size

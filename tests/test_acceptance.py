@@ -11,17 +11,9 @@ import io
 import time
 from fractions import Fraction
 
-from hierstretch import (
-    ADVERSARIES,
-    AdvTotalSize,
-    Regime,
-    SCHEDULERS,
-    brute_opt,
-    opt_prefix_loads,
-    play_duel,
-    ratio_bound,
-    scheduler_for_regime,
-)
+from hierstretch.adversary import ADVERSARIES, AdvTotalSize, play_duel
+from hierstretch.algorithms import SCHEDULERS, scheduler_for_regime
+from hierstretch.core import Regime, ratio_bound
 from hierstretch.harness import (
     ACCEPTANCE_M_VALUES,
     FOREIGN_SCHEDULERS,
@@ -33,6 +25,7 @@ from hierstretch.harness import (
     soundness_adversaries,
     tightness_duels,
 )
+from hierstretch.oracle import brute_opt, opt_prefix_loads
 from helpers import replay
 
 SEED = 20260809

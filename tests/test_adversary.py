@@ -6,25 +6,19 @@ from fractions import Fraction
 
 import pytest
 
-from hierstretch import (
+from hierstretch.adversary import (
     AdvHigh,
     AdvLow,
     AdvMid,
     AdvTotalSize,
-    AssignmentDecision,
-    BadEps,
-    BadGamma,
-    BadTheta,
-    Job,
-    MachineId,
-    RegimeMismatch,
-    SCHEDULERS,
     Stop,
-    brute_opt,
     play_duel,
-    ratio_bound,
     refine_theta,
 )
+from hierstretch.algorithms import SCHEDULERS
+from hierstretch.core import AssignmentDecision, Job, MachineId, ratio_bound
+from hierstretch.errors import BadEps, BadGamma, BadTheta, RegimeMismatch
+from hierstretch.oracle import brute_opt
 from helpers import emitting
 
 M1, M2 = MachineId.M1, MachineId.M2

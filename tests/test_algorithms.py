@@ -7,25 +7,21 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hierstretch import (
-    MachineId,
-    ParseError,
-    RegimeMismatch,
-    SizeLimit,
+from hierstretch.algorithms import (
+    SCHEDULERS,
     alg_a,
     alg_b,
     alg_c,
     alg_d,
-    generate,
-    random_config,
-    ratio_bound,
-    run_stream,
     scheduler_for_regime,
     select_max_subset,
     select_prefix_max,
     select_prefix_min,
-    SCHEDULERS,
 )
+from hierstretch.core import MachineId, ratio_bound
+from hierstretch.errors import ParseError, RegimeMismatch, SizeLimit
+from hierstretch.generators import generate, random_config
+from hierstretch.harness import run_stream
 from helpers import (
     brute_force_max_subset,
     in_lowest_terms,
@@ -65,7 +61,13 @@ class TestSelectMaxSubset:
 
     @pytest.mark.parametrize(
         "sizes, cap",
-        [([Fraction(1, 2)], 0.5), ([0.5], Fraction(1)), ([Fraction(1, 2)], "half")],
+        [
+            ([Fraction(1, 2)], 0.5),
+            ([0.5], Fraction(1)),
+            ([Fraction(1, 2)], "half"),
+            ([1, 5, -5], 5),  # the suffix-sum prune needs sizes >= 0
+            ([Fraction(1, 2), 0], 1),  # a zero size breaks the tie-break
+        ],
     )
     def test_floats_and_bad_literals_rejected(self, sizes, cap):
         with pytest.raises(ParseError):
@@ -149,7 +151,7 @@ class TestAlgorithmA:
         )
         assert [dec.step for dec in result.decisions] == [3, 2]
         # the completed stream really has optimum 1, so 4/5 is within bound
-        from hierstretch import brute_opt
+        from hierstretch.oracle import brute_opt
 
         assert result.makespan <= Fraction(5, 4) * brute_opt(
             stream(("4/5", 2), ("3/5", 2))

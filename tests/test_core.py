@@ -7,29 +7,34 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hierstretch import (
+from hierstretch.algorithms import SCHEDULERS
+from hierstretch.core import (
     AssignmentDecision,
-    BudgetExceeded,
-    HierStretchError,
-    HierarchyViolation,
-    IllegalDecision,
     Instance,
     Job,
     MachineId,
     MigrationLedger,
-    NegativeM,
-    ParseError,
     Regime,
     ScheduleState,
-    UnknownJob,
     apply_decision,
     as_fraction,
     fraction_str,
     instance_from_json_dict,
+    jobs_from_pairs,
     ratio_bound,
+    to_units,
     validate_instance,
 )
-from hierstretch.core import to_units
+from hierstretch.errors import (
+    BudgetExceeded,
+    HierarchyViolation,
+    HierStretchError,
+    IllegalDecision,
+    NegativeM,
+    ParseError,
+    UnknownJob,
+)
+from hierstretch.harness import run_stream
 from helpers import stream
 
 M1, M2 = MachineId.M1, MachineId.M2
@@ -213,6 +218,12 @@ class TestApplyDecision:
                 MigrationLedger(),
                 Fraction(-1),
             )
+
+    @pytest.mark.parametrize("name", ["baseline", "B"])
+    def test_run_stream_negative_m(self, name):
+        # the caller's bad m is refused at entry, not blamed on the scheduler
+        with pytest.raises(NegativeM):
+            run_stream(stream(("1/2", 2), ("1/4", 1)), SCHEDULERS[name], -1)
 
 
 class TestScheduleState:
@@ -413,6 +424,21 @@ class TestInstanceJson:
         scaled = inst.normalized()
         assert scaled.declared_opt == 1
         assert [job.size for job in scaled.jobs] == [Fraction(3, 4), Fraction(1, 2)]
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: jobs_from_pairs([(1,)]),
+            lambda: jobs_from_pairs([("1/2", 2, 3)]),
+            lambda: jobs_from_pairs([("1/2", 2), 5]),
+            lambda: Instance(jobs=(1, 2)),
+            lambda: Instance(jobs=(Job(1, Fraction(1), 2), None)),
+        ],
+        ids=["short-pair", "long-pair", "not-a-pair", "ints", "none"],
+    )
+    def test_malformed_job_lists(self, build):
+        with pytest.raises(ParseError):
+            build()
 
     def test_indices_must_be_sequential(self):
         with pytest.raises(ParseError):

@@ -1,21 +1,16 @@
 """Planted-optimum instance generation."""
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hierstretch import (
-    FillMode,
-    GenConfig,
-    InfeasibleConfig,
-    brute_opt,
-    generate,
-    prefix_opt_monotone_check,
-    random_config,
-    validate_instance,
-)
+from hierstretch.core import validate_instance
+from hierstretch.errors import InfeasibleConfig
+from hierstretch.generators import FillMode, GenConfig, generate, random_config
+from hierstretch.oracle import brute_opt, prefix_opt_monotone_check
 
 
 class TestExactFill:
@@ -109,17 +104,18 @@ class TestDeterminismAndLimits:
         assert all(opt <= 1 for opt in report.prefix_opts)
 
 
-@settings(max_examples=150, deadline=None)
-@given(
-    st.builds(
-        GenConfig,
-        seed=st.integers(min_value=0, max_value=2**32),
-        n_gos2=st.integers(min_value=-1, max_value=8),
-        n_gos1=st.integers(min_value=-1, max_value=4),
-        denominator_bound=st.integers(min_value=-1, max_value=12),
-        fill_mode=st.sampled_from([*FillMode, "exact", "slack", "bogus"]),
-    )
+_CONFIGS = st.builds(
+    GenConfig,
+    seed=st.integers(min_value=0, max_value=2**32),
+    n_gos2=st.integers(min_value=-1, max_value=8),
+    n_gos1=st.integers(min_value=-1, max_value=4),
+    denominator_bound=st.integers(min_value=-1, max_value=12),
+    fill_mode=st.sampled_from([*FillMode, "exact", "slack", "bogus"]),
 )
+
+
+@settings(max_examples=150, deadline=None)
+@given(_CONFIGS)
 def test_any_config_is_valid_or_infeasible(config):
     try:
         instance = generate(config)
@@ -129,6 +125,20 @@ def test_any_config_is_valid_or_infeasible(config):
     assert validate_instance(instance, check_opt=True).valid
     if config.fill_mode == "exact":
         assert instance.total_size == 2
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    _CONFIGS,
+    st.sampled_from(["n_gos2", "n_gos1", "denominator_bound"]),
+    st.floats()
+    | st.booleans()
+    | st.integers(min_value=-1, max_value=12).map(float)
+    | st.integers(min_value=-1, max_value=12).map(str),
+)
+def test_non_int_count_is_infeasible(config, field, value):
+    with pytest.raises(InfeasibleConfig):
+        generate(dataclasses.replace(config, **{field: value}))
 
 
 class TestRandomConfig:

@@ -8,24 +8,25 @@ from fractions import Fraction
 
 import pytest
 
-from hierstretch import (
+import hierstretch
+from hierstretch.algorithms import SCHEDULERS
+from hierstretch.core import (
     AssignmentDecision,
     Instance,
     Job,
     MachineId,
-    ParseError,
-    SCHEDULERS,
-    curve_rows,
     jobs_from_pairs,
-    main,
-    run_instance,
-    run_stream,
+    ratio_bound,
 )
+from hierstretch.errors import ParseError
 from hierstretch.harness import (
     ACCEPTANCE_M_VALUES,
     FOREIGN_SCHEDULERS,
     default_seed,
+    main,
     resolve_algorithm,
+    run_instance,
+    run_stream,
     soundness_adversaries,
     tightness_duels,
 )
@@ -99,12 +100,19 @@ class TestRunMachinery:
         assert names == {"A", "B", "C", "D"}
 
 
+def test_package_root_binds_only_its_modules():
+    # each public name has one import path: the module that defines it
+    public = {name for name in vars(hierstretch) if not name.startswith("__")}
+    assert public == {
+        "adversary", "algorithms", "core", "errors", "generators", "harness",
+        "oracle",
+    }
+
+
 class TestCurve:
     def test_rows(self):
-        rows = curve_rows(
-            [Fraction(v) for v in ("1/4", "1/2", "3/5", "7/10", "3/4", "1", "5/2", "3", "10")]
-        )
-        assert [row.bound for row in rows] == [
+        grid = ("1/4", "1/2", "3/5", "7/10", "3/4", "1", "5/2", "3", "10")
+        assert [ratio_bound(Fraction(v)).bound for v in grid] == [
             Fraction(3, 2),
             Fraction(3, 2),
             Fraction(7, 5),
@@ -251,6 +259,15 @@ class TestCli:
         assert main(["suite", "oracle", "--seed", "7", "--count", "20"]) == 0
         out = capsys.readouterr().out
         assert "violations : none" in out
+
+    @pytest.mark.parametrize("suite", ["guarantees", "oracle"])
+    def test_suite_negative_count_exit_code(self, capsys, suite):
+        assert main(["suite", suite, "--seed", "7", "--count", "-5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: ParseError: suite count must be >= 0, got -5\n"
+        )
 
     def test_suite_guarantees_smoke(self, capsys):
         assert main(

@@ -8,14 +8,13 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hierstretch import (
-    MachineId,
-    SizeLimit,
+from hierstretch.core import MachineId
+from hierstretch.errors import SizeLimit
+from hierstretch.generators import generate, random_config
+from hierstretch.oracle import (
     brute_opt,
-    generate,
     opt_prefix_loads,
     prefix_opt_monotone_check,
-    random_config,
 )
 from helpers import in_lowest_terms, mixed_sizes, stream
 

@@ -13,8 +13,10 @@ arrival that would push machine 2 above r:
 * ``baseline_nomig`` ignores m, never migrates and achieves 3/2 when the
   optimum is 1.
 
-All of them are deterministic pure functions of the visible state; the
-enforcement of budgets and hierarchy stays in :func:`core.apply_decision`.
+All of them decide as deterministic functions of the visible state, on
+ints over the state's unit (the only change they make to a state is to
+extend that unit); the enforcement of budgets and hierarchy stays in
+:func:`core.apply_decision`.
 Three deliberately naive opponents used by adversary tests live at the
 bottom.
 """
@@ -33,7 +35,7 @@ from .core import (
     Regime,
     RegimeBound,
     ScheduleState,
-    ZERO,
+    UnitLimits,
     as_fraction,
     ratio_bound,
     to_units,
@@ -51,7 +53,7 @@ class WSelection:
     """A chosen subset of candidates: positions and their total size."""
 
     chosen: tuple[int, ...]
-    total: Fraction
+    total: Fraction | int
 
 
 def select_max_subset(sizes: Sequence[RationalLike], cap: RationalLike) -> WSelection:
@@ -99,14 +101,16 @@ def select_max_subset(sizes: Sequence[RationalLike], cap: RationalLike) -> WSele
         search(i + 1, total, chosen)
 
     search(0, 0, ())
+    del search  # its cell refers to it: leave no cycle for the collector
     return WSelection(chosen=best, total=Fraction(best_total, unit))
 
 
 def select_prefix_max(
-    sizes: Sequence[Fraction], cap: Fraction
+    sizes: Sequence[Fraction | int], cap: Fraction | int
 ) -> WSelection:
-    """Longest prefix with total at most ``cap`` (possibly empty)."""
-    total = ZERO
+    """Longest prefix with total at most ``cap`` (possibly empty); exact on
+    Fractions and on int units alike."""
+    total = 0
     chosen: list[int] = []
     for i, size in enumerate(sizes):
         if total + size > cap:
@@ -117,11 +121,11 @@ def select_prefix_max(
 
 
 def select_prefix_min(
-    sizes: Sequence[Fraction], floor: Fraction
+    sizes: Sequence[Fraction | int], floor: Fraction | int
 ) -> WSelection:
     """Shortest prefix with total at least ``floor``; the entire list if
     even that falls short."""
-    total = ZERO
+    total = 0
     chosen: list[int] = []
     for i, size in enumerate(sizes):
         if total >= floor:
@@ -154,31 +158,46 @@ def require_regime(name: str, m) -> RegimeBound:
     return tight
 
 
-def _window(state: ScheduleState, job: Job, r: Fraction) -> AssignmentDecision | None:
+def _limits(name: str, state: ScheduleState, m) -> UnitLimits:
+    """m's constants over the state's unit, or RegimeMismatch unless m lies
+    in scheduler ``name``'s regime."""
+    limits = state.limits(m)
+    if limits.tight.regime is not SCHEDULER_REGIME[name]:
+        require_regime(name, m)
+    return limits
+
+
+def _window(
+    state: ScheduleState, job: Job, limits: UnitLimits
+) -> AssignmentDecision | None:
     """Steps 2-3 of schedulers A-D, for r = ratio_bound(m).bound: grade-1
     jobs, or any job once machine 2 holds 2-r, go to machine 1; a job that
     keeps machine 2 within r joins it; otherwise None (rebalancing)."""
-    if job.gos == 1 or state.y >= 2 - r:
+    if job.gos == 1 or state.y_units >= limits.low:
         return AssignmentDecision(M1, step=2)
-    if state.y + job.size <= r:
+    if state.units_of(job.size) + state.y_units <= limits.r:
         return AssignmentDecision(M2, step=3)
     return None
 
 
+def _to_m1(order: list[tuple[int, int]]) -> tuple[tuple[int, MachineId], ...]:
+    """Migrations moving the given (-units, index) machine-2 jobs to machine 1."""
+    return tuple((idx, M1) for _, idx in order)
+
+
 def _clear_prefix(
-    state: ScheduleState, job: Job, tight: RegimeBound
+    state: ScheduleState, p: int, limits: UnitLimits
 ) -> AssignmentDecision:
-    """Step 4 of B and D for a large arrival (p >= 2-r): the longest
-    machine-2 prefix within migration_cap * p moves to machine 1 so the
-    arrival fits under r; if it still does not fit, it takes machine 1."""
-    sorted_y = state.sorted_y_desc()
+    """Step 4 of B and D for a large arrival of ``p`` units (p >= 2-r): the
+    longest machine-2 prefix within migration_cap * p moves to machine 1 so
+    the arrival fits under r; if it still does not fit, it takes machine 1."""
+    order = state.y_order
     selection = select_prefix_max(
-        [size for _, size in sorted_y], tight.migration_cap * job.size
+        [-neg for neg, _ in order], limits.cap * p // state.unit
     )
-    if state.y - selection.total + job.size > tight.bound:
+    if state.y_units - selection.total + p > limits.r:
         return AssignmentDecision(M1, step=4)
-    moved = sorted_y[: len(selection.chosen)]
-    return AssignmentDecision(M2, tuple((idx, M1) for idx, _ in moved), step=4)
+    return AssignmentDecision(M2, _to_m1(order[: len(selection.chosen)]), step=4)
 
 
 def alg_a(state: ScheduleState, job: Job, m: Fraction) -> AssignmentDecision:
@@ -186,16 +205,18 @@ def alg_a(state: ScheduleState, job: Job, m: Fraction) -> AssignmentDecision:
 
     When the arrival does not fit the window, all grade-2 jobs plus the
     arrival are repartitioned so machine 2 carries a maximum-total subset
-    of size at most 1.
+    of size at most 1; among equal totals the subset search prefers the
+    earliest arrivals.
     """
-    decision = _window(state, job, require_regime("A", m).bound)
+    decision = _window(state, job, _limits("A", state, m))
     if decision is not None:
         return decision
 
     # rebalance: machine 2 gets a max-total subset of Z u Y u {j} capped at 1
-    candidates = sorted(idx for idx, held in state.jobs.items() if held.gos == 2)
-    sizes = [state.jobs[idx].size for idx in candidates] + [job.size]
-    selection = select_max_subset(sizes, Fraction(1))
+    p = state.units_of(job.size)
+    candidates = state.grade2
+    sizes = [state.units[idx] for idx in candidates] + [p]
+    selection = select_max_subset(sizes, state.unit)
     picked = set(selection.chosen)
     migrations = []
     for pos, idx in enumerate(candidates):
@@ -209,32 +230,31 @@ def alg_a(state: ScheduleState, job: Job, m: Fraction) -> AssignmentDecision:
 def alg_b(state: ScheduleState, job: Job, m: Fraction) -> AssignmentDecision:
     """Mid-migration scheduler (3/4 <= m < 5/2): makespan at most 5/4 while
     migrating at most (3/4) * p_j per arrival."""
-    tight = require_regime("B", m)
-    r = tight.bound
-    decision = _window(state, job, r)
+    limits = _limits("B", state, m)
+    decision = _window(state, job, limits)
     if decision is not None:
         return decision
-    p = job.size
-    if p >= 2 - r:
-        return _clear_prefix(state, job, tight)
+    p = state.units_of(job.size)
+    if p >= limits.low:
+        return _clear_prefix(state, p, limits)
 
     # medium arrival (1/2 < p < 3/4); machine 2 holds more than 1/2
-    sorted_y = state.sorted_y_desc()
-    p_max = sorted_y[0][1]
-    if p + p_max > r:
+    order = state.y_order
+    p_max = -order[0][0]
+    if p + p_max > limits.r:
         return AssignmentDecision(M1, step=5)
-    if p_max >= state.y / 2:
-        moved = sorted_y[1:]
-    elif p_max >= Fraction(1, 4):
-        moved = sorted_y[:1]
+    if 2 * p_max >= state.y_units:
+        moved = order[1:]
+    elif p_max >= limits.quarter:
+        moved = order[:1]
     else:
-        selection = select_prefix_min([size for _, size in sorted_y], Fraction(1, 4))
+        selection = select_prefix_min([-neg for neg, _ in order], limits.quarter)
         k = len(selection.chosen)
-        if selection.total > tight.migration_cap * p:
-            moved = sorted_y[k:]
+        if selection.total > limits.cap * p // state.unit:
+            moved = order[k:]
         else:
-            moved = sorted_y[:k]
-    return AssignmentDecision(M2, tuple((idx, M1) for idx, _ in moved), step=5)
+            moved = order[:k]
+    return AssignmentDecision(M2, _to_m1(moved), step=5)
 
 
 def alg_c(state: ScheduleState, job: Job, m: Fraction) -> AssignmentDecision:
@@ -244,20 +264,18 @@ def alg_c(state: ScheduleState, job: Job, m: Fraction) -> AssignmentDecision:
     machine-2 job is too big to migrate; otherwise the shortest prefix
     covering the overflow migrates and the arrival takes machine 2.
     """
-    tight = require_regime("C", m)
-    m, r = tight.m, tight.bound
-    decision = _window(state, job, r)
+    limits = _limits("C", state, m)
+    decision = _window(state, job, limits)
     if decision is not None:
         return decision
-    p = job.size
-    sorted_y = state.sorted_y_desc()
-    if sorted_y and sorted_y[0][1] > m * p:
+    p = state.units_of(job.size)
+    order = state.y_order
+    if order and -order[0][0] > limits.m_units * p // state.unit:
         return AssignmentDecision(M1, step=4)
 
-    deficit = p + state.y - r
-    selection = select_prefix_min([size for _, size in sorted_y], deficit)
-    moved = sorted_y[: len(selection.chosen)]
-    return AssignmentDecision(M2, tuple((idx, M1) for idx, _ in moved), step=5)
+    deficit = p + state.y_units - limits.r
+    selection = select_prefix_min([-neg for neg, _ in order], deficit)
+    return AssignmentDecision(M2, _to_m1(order[: len(selection.chosen)]), step=5)
 
 
 def alg_d(state: ScheduleState, job: Job, m: Fraction) -> AssignmentDecision:
@@ -267,24 +285,23 @@ def alg_d(state: ScheduleState, job: Job, m: Fraction) -> AssignmentDecision:
     smaller ones move a prefix of total in [m/3, 2m/3], swapped for its
     complement when it exceeds what the budget allows.
     """
-    tight = require_regime("D", m)
-    m, r = tight.m, tight.bound
-    decision = _window(state, job, r)
+    limits = _limits("D", state, m)
+    decision = _window(state, job, limits)
     if decision is not None:
         return decision
-    p = job.size
-    if p >= m:
-        return _clear_prefix(state, job, tight)
+    p = state.units_of(job.size)
+    if p >= limits.m_units:
+        return _clear_prefix(state, p, limits)
 
-    sorted_y = state.sorted_y_desc()
-    selection = select_prefix_min([size for _, size in sorted_y], m / 3)
+    order = state.y_order
+    selection = select_prefix_min([-neg for neg, _ in order], limits.m_third)
     k = len(selection.chosen)
-    moved, w_total = sorted_y[:k], selection.total
-    if w_total > min(2 * m / 3, m * p):
-        moved, w_total = sorted_y[k:], state.y - w_total
-    if state.y - w_total + p > r:
+    moved, w_total = order[:k], selection.total
+    if w_total > min(limits.two_m_thirds, limits.m_units * p // state.unit):
+        moved, w_total = order[k:], state.y_units - w_total
+    if state.y_units - w_total + p > limits.r:
         return AssignmentDecision(M1, step=5)
-    return AssignmentDecision(M2, tuple((idx, M1) for idx, _ in moved), step=5)
+    return AssignmentDecision(M2, _to_m1(moved), step=5)
 
 
 def baseline_nomig(state: ScheduleState, job: Job, m: Fraction) -> AssignmentDecision:
@@ -297,7 +314,7 @@ def baseline_nomig(state: ScheduleState, job: Job, m: Fraction) -> AssignmentDec
     most 2 - 1/2 and machine 2 at most 1/2 + 1.  The migration factor m is
     ignored.
     """
-    if job.gos == 1 or state.y >= Fraction(1, 2):
+    if job.gos == 1 or 2 * state.y_units >= state.unit:
         return AssignmentDecision(M1, step=2)
     return AssignmentDecision(M2, step=3)
 
@@ -315,7 +332,9 @@ def greedy_least_loaded(
     """Grade-2 jobs join the currently smaller machine (ties to machine 2)."""
     if job.gos == 1:
         return AssignmentDecision(M1)
-    return AssignmentDecision(M1 if state.load1 < state.load2 else M2)
+    return AssignmentDecision(
+        M1 if state.x_units + state.z_units < state.y_units else M2
+    )
 
 
 def all_to_m1(state: ScheduleState, job: Job, m: Fraction) -> AssignmentDecision:

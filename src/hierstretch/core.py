@@ -1,14 +1,18 @@
 """Domain types, schedule bookkeeping, migration budgets, and tight bounds.
 
 Everything is exact: sizes, loads, budgets, and bounds cross the API as
-:class:`fractions.Fraction` values, and the exponential searches run on
-ints after one scaling (:func:`to_units`), so every guarantee in this
-package is a decidable comparison rather than a float tolerance.
+:class:`fractions.Fraction` values, while the work runs on ints.  A
+:class:`ScheduleState` holds sizes and loads over one common unit and is
+updated in place by :func:`apply_decision`, one arrival at a time; the
+exponential searches scale their input once (:func:`to_units`).  Every
+guarantee in this package is a decidable comparison rather than a float
+tolerance.
 """
 from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from fractions import Fraction
@@ -62,7 +66,9 @@ def as_migration_factor(value: RationalLike) -> Fraction:
 def to_units(values: list[Fraction]) -> tuple[list[int], int]:
     """Scale exact rationals to ints over one common unit: returns each
     ``value * unit`` and ``unit``, the lcm of the denominators (1 if none)."""
-    unit = math.lcm(*(value.denominator for value in values))
+    unit = 1
+    for value in values:
+        unit = math.lcm(unit, value.denominator)
     return [value.numerator * (unit // value.denominator) for value in values], unit
 
 
@@ -120,13 +126,23 @@ class AssignmentDecision:
 
 @dataclass(frozen=True, slots=True)
 class LedgerEntry:
-    """One applied arrival: the job, the decision that placed it, the
-    volume it migrated and its budget m * p_j."""
+    """One applied arrival: the job, the decision that placed it, and the
+    volume it migrated, held as ``migrated_units`` over ``unit``; its
+    budget is m * p_j."""
 
     job: Job
     decision: AssignmentDecision
-    migrated_total: Fraction
-    budget: Fraction
+    migrated_units: int
+    unit: int
+    m: Fraction
+
+    @property
+    def migrated_total(self) -> Fraction:
+        return Fraction(self.migrated_units, self.unit)
+
+    @property
+    def budget(self) -> Fraction:
+        return self.m * self.job.size
 
 
 class MigrationLedger:
@@ -134,55 +150,159 @@ class MigrationLedger:
 
     def __init__(self) -> None:
         self.entries: list[LedgerEntry] = []
+        # largest migrated volume over arrival size so far, as an int pair
+        self._ratio = (0, 1)
 
     @property
     def max_ratio(self) -> Fraction:
         """Largest migrated_total / p_j over all arrivals (0 if none)."""
-        return max((e.migrated_total / e.job.size for e in self.entries), default=ZERO)
+        return Fraction(*self._ratio)
 
 
-@dataclass(frozen=True)
+class UnitLimits:
+    """A migration factor's constants as ints over its state's unit.
+
+    ``r`` is the tight bound and ``low`` is 2 - r; ``cap`` is
+    ``migration_cap``; ``m_units``, ``m_third`` and ``two_m_thirds`` are
+    m, m/3 and 2m/3; ``quarter`` is 1/4.  The state rescales them with its
+    other ints, so they stay valid across a change of unit.
+    """
+
+    SCALED = ("r", "low", "cap", "m_units", "m_third", "two_m_thirds", "quarter")
+    __slots__ = ("given", "m", "tight", *SCALED)
+
+    def __init__(self, state: ScheduleState, given: RationalLike) -> None:
+        m = as_fraction(given)
+        tight, den, scaled = _regime_units(m)
+        if state.unit % den:
+            state._extend(den)
+        self.given, self.m, self.tight = given, m, tight
+        factor = state.unit // den
+        for name, value in zip(self.SCALED, scaled):
+            setattr(self, name, value * factor)
+
+
 class ScheduleState:
-    """Assignment of all arrived jobs plus cached load aggregates.
+    """Assignment of all arrived jobs plus running load aggregates.
+
+    Sizes and loads are ints over one ``unit``: the lcm of every size
+    denominator seen and of the constants of every migration factor asked
+    for (:meth:`limits`).  When a new denominator arrives, every held int
+    is rescaled once.  ``units`` maps a job index to its size in units,
+    ``grade2`` lists the grade-2 indices in arrival order, and ``y_order``
+    holds the machine-2 jobs as (-units, index), sorted, so the largest
+    job comes first and ties go to the smaller index.
 
     ``x``: total size of grade-1 jobs (all on machine 1).
     ``y``: total size of grade-2 jobs on machine 2.
     ``z``: total size of grade-2 jobs on machine 1.
-    States are value-like; :func:`apply_decision` returns a new state.
+    These, the loads and :meth:`sorted_y_desc` are Fraction views in
+    lowest terms.  :func:`apply_decision` updates a state in place;
+    :meth:`copy` takes a snapshot.  States compare by their jobs,
+    assignment and loads, not by their unit.
     """
 
-    jobs: dict[int, Job] = field(default_factory=dict)
-    assignment: dict[int, MachineId] = field(default_factory=dict)
-    x: Fraction = ZERO
-    y: Fraction = ZERO
-    z: Fraction = ZERO
+    def __init__(self) -> None:
+        self.jobs: dict[int, Job] = {}
+        self.assignment: dict[int, MachineId] = {}
+        self.units: dict[int, int] = {}
+        self.grade2: list[int] = []
+        self.y_order: list[tuple[int, int]] = []
+        self.unit = 1
+        self.x_units = self.y_units = self.z_units = 0
+        self._limits: UnitLimits | None = None
+
+    def copy(self) -> ScheduleState:
+        twin = ScheduleState()
+        twin.jobs = dict(self.jobs)
+        twin.assignment = dict(self.assignment)
+        twin.units = dict(self.units)
+        twin.grade2 = list(self.grade2)
+        twin.y_order = list(self.y_order)
+        twin.unit = self.unit
+        twin.x_units, twin.y_units, twin.z_units = self.x_units, self.y_units, self.z_units
+        return twin
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ScheduleState):
+            return NotImplemented
+        return (self.jobs, self.assignment, self.x, self.y, self.z) == (
+            other.jobs, other.assignment, other.x, other.y, other.z
+        )
+
+    __hash__ = None  # mutable
+
+    def __repr__(self) -> str:
+        return (
+            f"ScheduleState(jobs={self.jobs!r}, assignment={self.assignment!r}, "
+            f"x={self.x!r}, y={self.y!r}, z={self.z!r})"
+        )
+
+    def units_of(self, value: Fraction) -> int:
+        """``value`` in units, first extending the unit to its denominator."""
+        den = value.denominator
+        if self.unit % den:
+            self._extend(den)
+        return value.numerator * (self.unit // den)
+
+    def _extend(self, den: int) -> None:
+        """Rescale every held int once, so the unit becomes a multiple of den."""
+        factor = math.lcm(self.unit, den) // self.unit
+        self.unit *= factor
+        self.x_units *= factor
+        self.y_units *= factor
+        self.z_units *= factor
+        for idx in self.units:
+            self.units[idx] *= factor
+        self.y_order = [(neg * factor, idx) for neg, idx in self.y_order]
+        if self._limits is not None:
+            for name in UnitLimits.SCALED:
+                setattr(self._limits, name, getattr(self._limits, name) * factor)
+
+    def limits(self, m: RationalLike) -> UnitLimits:
+        """m's constants over this state's unit; a negative m raises
+        :class:`NegativeM`.  Cached for the last m object asked for."""
+        limits = self._limits
+        if limits is None or limits.given is not m:
+            limits = self._limits = UnitLimits(self, m)
+        return limits
+
+    @property
+    def x(self) -> Fraction:
+        return Fraction(self.x_units, self.unit)
+
+    @property
+    def y(self) -> Fraction:
+        return Fraction(self.y_units, self.unit)
+
+    @property
+    def z(self) -> Fraction:
+        return Fraction(self.z_units, self.unit)
 
     @property
     def load1(self) -> Fraction:
-        return self.x + self.z
+        return Fraction(self.x_units + self.z_units, self.unit)
 
     @property
     def load2(self) -> Fraction:
         return self.y
 
     @property
+    def makespan_units(self) -> int:
+        return max(self.x_units + self.z_units, self.y_units)
+
+    @property
     def makespan(self) -> Fraction:
-        return max(self.load1, self.load2)
+        return Fraction(self.makespan_units, self.unit)
 
     @property
     def arrived_total(self) -> Fraction:
-        return self.x + self.y + self.z
+        return Fraction(self.x_units + self.y_units + self.z_units, self.unit)
 
     def sorted_y_desc(self) -> list[tuple[int, Fraction]]:
         """Machine-2 jobs as (index, size), non-increasing size, ties by
         smaller arrival index first."""
-        items = [
-            (idx, self.jobs[idx].size)
-            for idx, mach in self.assignment.items()
-            if mach is MachineId.M2
-        ]
-        items.sort(key=lambda pair: (-pair[1], pair[0]))
-        return items
+        return [(idx, Fraction(-neg, self.unit)) for neg, idx in self.y_order]
 
 
 def apply_decision(
@@ -195,14 +315,15 @@ def apply_decision(
     """Place ``job`` and apply the decision's migrations, enforcing the
     per-arrival migration budget and the machine hierarchy.
 
-    Returns the new state; the ledger gains one entry for this arrival.
-    Raises an :class:`IllegalDecision` (BudgetExceeded, HierarchyViolation,
-    UnknownJob, or the base class itself) on an illegal decision, a
-    decision that is not an :class:`AssignmentDecision` with a tuple of
-    migrations, a malformed migration entry or a machine that is not a
-    :class:`MachineId` included, and leaves the ledger untouched.
+    Updates ``state`` in place and returns it; the ledger gains one entry
+    for this arrival.  Raises an :class:`IllegalDecision` (BudgetExceeded,
+    HierarchyViolation, UnknownJob, or the base class itself) on an
+    illegal decision, a decision that is not an
+    :class:`AssignmentDecision` with a tuple of migrations, a malformed
+    migration entry or a machine that is not a :class:`MachineId`
+    included, and then leaves the state's values and the ledger untouched.
     """
-    m = as_migration_factor(m)
+    limits = state.limits(m)
     if job.index in state.jobs:
         raise IllegalDecision(f"job {job.index} already scheduled")
     if not (
@@ -218,55 +339,74 @@ def apply_decision(
             f"grade-1 job {job.index} cannot run on machine 2"
         )
 
-    assignment = dict(state.assignment)
-    x, y, z = state.x, state.y, state.z
-    migrated_total = ZERO
-    seen: set[int] = set()
-    for entry in decision.migrations:
-        if not (isinstance(entry, tuple) and len(entry) == 2 and type(entry[0]) is int):
-            raise IllegalDecision(f"migration {entry!r} is not an (int, machine) pair")
-        idx, new_machine = entry
-        if idx in seen:
-            raise IllegalDecision(f"job {idx} listed twice in one decision")
-        seen.add(idx)
-        moved = state.jobs.get(idx)
-        if moved is None:
-            raise UnknownJob(f"migration references unknown job {idx}")
-        if not isinstance(new_machine, MachineId):
-            raise IllegalDecision(
-                f"job {idx} migrated to unknown machine {new_machine!r}"
+    p = state.units_of(job.size)
+    assignment, units, y_order = state.assignment, state.units, state.y_order
+    migrations = decision.migrations
+    migrated = 0
+    if migrations:
+        seen: set[int] = set()
+        for entry in migrations:
+            if not (
+                isinstance(entry, tuple) and len(entry) == 2 and type(entry[0]) is int
+            ):
+                raise IllegalDecision(
+                    f"migration {entry!r} is not an (int, machine) pair"
+                )
+            idx, new_machine = entry
+            if idx in seen:
+                raise IllegalDecision(f"job {idx} listed twice in one decision")
+            seen.add(idx)
+            moved = state.jobs.get(idx)
+            if moved is None:
+                raise UnknownJob(f"migration references unknown job {idx}")
+            if not isinstance(new_machine, MachineId):
+                raise IllegalDecision(
+                    f"job {idx} migrated to unknown machine {new_machine!r}"
+                )
+            if assignment[idx] is new_machine:
+                raise IllegalDecision(
+                    f"migration of job {idx} does not change machines"
+                )
+            if moved.gos == 1 and new_machine is MachineId.M2:
+                raise HierarchyViolation(
+                    f"grade-1 job {idx} cannot migrate to machine 2"
+                )
+            migrated += units[idx]
+        if migrated * state.unit > limits.m_units * p:
+            raise BudgetExceeded(
+                f"arrival {job.index}: migrated {Fraction(migrated, state.unit)} "
+                f"> budget {limits.m * job.size}"
             )
-        if assignment[idx] is new_machine:
-            raise IllegalDecision(
-                f"migration of job {idx} does not change machines"
-            )
-        if moved.gos == 1 and new_machine is MachineId.M2:
-            raise HierarchyViolation(
-                f"grade-1 job {idx} cannot migrate to machine 2"
-            )
-        migrated_total += moved.size
-        assignment[idx] = new_machine
-        shift = moved.size if new_machine is MachineId.M2 else -moved.size
-        y += shift
-        z -= shift
+        for idx, new_machine in migrations:
+            size = units[idx]
+            assignment[idx] = new_machine
+            if new_machine is MachineId.M2:
+                state.y_units += size
+                state.z_units -= size
+                insort(y_order, (-size, idx))
+            else:
+                state.y_units -= size
+                state.z_units += size
+                del y_order[bisect_left(y_order, (-size, idx))]
+        ratio_units, ratio_size = ledger._ratio
+        if migrated * ratio_size > ratio_units * p:
+            ledger._ratio = (migrated, p)
 
-    budget = m * job.size
-    if migrated_total > budget:
-        raise BudgetExceeded(
-            f"arrival {job.index}: migrated {migrated_total} > budget {budget}"
-        )
-
-    assignment[job.index] = target
+    idx = job.index
+    state.jobs[idx] = job
+    assignment[idx] = target
+    units[idx] = p
     if job.gos == 1:
-        x += job.size
-    elif target is MachineId.M2:
-        y += job.size
+        state.x_units += p
     else:
-        z += job.size
-
-    ledger.entries.append(LedgerEntry(job, decision, migrated_total, budget))
-    jobs = {**state.jobs, job.index: job}
-    return ScheduleState(jobs=jobs, assignment=assignment, x=x, y=y, z=z)
+        state.grade2.append(idx)
+        if target is MachineId.M2:
+            state.y_units += p
+            insort(y_order, (-p, idx))
+        else:
+            state.z_units += p
+    ledger.entries.append(LedgerEntry(job, decision, migrated, state.unit, limits.m))
+    return state
 
 
 class Regime(str, Enum):
@@ -311,6 +451,22 @@ def _ratio_bound_cached(m: Fraction) -> RegimeBound:
     return RegimeBound(m, Regime.NO_MIG, Fraction(3, 2))
 
 
+@lru_cache(maxsize=4096)
+def _regime_units(m: Fraction) -> tuple[RegimeBound, int, tuple[int, ...]]:
+    """m's tight bound, and the constants of :class:`UnitLimits` in the
+    order of its ``SCALED``, as ints over their common denominator; a
+    negative m raises :class:`NegativeM`."""
+    tight = ratio_bound(m)
+    values = (
+        tight.bound, 2 - tight.bound, tight.migration_cap, m, m / 3, 2 * m / 3,
+        Fraction(1, 4),
+    )
+    den = 1
+    for value in values:
+        den = math.lcm(den, value.denominator)
+    return tight, den, tuple(value.numerator * (den // value.denominator) for value in values)
+
+
 def ratio_bound(m: RationalLike) -> RegimeBound:
     """Tight competitive ratio as a function of the migration factor.
 
@@ -325,15 +481,20 @@ class Instance:
     """Ordered job stream with a declared optimal makespan.
 
     Streams are normalized so the declared optimum is 1 before scheduling;
-    :meth:`normalized` performs the exact rescale.  Indices other than
-    1..n in order, an element that is not a :class:`Job`, or a non-positive
-    declared optimum raise :class:`ParseError`.
+    :meth:`normalized` performs the exact rescale.  Jobs that are not an
+    iterable, indices other than 1..n in order, an element that is not a
+    :class:`Job`, or a non-positive declared optimum raise
+    :class:`ParseError`.
     """
 
     jobs: tuple[Job, ...]
     declared_opt: Fraction = ONE
 
     def __post_init__(self) -> None:
+        try:
+            object.__setattr__(self, "jobs", tuple(self.jobs))
+        except TypeError:
+            raise ParseError(f"jobs must be an iterable of Jobs, got {self.jobs!r}") from None
         if not isinstance(self.declared_opt, Fraction):
             object.__setattr__(self, "declared_opt", as_fraction(self.declared_opt))
         if self.declared_opt <= 0:

@@ -121,7 +121,10 @@ def _slack_fill(rng: random.Random, config: GenConfig) -> list[tuple[Fraction, i
 
 
 def generate(config: GenConfig) -> Instance:
-    """Deterministic-per-seed instance with declared (and true) optimum 1."""
+    """Deterministic-per-seed instance with declared (and true) optimum 1;
+    the seed must be a plain int."""
+    if type(config.seed) is not int:
+        raise InfeasibleConfig(f"seed must be an int, got {config.seed!r}")
     counts = (config.n_gos2, config.n_gos1, config.denominator_bound)
     if any(type(value) is not int for value in counts):
         raise InfeasibleConfig(f"counts and denominator bound must be ints: {counts}")

@@ -40,10 +40,8 @@ from .core import (
     Job,
     MigrationLedger,
     ScheduleState,
-    ZERO,
     apply_decision,
     as_fraction,
-    as_migration_factor,
     dump_instance,
     fraction_str,
     load_instance,
@@ -136,14 +134,18 @@ def run_stream(
     A negative ``m`` raises :class:`NegativeM` before the first arrival.
     Records a violation (and stops) if the scheduler produces an illegal
     decision; optionally checks the makespan against ``bound`` after every
-    arrival.  Conservation of total size is always verified at the end.
+    arrival.  Conservation of total size is always verified at the end,
+    against a separate int sum of the arrived sizes.
     """
-    m = as_migration_factor(m)
     state = ScheduleState()
+    m = state.limits(as_fraction(m)).m  # a negative m raises NegativeM here
     ledger = MigrationLedger()
     violations: list[str] = []
+    if bound is not None:
+        bound_num, bound_den = bound.numerator, bound.denominator
 
-    arrived = ZERO
+    # arrived sizes in units of arrived_unit, which follows state.unit
+    arrived, arrived_unit = 0, 1
     for job in jobs:
         try:
             decision = scheduler_fn(state, job, m)
@@ -153,17 +155,28 @@ def run_stream(
         except HierStretchError as exc:
             violations.append(f"arrival {job.index}: {type(exc).__name__}: {exc}")
             break
-        arrived += job.size
-        if per_arrival_bound and bound is not None and state.makespan > bound:
+        unit = state.unit
+        if unit != arrived_unit:
+            arrived *= unit // arrived_unit
+            arrived_unit = unit
+        size = job.size
+        arrived += size.numerator * (unit // size.denominator)
+        if (
+            per_arrival_bound
+            and bound is not None
+            and state.makespan_units * bound_den > bound_num * unit
+        ):
             violations.append(
                 f"arrival {job.index}: makespan {state.makespan} > bound {bound}"
             )
-    if bound is not None and state.makespan > bound:
+    unit = state.unit
+    if bound is not None and state.makespan_units * bound_den > bound_num * unit:
         violations.append(f"final makespan {state.makespan} > bound {bound}")
-    if state.arrived_total != arrived:
+    arrived *= unit // arrived_unit
+    if state.x_units + state.y_units + state.z_units != arrived:
         violations.append(
             f"conservation broken: loads sum to {state.arrived_total}, "
-            f"arrived {arrived}"
+            f"arrived {Fraction(arrived, unit)}"
         )
     return RunResult(final_state=state, ledger=ledger, violations=violations)
 

@@ -54,6 +54,7 @@ def _least_optimal_split(
         search(i + 1, load1 + sizes[i], y, mask)
 
     search(0, best - sum(sizes), 0, 0)
+    del search  # its cell refers to it: leave no cycle for the collector
     vector = tuple(
         MachineId.M2 if best_mask >> i & 1 else MachineId.M1 for i in range(n)
     )

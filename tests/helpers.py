@@ -53,15 +53,16 @@ def emitting(later):
 
 
 def replay(jobs, scheduler_fn, m):
-    """Yield (pre_state, job, decision, post_state) for every arrival."""
+    """Yield (pre_state, job, decision, post_state) for every arrival, the
+    states as snapshots, since :func:`apply_decision` updates in place."""
     m = Fraction(m)
     state = ScheduleState()
     ledger = MigrationLedger()
     for job in jobs:
+        pre = state.copy()
         decision = scheduler_fn(state, job, m)
-        new_state = apply_decision(state, job, decision, ledger, m)
-        yield state, job, decision, new_state
-        state = new_state
+        apply_decision(state, job, decision, ledger, m)
+        yield pre, job, decision, state.copy()
 
 
 def in_lowest_terms(value):

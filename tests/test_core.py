@@ -1,13 +1,15 @@
 """Core types: state bookkeeping, budgets, bounds, instance validation."""
 from __future__ import annotations
 
+import gc
 import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hierstretch.algorithms import SCHEDULERS
+from hierstretch.adversary import AdvHigh, play_duel
+from hierstretch.algorithms import SCHEDULERS, select_max_subset
 from hierstretch.core import (
     AssignmentDecision,
     Instance,
@@ -35,7 +37,8 @@ from hierstretch.errors import (
     UnknownJob,
 )
 from hierstretch.harness import run_stream
-from helpers import stream
+from hierstretch.oracle import brute_opt, opt_prefix_loads
+from helpers import in_lowest_terms, mixed_sizes, stream
 
 M1, M2 = MachineId.M1, MachineId.M2
 
@@ -194,10 +197,14 @@ class TestApplyDecision:
                 st.builds(AssignmentDecision, machines, migrations) | st.none()
             )
             entries = list(ledger.entries)
+            before = state.copy()
             try:
                 new = apply_decision(state, job, decision, ledger, m)
             except IllegalDecision:
                 assert ledger.entries == entries
+                assert state == before
+                assert state.sorted_y_desc() == before.sorted_y_desc()
+                assert state.grade2 == before.grade2
                 new = apply_decision(state, job, AssignmentDecision(M1), ledger, m)
             else:
                 moved = sum(state.jobs[i].size for i, _ in decision.migrations)
@@ -251,6 +258,95 @@ class TestScheduleState:
             (1, Fraction(1, 2)),
             (2, Fraction(1, 2)),
         ]
+
+
+# migration factors each scheduler accepts, with assorted denominators
+KERNEL_M = {
+    "A": ["5/2", "3", "100"],
+    "B": ["3/4", "1", "7/5"],
+    "C": ["1/2", "11/20", "3/5"],
+    "D": ["2/3", "7/10", "73/100"],
+}
+
+
+class TestKernel:
+    """The int kernel against a recount from ``jobs`` and ``assignment``."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_views_match_a_recount(self, data):
+        # mixed denominators force rescales part way through a stream
+        name = data.draw(st.sampled_from(sorted(SCHEDULERS)))
+        m = Fraction(data.draw(st.sampled_from(KERNEL_M.get(name, ["0", "1/4", "3"]))))
+        pairs = data.draw(
+            st.lists(st.tuples(mixed_sizes, st.sampled_from([1, 2])), min_size=1, max_size=10)
+        )
+        state, ledger = ScheduleState(), MigrationLedger()
+        for job in stream(*pairs):
+            try:
+                apply_decision(state, job, SCHEDULERS[name](state, job, m), ledger, m)
+            except IllegalDecision:
+                break
+            jobs, where = state.jobs, state.assignment
+            assert all(state.unit % j.size.denominator == 0 for j in jobs.values())
+            assert state.units == {i: j.size * state.unit for i, j in jobs.items()}
+            on_m2 = [i for i in jobs if where[i] is M2]
+            x = sum(j.size for j in jobs.values() if j.gos == 1)
+            y = sum(jobs[i].size for i in on_m2)
+            z = sum(j.size for i, j in jobs.items() if j.gos == 2 and where[i] is M1)
+            views = (state.x, state.y, state.z, state.load1, state.load2,
+                     state.makespan, state.arrived_total)
+            assert views == (x, y, z, x + z, y, max(x + z, y), x + y + z)
+            assert all(in_lowest_terms(view) for view in views)
+            fresh = sorted(((i, jobs[i].size) for i in on_m2), key=lambda e: (-e[1], e[0]))
+            assert state.sorted_y_desc() == fresh
+            assert state.grade2 == [i for i, j in jobs.items() if j.gos == 2]
+            entry = ledger.entries[-1]
+            assert entry.job is job
+            assert entry.budget == m * job.size
+            assert entry.migrated_total == sum(
+                jobs[i].size for i, _ in entry.decision.migrations
+            )
+        assert ledger.max_ratio == max(
+            (e.migrated_total / e.job.size for e in ledger.entries), default=0
+        )
+
+    def test_copy_is_a_snapshot(self):
+        state, ledger = ScheduleState(), MigrationLedger()
+        jobs = stream(("1/2", 2), ("1/3", 2))
+        apply_decision(state, jobs[0], AssignmentDecision(M2), ledger, 1)
+        snapshot = state.copy()
+        assert apply_decision(state, jobs[1], AssignmentDecision(M2), ledger, 1) is state
+        assert snapshot.jobs == {1: jobs[0]} and snapshot.y == Fraction(1, 2)
+        assert state != snapshot and state.y == Fraction(5, 6)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: to_units([Fraction(1, 3), Fraction(2, 7)]),
+        lambda: select_max_subset(["1/2", "1/3", "1/4", "2/5"], 1),
+        lambda: brute_opt(stream(("1/2", 2), ("1/3", 2), ("2/3", 2), ("1/2", 1))),
+        lambda: opt_prefix_loads(stream(("1/2", 2), ("1/3", 2), ("2/3", 1))),
+        lambda: run_stream(
+            stream(("3/5", 2), ("7/10", 2), ("1/4", 1)), SCHEDULERS["B"], 1
+        ),
+        lambda: play_duel(AdvHigh(3), "A", SCHEDULERS["A"], 3),
+    ],
+    ids=["to_units", "select_max_subset", "brute_opt", "opt_prefix_loads",
+         "run_stream", "play_duel"],
+)
+def test_calls_leave_no_cycles(call):
+    # garbage in reference cycles waits for the cyclic collector, so peak
+    # memory would grow with the number of calls between collections
+    call()  # warm any caches first
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 class TestRatioBound:
@@ -433,8 +529,9 @@ class TestInstanceJson:
             lambda: jobs_from_pairs([("1/2", 2), 5]),
             lambda: Instance(jobs=(1, 2)),
             lambda: Instance(jobs=(Job(1, Fraction(1), 2), None)),
+            lambda: Instance(jobs=5),
         ],
-        ids=["short-pair", "long-pair", "not-a-pair", "ints", "none"],
+        ids=["short-pair", "long-pair", "not-a-pair", "ints", "none", "not-iterable"],
     )
     def test_malformed_job_lists(self, build):
         with pytest.raises(ParseError):

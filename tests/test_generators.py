@@ -104,9 +104,12 @@ class TestDeterminismAndLimits:
         assert all(opt <= 1 for opt in report.prefix_opts)
 
 
+# seeds that are not plain ints must be refused, not passed to random.Random
+BAD_SEEDS = [None, [1], 1.5, True, "3"]
+
 _CONFIGS = st.builds(
     GenConfig,
-    seed=st.integers(min_value=0, max_value=2**32),
+    seed=st.integers(min_value=0, max_value=2**32) | st.sampled_from(BAD_SEEDS),
     n_gos2=st.integers(min_value=-1, max_value=8),
     n_gos1=st.integers(min_value=-1, max_value=4),
     denominator_bound=st.integers(min_value=-1, max_value=12),
@@ -121,6 +124,7 @@ def test_any_config_is_valid_or_infeasible(config):
         instance = generate(config)
     except InfeasibleConfig:
         return
+    assert type(config.seed) is int
     assert config.fill_mode in ("exact", "slack")
     assert validate_instance(instance, check_opt=True).valid
     if config.fill_mode == "exact":

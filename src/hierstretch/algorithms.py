@@ -182,7 +182,7 @@ def _window(
 
 def _to_m1(order: list[tuple[int, int]]) -> tuple[tuple[int, MachineId], ...]:
     """Migrations moving the given (-units, index) machine-2 jobs to machine 1."""
-    return tuple((idx, M1) for _, idx in order)
+    return tuple([(idx, M1) for _, idx in order])
 
 
 def _clear_prefix(

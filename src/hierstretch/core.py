@@ -522,9 +522,9 @@ class Instance:
         if self.declared_opt == 1:
             return self
         scale = 1 / self.declared_opt
-        jobs = tuple(
+        jobs = tuple([
             Job(job.index, job.size * scale, job.gos) for job in self.jobs
-        )
+        ])
         return Instance(jobs=jobs, declared_opt=ONE)
 
     def to_json_dict(self) -> dict:
@@ -543,7 +543,7 @@ def jobs_from_pairs(pairs: Iterable[tuple[RationalLike, int]]) -> tuple[Job, ...
     """Build an indexed job tuple from (size, gos) pairs in arrival order;
     an entry that is not such a pair raises :class:`ParseError`."""
     try:
-        return tuple(Job(i, p, g) for i, (p, g) in enumerate(pairs, start=1))
+        return tuple([Job(i, p, g) for i, (p, g) in enumerate(pairs, start=1)])
     except (TypeError, ValueError) as exc:  # an entry that does not unpack
         raise ParseError(f"job list must hold (size, gos) pairs: {exc}") from None
 

@@ -142,9 +142,9 @@ def generate(config: GenConfig) -> Instance:
     else:
         sized = _slack_fill(rng, config)
     rng.shuffle(sized)
-    jobs = tuple(
+    jobs = tuple([
         Job(i, size, gos) for i, (size, gos) in enumerate(sized, start=1)
-    )
+    ])
     return Instance(jobs=jobs, declared_opt=Fraction(1))
 
 

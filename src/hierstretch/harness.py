@@ -44,6 +44,7 @@ from .core import (
     as_fraction,
     dump_instance,
     fraction_str,
+    jobs_from_pairs,
     load_instance,
     ratio_bound,
     validate_instance,
@@ -465,7 +466,7 @@ def oracle_suite(seed: int, count: int) -> SuiteSummary:
             summary.add_violation(f"instance#{i}(seed={config.seed}): {failure}")
     for name, stream in LOWER_BOUND_STREAMS.items():
         summary.runs += 1
-        jobs = tuple(Job(i, p, g) for i, (p, g) in enumerate(stream, start=1))
+        jobs = jobs_from_pairs(stream)
         opt = brute_opt(jobs)
         if opt != 1:
             summary.add_violation(

@@ -55,9 +55,9 @@ def _least_optimal_split(
 
     search(0, best - sum(sizes), 0, 0)
     del search  # its cell refers to it: leave no cycle for the collector
-    vector = tuple(
+    vector = tuple([
         MachineId.M2 if best_mask >> i & 1 else MachineId.M1 for i in range(n)
-    )
+    ])
     return Fraction(best, unit), vector
 
 

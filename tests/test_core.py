@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import gc
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -36,7 +37,8 @@ from hierstretch.errors import (
     ParseError,
     UnknownJob,
 )
-from hierstretch.harness import run_stream
+from hierstretch.generators import GenConfig, generate
+from hierstretch.harness import guarantee_suite, run_stream
 from hierstretch.oracle import brute_opt, opt_prefix_loads
 from helpers import in_lowest_terms, mixed_sizes, stream
 
@@ -321,21 +323,25 @@ class TestKernel:
         assert state != snapshot and state.y == Fraction(5, 6)
 
 
-@pytest.mark.parametrize(
-    "call",
-    [
-        lambda: to_units([Fraction(1, 3), Fraction(2, 7)]),
-        lambda: select_max_subset(["1/2", "1/3", "1/4", "2/5"], 1),
-        lambda: brute_opt(stream(("1/2", 2), ("1/3", 2), ("2/3", 2), ("1/2", 1))),
-        lambda: opt_prefix_loads(stream(("1/2", 2), ("1/3", 2), ("2/3", 1))),
-        lambda: run_stream(
-            stream(("3/5", 2), ("7/10", 2), ("1/4", 1)), SCHEDULERS["B"], 1
-        ),
-        lambda: play_duel(AdvHigh(3), "A", SCHEDULERS["A"], 3),
-    ],
-    ids=["to_units", "select_max_subset", "brute_opt", "opt_prefix_loads",
-         "run_stream", "play_duel"],
-)
+CALLS = {
+    "to_units": lambda: to_units([Fraction(1, 3), Fraction(2, 7)]),
+    "select_max_subset": lambda: select_max_subset(["1/2", "1/3", "1/4", "2/5"], 1),
+    "brute_opt": lambda: brute_opt(
+        stream(("1/2", 2), ("1/3", 2), ("2/3", 2), ("1/2", 1))
+    ),
+    "opt_prefix_loads": lambda: opt_prefix_loads(
+        stream(("1/2", 2), ("1/3", 2), ("2/3", 1))
+    ),
+    "run_stream": lambda: run_stream(
+        stream(("3/5", 2), ("7/10", 2), ("1/4", 1)), SCHEDULERS["B"], 1
+    ),
+    "play_duel": lambda: play_duel(AdvHigh(3), "A", SCHEDULERS["A"], 3),
+    "generate": lambda: generate(GenConfig(seed=3, n_gos2=6, n_gos1=2)),
+    "guarantee_suite": lambda: guarantee_suite(5, 1),
+}
+
+
+@pytest.mark.parametrize("call", CALLS.values(), ids=CALLS.keys())
 def test_calls_leave_no_cycles(call):
     # garbage in reference cycles waits for the cyclic collector, so peak
     # memory would grow with the number of calls between collections
@@ -345,6 +351,24 @@ def test_calls_leave_no_cycles(call):
     try:
         call()
         assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("call", CALLS.values(), ids=CALLS.keys())
+def test_repeated_calls_hold_flat_memory(call):
+    # tuple() of a generator allocates ten slots and shrinks the tuple; the
+    # freed tuples pile up in the interpreter's per-size free lists, which
+    # only a full collection empties, so each call kept a block or more
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(200):  # let caches and the free lists settle
+            call()
+        before = sys.getallocatedblocks()
+        for _ in range(300):
+            call()
+        assert sys.getallocatedblocks() - before < 30
     finally:
         gc.enable()
 

@@ -22,7 +22,6 @@ bottom.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -47,17 +46,17 @@ SchedulerFn = Callable[[ScheduleState, Job, Fraction], AssignmentDecision]
 M1 = MachineId.M1
 M2 = MachineId.M2
 
-
-@dataclass(frozen=True)
-class WSelection:
-    """A chosen subset of candidates: positions and their total size."""
-
-    chosen: tuple[int, ...]
-    total: Fraction | int
+# the window's decisions carry no migrations, so one frozen record of each
+# serves every arrival
+_WINDOW_M1 = AssignmentDecision(M1, step=2)
+_WINDOW_M2 = AssignmentDecision(M2, step=3)
 
 
-def select_max_subset(sizes: Sequence[RationalLike], cap: RationalLike) -> WSelection:
-    """Subset of maximum total size not exceeding ``cap``, exact.
+def select_max_subset(
+    sizes: Sequence[RationalLike], cap: RationalLike
+) -> tuple[tuple[int, ...], Fraction]:
+    """Positions and total of a subset of maximum total size not exceeding
+    ``cap``, exact.
 
     On integer units after ``as_fraction`` (a float or a size <= 0 raises
     ParseError):
@@ -102,37 +101,29 @@ def select_max_subset(sizes: Sequence[RationalLike], cap: RationalLike) -> WSele
 
     search(0, 0, ())
     del search  # its cell refers to it: leave no cycle for the collector
-    return WSelection(chosen=best, total=Fraction(best_total, unit))
+    return best, Fraction(best_total, unit)
 
 
-def select_prefix_max(
-    sizes: Sequence[Fraction | int], cap: Fraction | int
-) -> WSelection:
-    """Longest prefix with total at most ``cap`` (possibly empty); exact on
-    Fractions and on int units alike."""
+def select_prefix_max(sizes: Sequence[int], cap: int) -> tuple[int, int]:
+    """Length and total of the longest prefix with total at most ``cap``
+    (possibly empty)."""
     total = 0
-    chosen: list[int] = []
-    for i, size in enumerate(sizes):
+    for count, size in enumerate(sizes):
         if total + size > cap:
-            break
+            return count, total
         total += size
-        chosen.append(i)
-    return WSelection(chosen=tuple(chosen), total=total)
+    return len(sizes), total
 
 
-def select_prefix_min(
-    sizes: Sequence[Fraction | int], floor: Fraction | int
-) -> WSelection:
-    """Shortest prefix with total at least ``floor``; the entire list if
-    even that falls short."""
+def select_prefix_min(sizes: Sequence[int], floor: int) -> tuple[int, int]:
+    """Length and total of the shortest prefix with total at least
+    ``floor``; the entire list if even that falls short."""
     total = 0
-    chosen: list[int] = []
-    for i, size in enumerate(sizes):
+    for count, size in enumerate(sizes):
         if total >= floor:
-            break
+            return count, total
         total += size
-        chosen.append(i)
-    return WSelection(chosen=tuple(chosen), total=total)
+    return len(sizes), total
 
 
 # the regime each migrating scheduler is proven for; the baseline never
@@ -174,9 +165,9 @@ def _window(
     jobs, or any job once machine 2 holds 2-r, go to machine 1; a job that
     keeps machine 2 within r joins it; otherwise None (rebalancing)."""
     if job.gos == 1 or state.y_units >= limits.low:
-        return AssignmentDecision(M1, step=2)
+        return _WINDOW_M1
     if state.units_of(job.size) + state.y_units <= limits.r:
-        return AssignmentDecision(M2, step=3)
+        return _WINDOW_M2
     return None
 
 
@@ -191,13 +182,13 @@ def _clear_prefix(
     """Step 4 of B and D for a large arrival of ``p`` units (p >= 2-r): the
     longest machine-2 prefix within migration_cap * p moves to machine 1 so
     the arrival fits under r; if it still does not fit, it takes machine 1."""
-    order = state.y_order
-    selection = select_prefix_max(
+    order = state.y_order()
+    k, total = select_prefix_max(
         [-neg for neg, _ in order], limits.cap * p // state.unit
     )
-    if state.y_units - selection.total + p > limits.r:
+    if state.y_units - total + p > limits.r:
         return AssignmentDecision(M1, step=4)
-    return AssignmentDecision(M2, _to_m1(order[: len(selection.chosen)]), step=4)
+    return AssignmentDecision(M2, _to_m1(order[:k]), step=4)
 
 
 def alg_a(state: ScheduleState, job: Job, m: Fraction) -> AssignmentDecision:
@@ -214,15 +205,15 @@ def alg_a(state: ScheduleState, job: Job, m: Fraction) -> AssignmentDecision:
 
     # rebalance: machine 2 gets a max-total subset of Z u Y u {j} capped at 1
     p = state.units_of(job.size)
-    candidates = state.grade2
-    sizes = [state.units[idx] for idx in candidates] + [p]
-    selection = select_max_subset(sizes, state.unit)
-    picked = set(selection.chosen)
+    candidates = [other for other in state.jobs.values() if other.gos == 2]
+    sizes = [state.units_of(other.size) for other in candidates] + [p]
+    chosen, _ = select_max_subset(sizes, state.unit)
+    picked = set(chosen)
     migrations = []
-    for pos, idx in enumerate(candidates):
+    for pos, other in enumerate(candidates):
         new_machine = M2 if pos in picked else M1
-        if state.assignment[idx] is not new_machine:
-            migrations.append((idx, new_machine))
+        if state.assignment[other.index] is not new_machine:
+            migrations.append((other.index, new_machine))
     target = M2 if len(candidates) in picked else M1  # the arrival is last
     return AssignmentDecision(target, tuple(migrations), step=4)
 
@@ -239,7 +230,7 @@ def alg_b(state: ScheduleState, job: Job, m: Fraction) -> AssignmentDecision:
         return _clear_prefix(state, p, limits)
 
     # medium arrival (1/2 < p < 3/4); machine 2 holds more than 1/2
-    order = state.y_order
+    order = state.y_order()
     p_max = -order[0][0]
     if p + p_max > limits.r:
         return AssignmentDecision(M1, step=5)
@@ -248,9 +239,8 @@ def alg_b(state: ScheduleState, job: Job, m: Fraction) -> AssignmentDecision:
     elif p_max >= limits.quarter:
         moved = order[:1]
     else:
-        selection = select_prefix_min([-neg for neg, _ in order], limits.quarter)
-        k = len(selection.chosen)
-        if selection.total > limits.cap * p // state.unit:
+        k, total = select_prefix_min([-neg for neg, _ in order], limits.quarter)
+        if total > limits.cap * p // state.unit:
             moved = order[k:]
         else:
             moved = order[:k]
@@ -269,13 +259,13 @@ def alg_c(state: ScheduleState, job: Job, m: Fraction) -> AssignmentDecision:
     if decision is not None:
         return decision
     p = state.units_of(job.size)
-    order = state.y_order
+    order = state.y_order()
     if order and -order[0][0] > limits.m_units * p // state.unit:
         return AssignmentDecision(M1, step=4)
 
     deficit = p + state.y_units - limits.r
-    selection = select_prefix_min([-neg for neg, _ in order], deficit)
-    return AssignmentDecision(M2, _to_m1(order[: len(selection.chosen)]), step=5)
+    k, _ = select_prefix_min([-neg for neg, _ in order], deficit)
+    return AssignmentDecision(M2, _to_m1(order[:k]), step=5)
 
 
 def alg_d(state: ScheduleState, job: Job, m: Fraction) -> AssignmentDecision:
@@ -293,10 +283,9 @@ def alg_d(state: ScheduleState, job: Job, m: Fraction) -> AssignmentDecision:
     if p >= limits.m_units:
         return _clear_prefix(state, p, limits)
 
-    order = state.y_order
-    selection = select_prefix_min([-neg for neg, _ in order], limits.m_third)
-    k = len(selection.chosen)
-    moved, w_total = order[:k], selection.total
+    order = state.y_order()
+    k, w_total = select_prefix_min([-neg for neg, _ in order], limits.m_third)
+    moved = order[:k]
     if w_total > min(limits.two_m_thirds, limits.m_units * p // state.unit):
         moved, w_total = order[k:], state.y_units - w_total
     if state.y_units - w_total + p > limits.r:
@@ -315,8 +304,8 @@ def baseline_nomig(state: ScheduleState, job: Job, m: Fraction) -> AssignmentDec
     ignored.
     """
     if job.gos == 1 or 2 * state.y_units >= state.unit:
-        return AssignmentDecision(M1, step=2)
-    return AssignmentDecision(M2, step=3)
+        return _WINDOW_M1
+    return _WINDOW_M2
 
 
 # --- naive opponents used to exercise the adversaries -----------------

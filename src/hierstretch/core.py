@@ -2,7 +2,7 @@
 
 Everything is exact: sizes, loads, budgets, and bounds cross the API as
 :class:`fractions.Fraction` values, while the work runs on ints.  A
-:class:`ScheduleState` holds sizes and loads over one common unit and is
+:class:`ScheduleState` holds its loads over one common unit and is
 updated in place by :func:`apply_decision`, one arrival at a time; the
 exponential searches scale their input once (:func:`to_units`).  Every
 guarantee in this package is a decidable comparison rather than a float
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from fractions import Fraction
@@ -150,13 +149,14 @@ class MigrationLedger:
 
     def __init__(self) -> None:
         self.entries: list[LedgerEntry] = []
-        # largest migrated volume over arrival size so far, as an int pair
-        self._ratio = (0, 1)
 
     @property
     def max_ratio(self) -> Fraction:
         """Largest migrated_total / p_j over all arrivals (0 if none)."""
-        return Fraction(*self._ratio)
+        return max(
+            (e.migrated_total / e.job.size for e in self.entries if e.migrated_units),
+            default=ZERO,
+        )
 
 
 class UnitLimits:
@@ -185,13 +185,13 @@ class UnitLimits:
 class ScheduleState:
     """Assignment of all arrived jobs plus running load aggregates.
 
-    Sizes and loads are ints over one ``unit``: the lcm of every size
-    denominator seen and of the constants of every migration factor asked
-    for (:meth:`limits`).  When a new denominator arrives, every held int
-    is rescaled once.  ``units`` maps a job index to its size in units,
-    ``grade2`` lists the grade-2 indices in arrival order, and ``y_order``
-    holds the machine-2 jobs as (-units, index), sorted, so the largest
-    job comes first and ties go to the smaller index.
+    ``jobs`` holds the arrived jobs in arrival order and ``assignment``
+    their machines.  The three loads are ints over one ``unit``: the lcm
+    of every size denominator seen and of the constants of every migration
+    factor asked for (:meth:`limits`).  When a new denominator arrives, the
+    loads and the limits are rescaled once.  :meth:`units_of` gives a size
+    in units, and :meth:`y_order` sorts the machine-2 jobs when a
+    rebalancing rule asks for them.
 
     ``x``: total size of grade-1 jobs (all on machine 1).
     ``y``: total size of grade-2 jobs on machine 2.
@@ -205,9 +205,6 @@ class ScheduleState:
     def __init__(self) -> None:
         self.jobs: dict[int, Job] = {}
         self.assignment: dict[int, MachineId] = {}
-        self.units: dict[int, int] = {}
-        self.grade2: list[int] = []
-        self.y_order: list[tuple[int, int]] = []
         self.unit = 1
         self.x_units = self.y_units = self.z_units = 0
         self._limits: UnitLimits | None = None
@@ -216,9 +213,6 @@ class ScheduleState:
         twin = ScheduleState()
         twin.jobs = dict(self.jobs)
         twin.assignment = dict(self.assignment)
-        twin.units = dict(self.units)
-        twin.grade2 = list(self.grade2)
-        twin.y_order = list(self.y_order)
         twin.unit = self.unit
         twin.x_units, twin.y_units, twin.z_units = self.x_units, self.y_units, self.z_units
         return twin
@@ -246,15 +240,13 @@ class ScheduleState:
         return value.numerator * (self.unit // den)
 
     def _extend(self, den: int) -> None:
-        """Rescale every held int once, so the unit becomes a multiple of den."""
+        """Rescale the loads and limits once, so the unit becomes a multiple
+        of den."""
         factor = math.lcm(self.unit, den) // self.unit
         self.unit *= factor
         self.x_units *= factor
         self.y_units *= factor
         self.z_units *= factor
-        for idx in self.units:
-            self.units[idx] *= factor
-        self.y_order = [(neg * factor, idx) for neg, idx in self.y_order]
         if self._limits is not None:
             for name in UnitLimits.SCALED:
                 setattr(self._limits, name, getattr(self._limits, name) * factor)
@@ -299,10 +291,19 @@ class ScheduleState:
     def arrived_total(self) -> Fraction:
         return Fraction(self.x_units + self.y_units + self.z_units, self.unit)
 
+    def y_order(self) -> list[tuple[int, int]]:
+        """Machine-2 jobs as (-units, index), sorted: the largest job first,
+        ties to the smaller index."""
+        return sorted([
+            (-self.units_of(self.jobs[idx].size), idx)
+            for idx, machine in self.assignment.items()
+            if machine is MachineId.M2
+        ])
+
     def sorted_y_desc(self) -> list[tuple[int, Fraction]]:
         """Machine-2 jobs as (index, size), non-increasing size, ties by
         smaller arrival index first."""
-        return [(idx, Fraction(-neg, self.unit)) for neg, idx in self.y_order]
+        return [(idx, Fraction(-neg, self.unit)) for neg, idx in self.y_order()]
 
 
 def apply_decision(
@@ -340,10 +341,11 @@ def apply_decision(
         )
 
     p = state.units_of(job.size)
-    assignment, units, y_order = state.assignment, state.units, state.y_order
+    assignment = state.assignment
     migrations = decision.migrations
     migrated = 0
     if migrations:
+        to_m2 = 0  # net units moved onto machine 2
         seen: set[int] = set()
         for entry in migrations:
             if not (
@@ -371,40 +373,28 @@ def apply_decision(
                 raise HierarchyViolation(
                     f"grade-1 job {idx} cannot migrate to machine 2"
                 )
-            migrated += units[idx]
+            size = state.units_of(moved.size)
+            migrated += size
+            to_m2 += size if new_machine is MachineId.M2 else -size
         if migrated * state.unit > limits.m_units * p:
             raise BudgetExceeded(
                 f"arrival {job.index}: migrated {Fraction(migrated, state.unit)} "
                 f"> budget {limits.m * job.size}"
             )
         for idx, new_machine in migrations:
-            size = units[idx]
             assignment[idx] = new_machine
-            if new_machine is MachineId.M2:
-                state.y_units += size
-                state.z_units -= size
-                insort(y_order, (-size, idx))
-            else:
-                state.y_units -= size
-                state.z_units += size
-                del y_order[bisect_left(y_order, (-size, idx))]
-        ratio_units, ratio_size = ledger._ratio
-        if migrated * ratio_size > ratio_units * p:
-            ledger._ratio = (migrated, p)
+        state.y_units += to_m2
+        state.z_units -= to_m2
 
     idx = job.index
     state.jobs[idx] = job
     assignment[idx] = target
-    units[idx] = p
     if job.gos == 1:
         state.x_units += p
+    elif target is MachineId.M2:
+        state.y_units += p
     else:
-        state.grade2.append(idx)
-        if target is MachineId.M2:
-            state.y_units += p
-            insort(y_order, (-p, idx))
-        else:
-            state.z_units += p
+        state.z_units += p
     ledger.entries.append(LedgerEntry(job, decision, migrated, state.unit, limits.m))
     return state
 
@@ -457,14 +447,11 @@ def _regime_units(m: Fraction) -> tuple[RegimeBound, int, tuple[int, ...]]:
     order of its ``SCALED``, as ints over their common denominator; a
     negative m raises :class:`NegativeM`."""
     tight = ratio_bound(m)
-    values = (
+    scaled, den = to_units([
         tight.bound, 2 - tight.bound, tight.migration_cap, m, m / 3, 2 * m / 3,
         Fraction(1, 4),
-    )
-    den = 1
-    for value in values:
-        den = math.lcm(den, value.denominator)
-    return tight, den, tuple(value.numerator * (den // value.denominator) for value in values)
+    ])
+    return tight, den, tuple(scaled)
 
 
 def ratio_bound(m: RationalLike) -> RegimeBound:

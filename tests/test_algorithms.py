@@ -37,19 +37,19 @@ small_fractions = st.fractions(min_value="1/40", max_value=1, max_denominator=40
 
 class TestSelectMaxSubset:
     def test_prefers_single_larger_job(self):
-        sel = select_max_subset([Fraction(13, 20), Fraction(7, 10)], Fraction(1))
-        assert sel.chosen == (1,)
-        assert sel.total == Fraction(7, 10)
+        chosen, total = select_max_subset([Fraction(13, 20), Fraction(7, 10)], Fraction(1))
+        assert chosen == (1,)
+        assert total == Fraction(7, 10)
 
     def test_empty(self):
-        sel = select_max_subset([], Fraction(1))
-        assert sel.chosen == ()
-        assert sel.total == 0
+        chosen, total = select_max_subset([], Fraction(1))
+        assert chosen == ()
+        assert total == 0
 
     def test_tie_breaks_to_lowest_indices(self):
-        sel = select_max_subset([Fraction(1, 2)] * 3, Fraction(1))
-        assert sel.chosen == (0, 1)
-        assert sel.total == 1
+        chosen, total = select_max_subset([Fraction(1, 2)] * 3, Fraction(1))
+        assert chosen == (0, 1)
+        assert total == 1
 
     def test_size_limit(self):
         with pytest.raises(SizeLimit):
@@ -76,7 +76,8 @@ class TestSelectMaxSubset:
     def test_int_and_literal_caps(self):
         sizes = [Fraction(1, 2), Fraction(1, 3)]
         assert select_max_subset(sizes, 1) == select_max_subset(sizes, Fraction(1))
-        assert select_max_subset(sizes, "1/2").total == Fraction(1, 2)
+        _, total = select_max_subset(sizes, "1/2")
+        assert total == Fraction(1, 2)
 
     @settings(max_examples=150)
     @given(
@@ -84,10 +85,10 @@ class TestSelectMaxSubset:
         st.fractions(min_value=0, max_value=3, max_denominator=40),
     )
     def test_matches_exhaustive_search(self, sizes, cap):
-        sel = select_max_subset(sizes, cap)
+        chosen, total = select_max_subset(sizes, cap)
         want_total, want_set = brute_force_max_subset(sizes, cap)
-        assert sel.total == want_total
-        assert tuple(sorted(sel.chosen)) == want_set
+        assert total == want_total
+        assert tuple(sorted(chosen)) == want_set
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -97,49 +98,39 @@ class TestSelectMaxSubset:
     def test_large_denominators_match_exhaustive_search(self, sizes, cap):
         # int and Fraction caps over units up to the lcm of several
         # 10^10..10^13 denominators
-        sel = select_max_subset(sizes, cap)
+        chosen, total = select_max_subset(sizes, cap)
         want_total, want_set = brute_force_max_subset(sizes, cap)
-        assert sel.total == want_total and in_lowest_terms(sel.total)
-        assert sel.chosen == want_set
+        assert total == want_total and in_lowest_terms(total)
+        assert chosen == want_set
 
 
 class TestPrefixSelectors:
+    # the schedulers pass sizes and thresholds as ints over the state's unit
     def test_min_prefix(self):
-        sel = select_prefix_min([Fraction(7, 20), Fraction(17, 50)], Fraction(7, 30))
-        assert sel.chosen == (0,)
-        assert sel.total == Fraction(7, 20)
+        assert select_prefix_min([35, 34], 24) == (1, 35)
 
     def test_max_prefix_can_be_empty(self):
-        sel = select_prefix_max([Fraction(13, 20)], Fraction(49, 100))
-        assert sel.chosen == ()
-        assert sel.total == 0
+        assert select_prefix_max([65], 49) == (0, 0)
 
     def test_min_prefix_falls_back_to_entire_list(self):
-        sel = select_prefix_min([Fraction(1, 10), Fraction(1, 10)], Fraction(1, 2))
-        assert sel.chosen == (0, 1)
-        assert sel.total == Fraction(1, 5)
+        assert select_prefix_min([10, 10], 50) == (2, 20)
 
     @settings(max_examples=100)
-    @given(
-        st.lists(small_fractions, max_size=8),
-        st.fractions(min_value=0, max_value=2, max_denominator=40),
-    )
+    @given(st.lists(st.integers(1, 40), max_size=8), st.integers(0, 80))
     def test_prefix_properties(self, sizes, threshold):
         sizes = sorted(sizes, reverse=True)
-        lo = select_prefix_min(sizes, threshold)
-        hi = select_prefix_max(sizes, threshold)
-        # prefixes are initial segments
-        assert lo.chosen == tuple(range(len(lo.chosen)))
-        assert hi.chosen == tuple(range(len(hi.chosen)))
-        assert hi.total <= threshold
+        lo, lo_total = select_prefix_min(sizes, threshold)
+        hi, hi_total = select_prefix_max(sizes, threshold)
+        # each total is that of the prefix of the returned length
+        assert lo_total == sum(sizes[:lo]) and hi_total == sum(sizes[:hi])
+        assert hi_total <= threshold
         # maximality / minimality of the prefix length
-        if len(hi.chosen) < len(sizes):
-            assert hi.total + sizes[len(hi.chosen)] > threshold
-        if lo.total >= threshold and lo.chosen:
-            shorter = sum(sizes[: len(lo.chosen) - 1], Fraction(0))
-            assert shorter < threshold
-        if lo.total < threshold:
-            assert lo.chosen == tuple(range(len(sizes)))
+        if hi < len(sizes):
+            assert hi_total + sizes[hi] > threshold
+        if lo_total >= threshold and lo:
+            assert sum(sizes[: lo - 1]) < threshold
+        if lo_total < threshold:
+            assert lo == len(sizes)
 
 
 class TestAlgorithmA:

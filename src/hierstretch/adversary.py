@@ -27,7 +27,7 @@ from .core import (
     ZERO,
     apply_decision,
     as_fraction,
-    fraction_str,
+    json_ready,
     ratio_bound,
 )
 from .errors import BadEps, BadGamma, BadTheta, IllegalDecision, RegimeMismatch
@@ -327,61 +327,42 @@ class DuelTranscript:
         return max(self.final_loads)
 
     def to_json_dict(self) -> dict:
-        return {
+        entries = self.ledger.entries
+        return json_ready({
             "adversary": self.adversary,
-            "adversary_params": {
-                key: fraction_str(value)
-                for key, value in self.adversary_params.items()
-            },
+            "adversary_params": self.adversary_params,
             "scheduler": self.scheduler,
-            "m": fraction_str(self.m),
-            "jobs": [
-                {"p": fraction_str(job.size), "g": job.gos} for job in self.jobs
-            ],
+            "m": self.m,
+            "jobs": [{"p": job.size, "g": job.gos} for job in self.jobs],
             "decisions": [
                 {
-                    "target": int(entry.decision.target),
-                    "migrations": [
-                        [idx, int(mach)] for idx, mach in entry.decision.migrations
-                    ],
+                    "target": entry.decision.target,
+                    "migrations": entry.decision.migrations,
                     "step": entry.decision.step,
                 }
-                for entry in self.ledger.entries
+                for entry in entries
             ],
             "ledger": [
                 {
                     "job": entry.job.index,
-                    "p": fraction_str(entry.job.size),
-                    "migrated": fraction_str(entry.migrated_total),
-                    "budget": fraction_str(entry.budget),
+                    "p": entry.job.size,
+                    "migrated": entry.migrated_total,
+                    "budget": entry.budget,
                 }
-                for entry in self.ledger.entries
+                for entry in entries
             ],
-            "final_loads": [fraction_str(load) for load in self.final_loads],
-            "makespan": fraction_str(self.makespan),
-            "certified_opt": (
-                fraction_str(self.certified_opt)
-                if self.certified_opt is not None
-                else None
-            ),
-            "claimed_min_ratio": (
-                fraction_str(self.claimed_min_ratio)
-                if self.claimed_min_ratio is not None
-                else None
-            ),
-            "achieved_ratio": (
-                fraction_str(self.achieved_ratio)
-                if self.achieved_ratio is not None
-                else None
-            ),
-            "bound": fraction_str(self.bound) if self.bound is not None else None,
+            "final_loads": self.final_loads,
+            "makespan": self.makespan,
+            "certified_opt": self.certified_opt,
+            "claimed_min_ratio": self.claimed_min_ratio,
+            "achieved_ratio": self.achieved_ratio,
+            "bound": self.bound,
             "oracle_checked": self.oracle_checked,
             "proof_checks": [
-                {"check": text, "holds": holds}
-                for text, holds in self.proof_checks
+                {"check": text, "holds": holds} for text, holds in self.proof_checks
             ],
             "illegal": self.illegal,
-        }
+        })
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2)

@@ -15,29 +15,27 @@ arrival that would push machine 2 above r:
 
 All of them decide as deterministic functions of the visible state, on
 ints over the state's unit (the only change they make to a state is to
-extend that unit); the enforcement of budgets and hierarchy stays in
+extend that unit); the three subset selectors take and return ints over
+that unit too.  The enforcement of budgets and hierarchy stays in
 :func:`core.apply_decision`.
 Three deliberately naive opponents used by adversary tests live at the
 bottom.
 """
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from fractions import Fraction
-from typing import Callable, Sequence
 
 from .core import (
     EXACT_SEARCH_LIMIT,
     AssignmentDecision,
     Job,
     MachineId,
-    RationalLike,
     Regime,
     RegimeBound,
     ScheduleState,
     UnitLimits,
-    as_fraction,
     ratio_bound,
-    to_units,
 )
 from .errors import ParseError, RegimeMismatch, SizeLimit
 
@@ -52,34 +50,31 @@ _WINDOW_M1 = AssignmentDecision(M1, step=2)
 _WINDOW_M2 = AssignmentDecision(M2, step=3)
 
 
-def select_max_subset(
-    sizes: Sequence[RationalLike], cap: RationalLike
-) -> tuple[tuple[int, ...], Fraction]:
+def select_max_subset(sizes: Sequence[int], cap: int) -> tuple[tuple[int, ...], int]:
     """Positions and total of a subset of maximum total size not exceeding
     ``cap``, exact.
 
-    On integer units after ``as_fraction`` (a float or a size <= 0 raises
-    ParseError):
-    depth-first in the given order, include before exclude, pruned by
-    suffix sums; among equal-total optima this visits the lexicographically
-    smallest index set first, which is the tie-break.
+    Sizes are a sequence of ints > 0 and the cap an int >= 0, all over
+    one unit; anything else raises ParseError.  Depth-first in the given order,
+    include before exclude, pruned by suffix sums; among equal-total
+    optima this visits the lexicographically smallest index set first,
+    which is the tie-break.
     """
-    cap = as_fraction(cap)
-    if cap < 0:
-        raise ParseError(f"cap must be >= 0, got {cap}")
+    if type(cap) is not int or cap < 0:
+        raise ParseError(f"cap must be an int >= 0, got {cap!r}")
+    if not isinstance(sizes, Sequence):
+        raise ParseError(f"sizes must be a sequence, got {sizes!r}")
     n = len(sizes)
     if n > EXACT_SEARCH_LIMIT:
         raise SizeLimit(
             f"{n} candidates exceed the exact-search limit {EXACT_SEARCH_LIMIT}"
         )
-    units, unit = to_units([*map(as_fraction, sizes), cap])
-    cap_units = units.pop()
-    if units and min(units) <= 0:
-        raise ParseError(f"sizes must be > 0, got {Fraction(min(units), unit)}")
-
     suffix = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + units[i]
+        size = sizes[i]
+        if type(size) is not int or size <= 0:
+            raise ParseError(f"sizes must be ints > 0, got {size!r}")
+        suffix[i] = suffix[i + 1] + size
 
     best_total = 0
     best: tuple[int, ...] = ()
@@ -89,19 +84,19 @@ def select_max_subset(
         reach = total + suffix[i]
         if reach <= best_total:
             return  # cannot strictly improve; equal totals are lex-larger
-        if reach <= cap_units:  # always so at i == n, as total <= cap
+        if reach <= cap:  # always so at i == n, as total <= cap
             best_total = reach
             best = chosen + tuple(range(i, n))
             return
-        if total + units[i] <= cap_units:
-            search(i + 1, total + units[i], chosen + (i,))
-            if best_total == cap_units:
+        if total + sizes[i] <= cap:
+            search(i + 1, total + sizes[i], chosen + (i,))
+            if best_total == cap:
                 return
         search(i + 1, total, chosen)
 
     search(0, 0, ())
     del search  # its cell refers to it: leave no cycle for the collector
-    return best, Fraction(best_total, unit)
+    return best, best_total
 
 
 def select_prefix_max(sizes: Sequence[int], cap: int) -> tuple[int, int]:

@@ -4,9 +4,11 @@ Everything is exact: sizes, loads, budgets, and bounds cross the API as
 :class:`fractions.Fraction` values, while the work runs on ints.  A
 :class:`ScheduleState` holds its loads over one common unit and is
 updated in place by :func:`apply_decision`, one arrival at a time; the
-exponential searches scale their input once (:func:`to_units`).  Every
-guarantee in this package is a decidable comparison rather than a float
-tolerance.
+exponential searches scale their input once (:func:`to_units`), and each
+migration factor's constants are scaled once (:attr:`RegimeBound.units`).
+Every guarantee in this package is a decidable comparison rather than a
+float tolerance.  JSON output goes through one codec, :func:`json_ready`,
+which writes each Fraction as its 'num/den' string.
 """
 from __future__ import annotations
 
@@ -15,8 +17,8 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from fractions import Fraction
-from functools import lru_cache
-from typing import Iterable, Union
+from functools import cached_property, lru_cache
+from typing import Iterable, NamedTuple, Union
 
 from .errors import (
     BudgetExceeded,
@@ -76,6 +78,19 @@ def fraction_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def json_ready(value):
+    """``value`` ready for :func:`json.dumps`: through dicts, lists and
+    tuples, each Fraction becomes its :func:`fraction_str` and each tuple a
+    list; everything else is left as it is."""
+    if isinstance(value, Fraction):
+        return fraction_str(value)
+    if isinstance(value, dict):
+        return {key: json_ready(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [json_ready(item) for item in value]
+    return value
+
+
 class MachineId(IntEnum):
     """The two machines. M1 runs everything; M2 only grade-2 jobs."""
 
@@ -123,21 +138,15 @@ class AssignmentDecision:
     step: int | None = None
 
 
-@dataclass(frozen=True, slots=True)
-class LedgerEntry:
-    """One applied arrival: the job, the decision that placed it, and the
-    volume it migrated, held as ``migrated_units`` over ``unit``; its
-    budget is m * p_j."""
+class LedgerEntry(NamedTuple):
+    """One applied arrival: the job, the decision that placed it, the
+    volume it migrated (``ZERO`` unless the decision migrated) and the
+    migration factor m; its budget is m * p_j."""
 
     job: Job
     decision: AssignmentDecision
-    migrated_units: int
-    unit: int
+    migrated_total: Fraction
     m: Fraction
-
-    @property
-    def migrated_total(self) -> Fraction:
-        return Fraction(self.migrated_units, self.unit)
 
     @property
     def budget(self) -> Fraction:
@@ -154,7 +163,7 @@ class MigrationLedger:
     def max_ratio(self) -> Fraction:
         """Largest migrated_total / p_j over all arrivals (0 if none)."""
         return max(
-            (e.migrated_total / e.job.size for e in self.entries if e.migrated_units),
+            (e.migrated_total / e.job.size for e in self.entries if e.migrated_total),
             default=ZERO,
         )
 
@@ -173,7 +182,8 @@ class UnitLimits:
 
     def __init__(self, state: ScheduleState, given: RationalLike) -> None:
         m = as_fraction(given)
-        tight, den, scaled = _regime_units(m)
+        tight = ratio_bound(m)
+        den, scaled = tight.units
         if state.unit % den:
             state._extend(den)
         self.given, self.m, self.tight = given, m, tight
@@ -223,8 +233,6 @@ class ScheduleState:
         return (self.jobs, self.assignment, self.x, self.y, self.z) == (
             other.jobs, other.assignment, other.x, other.y, other.z
         )
-
-    __hash__ = None  # mutable
 
     def __repr__(self) -> str:
         return (
@@ -343,9 +351,9 @@ def apply_decision(
     p = state.units_of(job.size)
     assignment = state.assignment
     migrations = decision.migrations
-    migrated = 0
+    migrated_total = ZERO
     if migrations:
-        to_m2 = 0  # net units moved onto machine 2
+        migrated = to_m2 = 0  # to_m2: net units moved onto machine 2
         seen: set[int] = set()
         for entry in migrations:
             if not (
@@ -376,9 +384,10 @@ def apply_decision(
             size = state.units_of(moved.size)
             migrated += size
             to_m2 += size if new_machine is MachineId.M2 else -size
+        migrated_total = Fraction(migrated, state.unit)
         if migrated * state.unit > limits.m_units * p:
             raise BudgetExceeded(
-                f"arrival {job.index}: migrated {Fraction(migrated, state.unit)} "
+                f"arrival {job.index}: migrated {migrated_total} "
                 f"> budget {limits.m * job.size}"
             )
         for idx, new_machine in migrations:
@@ -395,7 +404,7 @@ def apply_decision(
         state.y_units += p
     else:
         state.z_units += p
-    ledger.entries.append(LedgerEntry(job, decision, migrated, state.unit, limits.m))
+    ledger.entries.append(LedgerEntry(job, decision, migrated_total, limits.m))
     return state
 
 
@@ -426,6 +435,17 @@ class RegimeBound:
         """Migration factor the regime's scheduler keeps: m, or 3/4 if mid."""
         return 2 - self.bound if self.regime is Regime.MID else self.m
 
+    @cached_property
+    def units(self) -> tuple[int, tuple[int, ...]]:
+        """``(den, scaled)``: the constants of :class:`UnitLimits`, in the
+        order of its ``SCALED``, as ints over their common denominator
+        ``den``; computed once per cached bound, so once per m."""
+        scaled, den = to_units([
+            self.bound, 2 - self.bound, self.migration_cap, self.m, self.m / 3,
+            2 * self.m / 3, Fraction(1, 4),
+        ])
+        return den, tuple(scaled)
+
 
 @lru_cache(maxsize=4096)
 def _ratio_bound_cached(m: Fraction) -> RegimeBound:
@@ -439,19 +459,6 @@ def _ratio_bound_cached(m: Fraction) -> RegimeBound:
     if m >= Fraction(1, 2):
         return RegimeBound(m, Regime.LOW_C, 2 - m)
     return RegimeBound(m, Regime.NO_MIG, Fraction(3, 2))
-
-
-@lru_cache(maxsize=4096)
-def _regime_units(m: Fraction) -> tuple[RegimeBound, int, tuple[int, ...]]:
-    """m's tight bound, and the constants of :class:`UnitLimits` in the
-    order of its ``SCALED``, as ints over their common denominator; a
-    negative m raises :class:`NegativeM`."""
-    tight = ratio_bound(m)
-    scaled, den = to_units([
-        tight.bound, 2 - tight.bound, tight.migration_cap, m, m / 3, 2 * m / 3,
-        Fraction(1, 4),
-    ])
-    return tight, den, tuple(scaled)
 
 
 def ratio_bound(m: RationalLike) -> RegimeBound:
@@ -515,12 +522,10 @@ class Instance:
         return Instance(jobs=jobs, declared_opt=ONE)
 
     def to_json_dict(self) -> dict:
-        return {
-            "declared_opt": fraction_str(self.declared_opt),
-            "jobs": [
-                {"p": fraction_str(job.size), "g": job.gos} for job in self.jobs
-            ],
-        }
+        return json_ready({
+            "declared_opt": self.declared_opt,
+            "jobs": [{"p": job.size, "g": job.gos} for job in self.jobs],
+        })
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2)

@@ -94,7 +94,7 @@ def _slack_fill(rng: random.Random, config: GenConfig) -> list[tuple[Fraction, i
     elif n1 == 0:
         pinned_gos1 = False
     else:
-        pinned_gos1 = rng.random() < Fraction(1, 2)
+        pinned_gos1 = rng.random() < 0.5
 
     if pinned_gos1:
         # grade-1 side sums to exactly 1, so the optimum cannot drop below 1

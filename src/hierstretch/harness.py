@@ -13,7 +13,7 @@ import json
 import os
 import random
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -45,6 +45,7 @@ from .core import (
     dump_instance,
     fraction_str,
     jobs_from_pairs,
+    json_ready,
     load_instance,
     ratio_bound,
     validate_instance,
@@ -100,6 +101,10 @@ def default_seed() -> int:
         return int(raw)
     except ValueError:
         raise HierStretchError(f"{ENV_SEED} must be an integer, got {raw!r}")
+
+
+def _fmt(value: Fraction) -> str:
+    return f"{fraction_str(value)} (~{float(value):.6f})"
 
 
 @dataclass
@@ -184,9 +189,10 @@ def run_stream(
 
 @dataclass
 class RunReport:
-    """Per-run report as shown by the ``run`` subcommand."""
+    """Per-run report as shown by the ``run`` subcommand; its fields are
+    the keys of its JSON form, in order."""
 
-    instance_id: str
+    instance: str
     algorithm: str
     m: Fraction
     final_loads: tuple[Fraction, Fraction]
@@ -202,18 +208,7 @@ class RunReport:
         return not self.violations
 
     def to_json_dict(self) -> dict:
-        return {
-            "instance": self.instance_id,
-            "algorithm": self.algorithm,
-            "m": fraction_str(self.m),
-            "final_loads": [fraction_str(load) for load in self.final_loads],
-            "makespan": fraction_str(self.makespan),
-            "opt": fraction_str(self.opt) if self.opt is not None else None,
-            "ratio": fraction_str(self.ratio) if self.ratio is not None else None,
-            "max_migration_ratio": fraction_str(self.max_migration_ratio),
-            "step45_count": self.step45_count,
-            "violations": self.violations,
-        }
+        return json_ready(asdict(self))
 
 
 def resolve_algorithm(name: str, m) -> tuple[str, SchedulerFn]:
@@ -254,7 +249,7 @@ def run_instance(
         if opt > 0:
             ratio = makespan / opt
     return RunReport(
-        instance_id=instance_id,
+        instance=instance_id,
         algorithm=name,
         m=m,
         final_loads=loads,
@@ -345,9 +340,7 @@ def guarantee_suite(seed: int, count: int) -> SuiteSummary:
             if worst_margin is None or margin < worst_margin:
                 worst_margin = margin
     if worst_margin is not None:
-        summary.notes["smallest bound margin"] = (
-            f"{fraction_str(worst_margin)} (~{float(worst_margin):.6f})"
-        )
+        summary.notes["smallest bound margin"] = _fmt(worst_margin)
     for name in sorted(max_step45):
         summary.notes[f"max rebalances per run ({name})"] = str(max_step45[name])
     return summary
@@ -409,9 +402,7 @@ def adversary_suite() -> SuiteSummary:
             _check_duel(summary, tag, transcript, require_oracle=False)
 
     if worst_gap is not None:
-        summary.notes["largest tightness gap"] = (
-            f"{fraction_str(worst_gap)} (~{float(worst_gap):.6f})"
-        )
+        summary.notes["largest tightness gap"] = _fmt(worst_gap)
     return summary
 
 
@@ -484,15 +475,11 @@ SUITES = {
 
 # --- command-line interface -------------------------------------------
 
-def _fmt(value: Fraction) -> str:
-    return f"{fraction_str(value)} (~{float(value):.6f})"
-
-
 def _print_report(report: RunReport, as_json: bool) -> None:
     if as_json:
         print(json.dumps(report.to_json_dict(), indent=2))
         return
-    print(f"instance   : {report.instance_id}")
+    print(f"instance   : {report.instance}")
     print(f"algorithm  : {report.algorithm}  (m = {fraction_str(report.m)})")
     print(
         "loads      : machine1 "
@@ -627,18 +614,14 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     instance = load_instance(args.instance)
     report = validate_instance(instance, check_opt=args.oracle)
-    payload = {
-        "instance": args.instance,
-        "valid": report.valid,
-        "failures": report.failures,
-        "oracle_opt": (
-            fraction_str(report.oracle_opt)
-            if report.oracle_opt is not None
-            else None
-        ),
-    }
     if args.json:
-        print(json.dumps(payload, indent=2))
+        payload = {
+            "instance": args.instance,
+            "valid": report.valid,
+            "failures": report.failures,
+            "oracle_opt": report.oracle_opt,
+        }
+        print(json.dumps(json_ready(payload), indent=2))
     else:
         print(f"instance : {args.instance}")
         print(f"valid    : {report.valid}")

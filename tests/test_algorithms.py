@@ -18,13 +18,12 @@ from hierstretch.algorithms import (
     select_prefix_max,
     select_prefix_min,
 )
-from hierstretch.core import MachineId, ratio_bound
+from hierstretch.core import MachineId, ratio_bound, to_units
 from hierstretch.errors import ParseError, RegimeMismatch, SizeLimit
 from hierstretch.generators import generate, random_config
 from hierstretch.harness import run_stream
 from helpers import (
     brute_force_max_subset,
-    in_lowest_terms,
     mixed_sizes,
     replay,
     stream,
@@ -36,48 +35,50 @@ small_fractions = st.fractions(min_value="1/40", max_value=1, max_denominator=40
 
 
 class TestSelectMaxSubset:
+    # A passes int sizes and an int cap over the state's unit, so the
+    # properties scale each draw with to_units
     def test_prefers_single_larger_job(self):
-        chosen, total = select_max_subset([Fraction(13, 20), Fraction(7, 10)], Fraction(1))
-        assert chosen == (1,)
-        assert total == Fraction(7, 10)
+        assert select_max_subset([13, 14], 20) == ((1,), 14)
 
     def test_empty(self):
-        chosen, total = select_max_subset([], Fraction(1))
-        assert chosen == ()
-        assert total == 0
+        assert select_max_subset([], 1) == ((), 0)
 
     def test_tie_breaks_to_lowest_indices(self):
-        chosen, total = select_max_subset([Fraction(1, 2)] * 3, Fraction(1))
-        assert chosen == (0, 1)
-        assert total == 1
+        assert select_max_subset([1, 1, 1], 2) == ((0, 1), 2)
 
     def test_size_limit(self):
         with pytest.raises(SizeLimit):
-            select_max_subset([Fraction(1)] * 25, Fraction(1))
+            select_max_subset([1] * 25, 1)
 
     def test_negative_cap_rejected(self):
         with pytest.raises(ParseError):
-            select_max_subset([Fraction(1)], Fraction(-1))
+            select_max_subset([1], -1)
 
     @pytest.mark.parametrize(
         "sizes, cap",
         [
-            ([Fraction(1, 2)], 0.5),
+            ([1], 0.5),
             ([0.5], Fraction(1)),
-            ([Fraction(1, 2)], "half"),
+            ([1], "half"),
             ([1, 5, -5], 5),  # the suffix-sum prune needs sizes >= 0
-            ([Fraction(1, 2), 0], 1),  # a zero size breaks the tie-break
+            ([1, 0], 1),  # a zero size breaks the tie-break
+            ([0.5], 1),
+            ([Fraction(1, 2)], 1),
+            ([1], Fraction(1)),
+            ([True], 1),
+            ([1], True),
+            (["1"], 1),
+            ([1], "1"),
+            (5, 1),
+            ({1: 2}, 3),
+            ({2, 3}, 3),
         ],
     )
     def test_floats_and_bad_literals_rejected(self, sizes, cap):
+        # only a sequence of ints is accepted: floats, Fractions, bools,
+        # strings, mappings and sets are not
         with pytest.raises(ParseError):
             select_max_subset(sizes, cap)
-
-    def test_int_and_literal_caps(self):
-        sizes = [Fraction(1, 2), Fraction(1, 3)]
-        assert select_max_subset(sizes, 1) == select_max_subset(sizes, Fraction(1))
-        _, total = select_max_subset(sizes, "1/2")
-        assert total == Fraction(1, 2)
 
     @settings(max_examples=150)
     @given(
@@ -85,9 +86,10 @@ class TestSelectMaxSubset:
         st.fractions(min_value=0, max_value=3, max_denominator=40),
     )
     def test_matches_exhaustive_search(self, sizes, cap):
-        chosen, total = select_max_subset(sizes, cap)
+        units, unit = to_units([*sizes, cap])
+        chosen, total = select_max_subset(units[:-1], units[-1])
         want_total, want_set = brute_force_max_subset(sizes, cap)
-        assert total == want_total
+        assert Fraction(total, unit) == want_total
         assert tuple(sorted(chosen)) == want_set
 
     @settings(max_examples=150, deadline=None)
@@ -96,11 +98,11 @@ class TestSelectMaxSubset:
         st.integers(0, 3) | mixed_sizes | st.sampled_from([Fraction(5, 4)]),
     )
     def test_large_denominators_match_exhaustive_search(self, sizes, cap):
-        # int and Fraction caps over units up to the lcm of several
-        # 10^10..10^13 denominators
-        chosen, total = select_max_subset(sizes, cap)
+        # units up to the lcm of several 10^10..10^13 denominators
+        units, unit = to_units([*sizes, Fraction(cap)])
+        chosen, total = select_max_subset(units[:-1], units[-1])
         want_total, want_set = brute_force_max_subset(sizes, cap)
-        assert total == want_total and in_lowest_terms(total)
+        assert type(total) is int and Fraction(total, unit) == want_total
         assert chosen == want_set
 
 
@@ -449,6 +451,8 @@ class TestGuaranteeSample:
     def test_bounds_budgets_hierarchy(self):
         rng = random.Random(4242)
         m_values = [
+            Fraction(0),
+            Fraction(1, 4),
             Fraction(1, 2),
             Fraction(13, 20),
             Fraction(7, 10),
@@ -460,13 +464,12 @@ class TestGuaranteeSample:
             instance = generate(random_config(rng))
             for m in m_values:
                 name, fn = scheduler_for_regime(m)
-                bound = ratio_bound(m).bound
+                tight = ratio_bound(m)
                 result = run_stream(
-                    instance.jobs, fn, m, bound=bound, per_arrival_bound=True
+                    instance.jobs, fn, m, bound=tight.bound, per_arrival_bound=True
                 )
                 assert result.violations == []
-                cap = Fraction(3, 4) if name == "B" else m
-                assert result.ledger.max_ratio <= cap
+                assert result.ledger.max_ratio <= tight.migration_cap
                 if name in ("B", "C", "D"):
                     assert result.step45_count <= 1
                 final = result.final_state

@@ -22,8 +22,10 @@ from hierstretch.core import (
     apply_decision,
     as_fraction,
     fraction_str,
+    ZERO,
     instance_from_json_dict,
     jobs_from_pairs,
+    json_ready,
     ratio_bound,
     to_units,
     validate_instance,
@@ -253,6 +255,11 @@ class TestScheduleState:
         one = _state_with([("1/2", 2)], [M2])
         assert one.sorted_y_desc() == [(1, Fraction(1, 2))]
 
+    def test_states_are_unhashable(self):
+        # a class that defines __eq__ without __hash__ gets no hash
+        with pytest.raises(TypeError):
+            hash(ScheduleState())
+
     def test_sorted_y_breaks_ties_by_arrival(self):
         state = _state_with([("1/2", 2), ("1/2", 2)], [M2, M2])
         assert state.sorted_y_desc() == [
@@ -306,6 +313,7 @@ class TestKernel:
             assert entry.migrated_total == sum(
                 jobs[i].size for i, _ in entry.decision.migrations
             )
+            assert in_lowest_terms(entry.migrated_total)
         assert ledger.max_ratio == max(
             (e.migrated_total / e.job.size for e in ledger.entries), default=0
         )
@@ -334,8 +342,8 @@ class TestKernel:
                         apply_decision(state, job, fn(state, job, m), ledger, m)
                     except IllegalDecision:
                         break
-                # migrated_units and unit differ between the runs; the
-                # volume they stand for does not
+                # the two states hold different units; the migrated
+                # volume each entry stores does not depend on them
                 runs.append([(e.decision, e.migrated_total) for e in ledger.entries])
             assert primed.unit % 7919 == 0 and fresh.unit % 7919 != 0
             assert runs[0] == runs[1], name
@@ -353,7 +361,8 @@ class TestKernel:
 
 CALLS = {
     "to_units": lambda: to_units([Fraction(1, 3), Fraction(2, 7)]),
-    "select_max_subset": lambda: select_max_subset(["1/2", "1/3", "1/4", "2/5"], 1),
+    # 1/2, 1/3, 1/4 and 2/5 under the cap 1, over the unit 1/60
+    "select_max_subset": lambda: select_max_subset([30, 20, 15, 24], 60),
     "brute_opt": lambda: brute_opt(
         stream(("1/2", 2), ("1/3", 2), ("2/3", 2), ("1/2", 1))
     ),
@@ -493,6 +502,19 @@ class TestMigrationLedger:
         assert [e.budget for e in ledger.entries] == [Fraction(1, 2), 1, Fraction(2, 3)]
         assert ledger.max_ratio == Fraction(3, 4)
 
+    def test_entries_store_what_they_report(self):
+        ledger = MigrationLedger()
+        jobs = stream(("1/4", 2), ("1/2", 2))
+        moving = AssignmentDecision(M2, ((1, M1),))
+        state = apply_decision(ScheduleState(), jobs[0], AssignmentDecision(M2), ledger, 2)
+        apply_decision(state, jobs[1], moving, ledger, 2)
+        first, second = ledger.entries
+        assert first.migrated_total is ZERO
+        assert tuple(second) == (jobs[1], moving, Fraction(1, 4), Fraction(2))
+        assert type(second.migrated_total) is Fraction
+        with pytest.raises(AttributeError):
+            second.migrated_total = ZERO
+
 
 class TestValidateInstance:
     def test_lower_bound_sand_instance(self):
@@ -607,6 +629,28 @@ class TestInstanceJson:
     def test_declared_opt_must_be_positive(self, declared_opt):
         with pytest.raises(ParseError):
             Instance(jobs=stream(("1/2", 2)), declared_opt=declared_opt)
+
+
+def test_json_ready():
+    payload = {
+        "m": Fraction(5, 2),
+        "loads": (Fraction(1), Fraction(6, 8)),
+        "runs": [{"opt": None, "moves": ((1, M1), (2, M2)), "ok": True}],
+        "count": 3,
+        "text": "1/2",
+    }
+    ready = json_ready(payload)
+    assert ready == {
+        "m": "5/2",
+        "loads": ["1/1", "3/4"],
+        "runs": [{"opt": None, "moves": [[1, 1], [2, 2]], "ok": True}],
+        "count": 3,
+        "text": "1/2",
+    }
+    # a MachineId is left as it is, and json writes it as its int
+    assert ready["runs"][0]["moves"][0][1] is M1
+    assert json.dumps(ready["runs"][0]["moves"]) == "[[1, 1], [2, 2]]"
+    assert payload["loads"] == (Fraction(1), Fraction(3, 4))  # input untouched
 
 
 def test_fraction_helpers():

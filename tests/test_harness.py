@@ -5,6 +5,7 @@ import csv
 import io
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -95,7 +96,7 @@ class TestRunMachinery:
         with pytest.raises(ParseError, match="choose from auto, A, B"):
             run_instance(inst, "nope", Fraction(1))
 
-    def test_acceptance_m_values_cover_all_regimes(self):
+    def test_acceptance_m_values_cover_the_four_migrating_regimes(self):
         names = {resolve_algorithm("auto", m)[0] for m in ACCEPTANCE_M_VALUES}
         assert names == {"A", "B", "C", "D"}
 
@@ -284,3 +285,26 @@ class TestCli:
         assert data["runs"] == len(tightness_duels()) + len(
             FOREIGN_SCHEDULERS
         ) * len(soundness_adversaries())
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "golden, seed, argv",
+    [
+        ("run_oracle", 11, ["run", "inst.json", "--m", "3", "--oracle", "--json"]),
+        ("run", 11, ["run", "inst.json", "--m", "3", "--json"]),
+        ("run_migrating", 4, ["run", "inst4.json", "--m", "1", "--oracle", "--json"]),
+        ("verify_oracle", 11, ["verify", "inst.json", "--oracle", "--json"]),
+        ("duel_high", None, ["duel", "high", "A", "--m", "5/2", "--gamma", "1/5", "--json"]),
+    ],
+)
+def test_json_output_is_pinned(golden, seed, argv, tmp_path, monkeypatch, capsys):
+    # the full stdout, byte for byte, on an instance from `gen --seed`
+    monkeypatch.chdir(tmp_path)
+    if seed is not None:
+        assert main(["gen", "--seed", str(seed), "-o", argv[1]]) == 0
+        capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"{golden}.json").read_text()

@@ -30,7 +30,9 @@ from .core import (
     json_ready,
     ratio_bound,
 )
-from .errors import BadEps, BadGamma, BadTheta, IllegalDecision, RegimeMismatch
+from .errors import (
+    BadCertificate, BadEps, BadGamma, BadTheta, IllegalDecision, RegimeMismatch
+)
 from .oracle import brute_opt
 
 
@@ -305,7 +307,8 @@ ADVERSARIES = {
 
 @dataclass
 class DuelTranscript:
-    """Complete record of one adversary-versus-scheduler game."""
+    """Complete record of one adversary-versus-scheduler game, and its
+    verdict: :meth:`failures` lists every reason the duel fails."""
 
     adversary: str
     adversary_params: dict
@@ -325,6 +328,27 @@ class DuelTranscript:
     @property
     def makespan(self) -> Fraction:
         return max(self.final_loads)
+
+    def failures(self, tightness: bool = False) -> list[str]:
+        """Why the duel fails, empty if it holds: an illegal play (alone),
+        each failing proof check, an unchecked certificate (with
+        ``tightness``), a ratio below the claim, and a ratio above the
+        tight bound (with ``tightness``)."""
+        if self.illegal is not None:
+            return [f"scheduler played illegally: {self.illegal}"]
+        failures = [
+            f"migration-proof check failed: {text}"
+            for text, holds in self.proof_checks
+            if not holds
+        ]
+        if tightness and not self.oracle_checked:
+            failures.append("certificate not oracle-checked")
+        achieved, claimed = self.achieved_ratio, self.claimed_min_ratio
+        if achieved is not None and claimed is not None and achieved < claimed:
+            failures.append(f"achieved {achieved} below claimed {claimed}")
+        if tightness and achieved is not None and achieved > self.bound:
+            failures.append(f"ratio {achieved} above bound {self.bound}")
+        return failures
 
     def to_json_dict(self) -> dict:
         entries = self.ledger.entries
@@ -375,7 +399,8 @@ def play_duel(adversary, scheduler_name: str, scheduler_fn, m) -> DuelTranscript
     An illegal scheduler decision (any :class:`IllegalDecision`) ends the
     duel as a scheduler loss, recorded on the transcript.  When the
     emitted stream has at most ``EXACT_SEARCH_LIMIT`` grade-2 jobs, the
-    certificate is confirmed against the brute-force oracle.
+    certificate is confirmed against the brute-force oracle; a certificate
+    the oracle contradicts raises :class:`BadCertificate`.
     """
     m = as_fraction(m)
     transcript = DuelTranscript(
@@ -409,7 +434,7 @@ def play_duel(adversary, scheduler_name: str, scheduler_fn, m) -> DuelTranscript
         if gos2_count <= EXACT_SEARCH_LIMIT:
             opt = brute_opt(transcript.jobs)
             if opt != transcript.certified_opt:
-                raise AssertionError(
+                raise BadCertificate(
                     f"adversary {adversary.name} certified optimum "
                     f"{transcript.certified_opt} but the oracle found {opt}"
                 )

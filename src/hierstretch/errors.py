@@ -52,5 +52,9 @@ class BadTheta(HierStretchError):
     to the root of 4*t^2 + t - 2."""
 
 
+class BadCertificate(HierStretchError):
+    """An adversary certified an optimum that the oracle contradicts."""
+
+
 class InfeasibleConfig(HierStretchError):
     """Generator configuration cannot produce a valid instance."""

@@ -2,8 +2,11 @@
 
 This is both the library-level entry point for batch verification and the
 ``hierstretch`` command-line tool (subcommands: run, duel, curve, gen,
-verify, suite).  All rationals cross the CLI boundary as 'num/den' strings;
-decimals appear only as display columns.
+verify, suite).  Each verdict has one home: :func:`run_violations` judges
+a run for ``run`` and the guarantee suite alike, and
+:meth:`DuelTranscript.failures` judges a duel for ``duel`` and the
+adversary suite.  All rationals cross the CLI boundary as 'num/den'
+strings; decimals appear only as display columns.
 """
 from __future__ import annotations
 
@@ -39,6 +42,7 @@ from .core import (
     Instance,
     Job,
     MigrationLedger,
+    RegimeBound,
     ScheduleState,
     apply_decision,
     as_fraction,
@@ -54,8 +58,8 @@ from .errors import HierStretchError, ParseError, RegimeMismatch
 from .generators import FillMode, GenConfig, generate, random_config
 from .oracle import brute_opt, prefix_opt_monotone_check
 
-ENV_SEED = "HIERSTRETCH_SEED"
 DEFAULT_SEED = 1729
+ONCE_ONLY = ("B", "C", "D")  # schedulers that rebalance at most once per run
 
 ACCEPTANCE_M_VALUES = (
     Fraction(1, 2),
@@ -93,16 +97,6 @@ LOWER_BOUND_STREAMS = {
 }
 
 
-def default_seed() -> int:
-    raw = os.environ.get(ENV_SEED)
-    if raw is None:
-        return DEFAULT_SEED
-    try:
-        return int(raw)
-    except ValueError:
-        raise HierStretchError(f"{ENV_SEED} must be an integer, got {raw!r}")
-
-
 def _fmt(value: Fraction) -> str:
     return f"{fraction_str(value)} (~{float(value):.6f})"
 
@@ -121,7 +115,7 @@ class RunResult:
 
     @property
     def step45_count(self) -> int:
-        return sum(1 for dec in self.decisions if dec.step in (4, 5))
+        return sum(1 for e in self.ledger.entries if e.decision.step in (4, 5))
 
     @property
     def makespan(self) -> Fraction:
@@ -187,6 +181,19 @@ def run_stream(
     return RunResult(final_state=state, ledger=ledger, violations=violations)
 
 
+def run_violations(result: RunResult, name: str, tight: RegimeBound) -> list[str]:
+    """The run's own violations, then a migration ratio above the regime's
+    ``migration_cap``, then more than one rebalance by a ``ONCE_ONLY``
+    scheduler."""
+    violations = list(result.violations)
+    ratio = result.ledger.max_ratio
+    if ratio > tight.migration_cap:
+        violations.append(f"migration ratio {ratio} exceeds {tight.migration_cap}")
+    if name in ONCE_ONLY and result.step45_count > 1:
+        violations.append(f"rebalancing fired {result.step45_count} times")
+    return violations
+
+
 @dataclass
 class RunReport:
     """Per-run report as shown by the ``run`` subcommand; its fields are
@@ -234,11 +241,8 @@ def run_instance(
     """Normalize, schedule, and report one instance."""
     m = as_fraction(m)
     name, fn = resolve_algorithm(algorithm, m)
-    bound = ratio_bound(m).bound
-    normalized = instance.normalized()
-    result = run_stream(
-        normalized.jobs, fn, m, bound=bound, per_arrival_bound=False
-    )
+    tight = ratio_bound(m)
+    result = run_stream(instance.normalized().jobs, fn, m, bound=tight.bound)
     scale = instance.declared_opt
     loads = (result.final_state.load1 * scale, result.final_state.load2 * scale)
     makespan = result.makespan * scale
@@ -258,7 +262,7 @@ def run_instance(
         ratio=ratio,
         max_migration_ratio=result.ledger.max_ratio,
         step45_count=result.step45_count,
-        violations=result.violations,
+        violations=run_violations(result, name, tight),
     )
 
 
@@ -302,10 +306,10 @@ def iter_suite_instances(seed: int, count: int):
 def guarantee_suite(seed: int, count: int) -> SuiteSummary:
     """Run every generated instance under the regime's scheduler for each m.
 
-    Checks, all exact: final (and per-arrival) makespan within the tight
-    bound, per-arrival migration within ``migration_cap`` * p_j (m, or 3/4
-    for scheduler B), no hierarchy violations, and at most one rebalancing
-    step per run for schedulers B, C, and D.
+    Checks, all exact: the makespan within the tight bound after every
+    arrival, then :func:`run_violations`: no illegal decision, migration
+    within ``migration_cap`` * p_j (m, or 3/4 for scheduler B), and at most
+    one rebalancing step per run for schedulers B, C, and D.
     """
     if count < 0:
         raise ParseError(f"suite count must be >= 0, got {count}")
@@ -322,20 +326,10 @@ def guarantee_suite(seed: int, count: int) -> SuiteSummary:
             )
             summary.runs += 1
             tag = f"instance#{index}(seed={config.seed}) {name}@m={m}"
-            for violation in result.violations:
+            for violation in run_violations(result, name, tight):
                 summary.add_violation(f"{tag}: {violation}")
-            if result.ledger.max_ratio > tight.migration_cap:
-                summary.add_violation(
-                    f"{tag}: migration ratio {result.ledger.max_ratio} "
-                    f"exceeds {tight.migration_cap}"
-                )
-            fires = result.step45_count
-            if name in ("B", "C", "D"):
-                max_step45[name] = max(max_step45.get(name, 0), fires)
-                if fires > 1:
-                    summary.add_violation(
-                        f"{tag}: rebalancing fired {fires} times"
-                    )
+            if name in ONCE_ONLY:
+                max_step45[name] = max(max_step45.get(name, 0), result.step45_count)
             margin = tight.bound - result.makespan
             if worst_margin is None or margin < worst_margin:
                 worst_margin = margin
@@ -378,57 +372,24 @@ def adversary_suite() -> SuiteSummary:
     deliberately naive schedulers, all certificates oracle-confirmed."""
     summary = SuiteSummary(name="adversaries")
     worst_gap: Fraction | None = None
-
-    for adv, algorithm in tightness_duels():
-        transcript = play_duel(adv, algorithm, SCHEDULERS[algorithm], adv.m)
+    duels = [(adv, name, True) for adv, name in tightness_duels()] + [
+        (adv, name, False)
+        for adv in soundness_adversaries()
+        for name in FOREIGN_SCHEDULERS
+    ]
+    for adv, name, tightness in duels:
+        transcript = play_duel(adv, name, SCHEDULERS[name], adv.m)
         summary.runs += 1
-        tag = f"{adv.name} vs {algorithm} @ m={fraction_str(adv.m)}"
-        _check_duel(summary, tag, transcript, require_oracle=True)
-        if transcript.achieved_ratio is not None:
-            bound = transcript.bound
-            if transcript.achieved_ratio > bound:
-                summary.add_violation(
-                    f"{tag}: ratio {transcript.achieved_ratio} above bound {bound}"
-                )
-            gap = bound - transcript.achieved_ratio
+        tag = f"{adv.name} vs {name} @ m={fraction_str(adv.m)}"
+        for failure in transcript.failures(tightness):
+            summary.add_violation(f"{tag}: {failure}")
+        if tightness and transcript.achieved_ratio is not None:
+            gap = transcript.bound - transcript.achieved_ratio
             if worst_gap is None or gap > worst_gap:
                 worst_gap = gap
-
-    for adv in soundness_adversaries():
-        for name in FOREIGN_SCHEDULERS:
-            transcript = play_duel(adv, name, SCHEDULERS[name], adv.m)
-            summary.runs += 1
-            tag = f"{adv.name} vs {name} @ m={fraction_str(adv.m)}"
-            _check_duel(summary, tag, transcript, require_oracle=False)
-
     if worst_gap is not None:
         summary.notes["largest tightness gap"] = _fmt(worst_gap)
     return summary
-
-
-def _check_duel(
-    summary: SuiteSummary,
-    tag: str,
-    transcript: DuelTranscript,
-    require_oracle: bool,
-) -> None:
-    if transcript.illegal is not None:
-        summary.add_violation(f"{tag}: scheduler played illegally: {transcript.illegal}")
-        return
-    for text, holds in transcript.proof_checks:
-        if not holds:
-            summary.add_violation(f"{tag}: migration-proof check failed: {text}")
-    if require_oracle and not transcript.oracle_checked:
-        summary.add_violation(f"{tag}: certificate not oracle-checked")
-    if (
-        transcript.achieved_ratio is not None
-        and transcript.claimed_min_ratio is not None
-        and transcript.achieved_ratio < transcript.claimed_min_ratio
-    ):
-        summary.add_violation(
-            f"{tag}: achieved {transcript.achieved_ratio} below claimed "
-            f"{transcript.claimed_min_ratio}"
-        )
 
 
 def oracle_suite(seed: int, count: int) -> SuiteSummary:
@@ -475,6 +436,15 @@ SUITES = {
 
 # --- command-line interface -------------------------------------------
 
+def _print_violations(violations: list[str]) -> None:
+    if not violations:
+        print("violations : none")
+        return
+    print("violations :")
+    for violation in violations:
+        print(f"  - {violation}")
+
+
 def _print_report(report: RunReport, as_json: bool) -> None:
     if as_json:
         print(json.dumps(report.to_json_dict(), indent=2))
@@ -492,12 +462,7 @@ def _print_report(report: RunReport, as_json: bool) -> None:
         print(f"ratio      : {_fmt(report.ratio)}")
     print(f"max moved  : {_fmt(report.max_migration_ratio)} of the arrival size")
     print(f"rebalances : {report.step45_count}")
-    if report.violations:
-        print("violations :")
-        for violation in report.violations:
-            print(f"  - {violation}")
-    else:
-        print("violations : none")
+    _print_violations(report.violations)
 
 
 def _print_transcript(transcript: DuelTranscript, as_json: bool) -> None:
@@ -560,11 +525,7 @@ def _cmd_duel(args: argparse.Namespace) -> int:
     adv = ADVERSARIES[args.adversary](m, *params)
     transcript = play_duel(adv, args.algorithm, SCHEDULERS[args.algorithm], m)
     _print_transcript(transcript, args.json)
-    if transcript.illegal is not None:
-        return 1
-    ok = all(holds for _, holds in transcript.proof_checks)
-    ok = ok and transcript.achieved_ratio >= transcript.claimed_min_ratio
-    return 0 if ok else 1
+    return 1 if transcript.failures() else 0
 
 
 def _cmd_curve(args: argparse.Namespace) -> int:
@@ -594,9 +555,8 @@ def _cmd_curve(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    seed = args.seed if args.seed is not None else default_seed()
     config = GenConfig(
-        seed=seed,
+        seed=args.seed,
         n_gos2=args.gos2,
         n_gos1=args.gos1,
         denominator_bound=args.denominator_bound,
@@ -633,8 +593,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_suite(args: argparse.Namespace) -> int:
-    seed = args.seed if args.seed is not None else default_seed()
-    summary = SUITES[args.suite](seed, args.count)
+    summary = SUITES[args.suite](args.seed, args.count)
     if args.json:
         print(json.dumps(summary.to_json_dict(), indent=2))
     else:
@@ -642,12 +601,7 @@ def _cmd_suite(args: argparse.Namespace) -> int:
         print(f"runs       : {summary.runs}")
         for key, value in summary.notes.items():
             print(f"{key:<11}: {value}")
-        if summary.violations:
-            print("violations :")
-            for violation in summary.violations:
-                print(f"  - {violation}")
-        else:
-            print("violations : none")
+        _print_violations(summary.violations)
     return 0 if summary.ok else 1
 
 
@@ -693,7 +647,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_curve.set_defaults(func=_cmd_curve)
 
     p_gen = sub.add_parser("gen", help="generate a planted-optimum instance")
-    p_gen.add_argument("--seed", type=int, default=None)
+    p_gen.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_gen.add_argument("--gos2", type=int, default=6, help="grade-2 job count")
     p_gen.add_argument("--gos1", type=int, default=2, help="grade-1 job count")
     p_gen.add_argument("--denominator-bound", type=int, default=1000)
@@ -715,7 +669,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_suite = sub.add_parser("suite", help="run a verification suite")
     p_suite.add_argument("suite", choices=sorted(SUITES))
-    p_suite.add_argument("--seed", type=int, default=None)
+    p_suite.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_suite.add_argument("--count", type=int, default=200)
     p_suite.add_argument("--json", action="store_true")
     p_suite.set_defaults(func=_cmd_suite)
@@ -730,6 +684,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except HierStretchError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout: send the unflushed rest to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

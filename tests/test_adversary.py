@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from hierstretch.adversary import (
+    ADVERSARIES,
     AdvHigh,
     AdvLow,
     AdvMid,
@@ -17,7 +18,10 @@ from hierstretch.adversary import (
 )
 from hierstretch.algorithms import SCHEDULERS
 from hierstretch.core import AssignmentDecision, Job, MachineId, ratio_bound
-from hierstretch.errors import BadEps, BadGamma, BadTheta, RegimeMismatch
+from hierstretch.errors import (
+    BadCertificate, BadEps, BadGamma, BadTheta, RegimeMismatch
+)
+from hierstretch.harness import main
 from hierstretch.oracle import brute_opt
 from helpers import emitting
 
@@ -28,6 +32,35 @@ THETA = refine_theta()
 
 def duel(adv, scheduler_name):
     return play_duel(adv, scheduler_name, SCHEDULERS[scheduler_name], adv.m)
+
+
+def cheat(state, job, m):
+    if state.jobs:
+        # try to drag the opener along: over budget for m < 1/2
+        return AssignmentDecision(M1, migrations=((1, M1),))
+    return AssignmentDecision(M2)
+
+
+class OneJob:
+    """Issues one grade-2 job of size 1/2, then stops with the given
+    certificate and proof checks."""
+
+    name = "one-job"
+
+    def __init__(self, m, certified=Fraction(1, 2), claimed=Fraction(1), checks=()):
+        self.m = Fraction(m)
+        self.certified, self.claimed, self.checks = certified, claimed, list(checks)
+
+    def params(self):
+        return {}
+
+    def next(self, state, issued):
+        if not issued:
+            return Job(1, Fraction(1, 2), 2)
+        return Stop(self.certified, self.claimed)
+
+    def migration_proof_checks(self):
+        return self.checks
 
 
 class TestHighAdversary:
@@ -231,12 +264,6 @@ class TestDuelMechanics:
         assert len(data["jobs"]) == len(data["decisions"]) == 3
 
     def test_illegal_scheduler_recorded_as_loss(self):
-        def cheat(state, job, m):
-            if state.jobs:
-                # try to drag the opener along: over budget for m < 1/2
-                return AssignmentDecision(M1, migrations=((1, M1),))
-            return AssignmentDecision(M2)
-
         transcript = play_duel(AdvLow(Fraction(1, 4)), "cheat", cheat, Fraction(1, 4))
         assert transcript.illegal is not None
         assert "BudgetExceeded" in transcript.illegal
@@ -282,6 +309,15 @@ class TestDuelMechanics:
         )
         assert transcript.illegal == "IllegalDecision: job 1 already scheduled"
 
+    def test_false_certificate_is_a_typed_error(self, capsys, monkeypatch):
+        liar = OneJob(1, certified=Fraction(1, 4))
+        with pytest.raises(BadCertificate, match="certified optimum 1/4"):
+            play_duel(liar, "B", SCHEDULERS["B"], liar.m)
+        monkeypatch.setitem(ADVERSARIES, "liar", lambda m: OneJob(m, Fraction(1, 4)))
+        assert main(["duel", "liar", "B", "--m", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: BadCertificate: ") and err.count("\n") == 1
+
     def test_soundness_against_naive_schedulers(self):
         adversaries = [
             AdvHigh(Fraction(5, 2), ratio_bound(Fraction(5, 2)).mu * Fraction(999, 1000)),
@@ -295,3 +331,32 @@ class TestDuelMechanics:
                 transcript = duel(adv, name)
                 assert transcript.illegal is None
                 assert transcript.achieved_ratio >= transcript.claimed_min_ratio
+
+
+class TestDuelVerdict:
+    def test_illegal_play_is_reported_alone(self):
+        transcript = play_duel(AdvLow(Fraction(1, 4)), "cheat", cheat, Fraction(1, 4))
+        failures = transcript.failures(tightness=True)
+        assert len(failures) == 1
+        assert failures[0].startswith("scheduler played illegally: BudgetExceeded")
+
+    def test_failing_proof_check(self):
+        adv = OneJob(1, checks=[("x", False), ("y", True)])
+        assert duel(adv, "B").failures() == ["migration-proof check failed: x"]
+
+    def test_ratio_below_claim(self):
+        adv = OneJob(1, claimed=Fraction(2))
+        assert duel(adv, "B").failures() == ["achieved 1 below claimed 2"]
+
+    def test_tightness_checks_oracle_and_bound(self):
+        # grade-2 sand: 30 grade-2 jobs, past the oracle's limit of 24
+        transcript = duel(AdvTotalSize(Fraction(10)), "greedy-m2")
+        assert transcript.failures() == []
+        failures = transcript.failures(tightness=True)
+        assert failures[0] == "certificate not oracle-checked"
+        assert failures[1].startswith(f"ratio {transcript.achieved_ratio} above bound")
+        assert len(failures) == 2
+
+    def test_tight_duel_holds(self):
+        transcript = duel(AdvHigh(Fraction(5, 2), Fraction(1, 5)), "A")
+        assert transcript.failures() == transcript.failures(tightness=True) == []

@@ -4,6 +4,9 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -23,17 +26,19 @@ from hierstretch.errors import ParseError
 from hierstretch.harness import (
     ACCEPTANCE_M_VALUES,
     FOREIGN_SCHEDULERS,
-    default_seed,
+    DEFAULT_SEED,
     main,
     resolve_algorithm,
     run_instance,
     run_stream,
+    run_violations,
     soundness_adversaries,
     tightness_duels,
 )
 from helpers import emitting, stream
 
 M1, M2 = MachineId.M1, MachineId.M2
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestRunMachinery:
@@ -99,6 +104,26 @@ class TestRunMachinery:
     def test_acceptance_m_values_cover_the_four_migrating_regimes(self):
         names = {resolve_algorithm("auto", m)[0] for m in ACCEPTANCE_M_VALUES}
         assert names == {"A", "B", "C", "D"}
+
+    def test_run_violations_judge_cap_and_once_only_rule(self):
+        # at m = 1 moving a 1/2 job for a 1/2 arrival keeps the budget m * p
+        # but not B's cap of 3/4; a second rebalance breaks the once-only rule
+        def rebalancer(state, job, m):
+            if job.index == 1:
+                return AssignmentDecision(M2)
+            if job.index == 2:
+                return AssignmentDecision(M1, ((1, M1),), step=4)
+            return AssignmentDecision(M2, ((1, M2),), step=5)
+
+        jobs = stream(("1/2", 2), ("1/2", 2), ("1/2", 2))
+        result = run_stream(jobs, rebalancer, Fraction(1))
+        assert result.violations == []
+        tight = ratio_bound(Fraction(1))
+        cap = "migration ratio 1 exceeds 3/4"
+        assert run_violations(result, "B", tight) == [
+            cap, "rebalancing fired 2 times"
+        ]
+        assert run_violations(result, "baseline", tight) == [cap]
 
 
 def test_package_root_binds_only_its_modules():
@@ -212,14 +237,15 @@ class TestCli:
         assert data["oracle_opt"] == "1/1"
         assert main(["run", out, "--m", "3/4", "--oracle"]) == 0
 
-    def test_gen_is_seed_deterministic(self, capsys, monkeypatch):
-        monkeypatch.setenv("HIERSTRETCH_SEED", "424242")
-        assert default_seed() == 424242
+    def test_gen_is_seed_deterministic(self, capsys):
         assert main(["gen", "--gos2", "4", "--gos1", "1"]) == 0
         first = capsys.readouterr().out
         assert main(["gen", "--gos2", "4", "--gos1", "1"]) == 0
         second = capsys.readouterr().out
         assert first == second
+        seeded = ["gen", "--seed", str(DEFAULT_SEED), "--gos2", "4", "--gos1", "1"]
+        assert main(seeded) == 0
+        assert capsys.readouterr().out == first
 
     def test_verify_invalid_instance(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -287,24 +313,43 @@ class TestCli:
         ) * len(soundness_adversaries())
 
 
+def test_closed_pipe_exits_quietly():
+    # about 150 KB of output: more than a pipe buffer holds
+    argv = ["gen", "--seed", "1", "--gos2", "3000", "--gos1", "2",
+            "--denominator-bound", "100000"]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    with subprocess.Popen(
+        [sys.executable, "-m", "hierstretch", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, bufsize=0,
+    ) as proc:
+        assert proc.stdout.read(16)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()  # returns once the command exits
+    assert proc.returncode == 1
+    assert err == ""  # no traceback
+
+
 GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.mark.parametrize(
     "golden, seed, argv",
     [
-        ("run_oracle", 11, ["run", "inst.json", "--m", "3", "--oracle", "--json"]),
-        ("run", 11, ["run", "inst.json", "--m", "3", "--json"]),
-        ("run_migrating", 4, ["run", "inst4.json", "--m", "1", "--oracle", "--json"]),
-        ("verify_oracle", 11, ["verify", "inst.json", "--oracle", "--json"]),
-        ("duel_high", None, ["duel", "high", "A", "--m", "5/2", "--gamma", "1/5", "--json"]),
+        ("run_oracle.json", 11, ["run", "inst.json", "--m", "3", "--oracle", "--json"]),
+        ("run.json", 11, ["run", "inst.json", "--m", "3", "--json"]),
+        ("run_migrating.json", 4, ["run", "inst4.json", "--m", "1", "--oracle", "--json"]),
+        ("verify_oracle.json", 11, ["verify", "inst.json", "--oracle", "--json"]),
+        ("duel_high.json", None, ["duel", "high", "A", "--m", "5/2", "--gamma", "1/5", "--json"]),
+        ("duel_high.txt", None, ["duel", "high", "A", "--m", "5/2", "--gamma", "1/5"]),
+        ("suite_adversaries.txt", None, ["suite", "adversaries"]),
+        ("suite_guarantees.txt", None, ["suite", "guarantees", "--seed", "7", "--count", "25"]),
     ],
 )
-def test_json_output_is_pinned(golden, seed, argv, tmp_path, monkeypatch, capsys):
+def test_cli_output_is_pinned(golden, seed, argv, tmp_path, monkeypatch, capsys):
     # the full stdout, byte for byte, on an instance from `gen --seed`
     monkeypatch.chdir(tmp_path)
     if seed is not None:
         assert main(["gen", "--seed", str(seed), "-o", argv[1]]) == 0
         capsys.readouterr()
     assert main(argv) == 0
-    assert capsys.readouterr().out == (GOLDEN / f"{golden}.json").read_text()
+    assert capsys.readouterr().out == (GOLDEN / golden).read_text()

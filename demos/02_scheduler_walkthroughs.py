@@ -6,27 +6,24 @@ prints the placement, any migrations, and the machine loads after every
 arrival.  The migration ledger at the end shows how much of each
 arrival's budget was actually spent.
 """
-from fractions import Fraction
-
 from hierstretch.algorithms import SCHEDULERS
 from hierstretch.core import (
     MigrationLedger,
     ScheduleState,
     apply_decision,
     jobs_from_pairs,
-    ratio_bound,
 )
 
 
 def walkthrough(title, pairs, scheduler_name, m):
-    m = Fraction(m)
-    print(f"--- {title} (scheduler {scheduler_name}, m = {m}) ---")
-    state = ScheduleState()
+    # the schedule is bound to its migration factor m once, up front
+    state = ScheduleState(m)
+    print(f"--- {title} (scheduler {scheduler_name}, m = {state.m}) ---")
     ledger = MigrationLedger()
     scheduler = SCHEDULERS[scheduler_name]
     for job in jobs_from_pairs(pairs):
-        decision = scheduler(state, job, m)
-        state = apply_decision(state, job, decision, ledger, m)
+        decision = scheduler(state, job)
+        state = apply_decision(state, job, decision, ledger)
         moved = ", ".join(
             f"job{idx}->m{int(mach)}" for idx, mach in decision.migrations
         )
@@ -36,8 +33,7 @@ def walkthrough(title, pairs, scheduler_name, m):
             + (f", migrated {moved}" if moved else "")
         )
         print(f"      loads now: m1 = {state.load1}, m2 = {state.load2}")
-    bound = ratio_bound(m).bound
-    print(f"  final makespan {state.makespan} vs tight bound {bound}")
+    print(f"  final makespan {state.makespan} vs tight bound {state.tight.bound}")
     if ledger.max_ratio:
         print(f"  largest migration spend: {ledger.max_ratio} of an arrival")
     print()

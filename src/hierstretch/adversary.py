@@ -4,18 +4,20 @@ Each adversary watches the scheduler's placements (after migrations have
 settled) and either emits the next job or stops with a certified optimal
 makespan and the ratio it claims to force against any scheduler that
 respects the migration budget.  Adversaries are pure functions of the
-observed state and the jobs already issued, so duels replay exactly.
-The low (m < 1/2) and mid (1/2 <= m < 3/4) games are one opener game
-played with opener size 1/2 or m + eps.  A duel transcript keeps the
-issued jobs and the ledger, whose entries record each applied arrival's
-decision, migrated volume and budget.
+observed schedule, which holds every job issued so far, so duels replay
+exactly; each parses its m with :func:`core.as_migration_factor`, so a
+negative m raises :class:`NegativeM` in every game.  The low (m < 1/2)
+and mid (1/2 <= m < 3/4) games are one opener game played with opener
+size 1/2 or m + eps.  A duel transcript keeps the issued jobs and the
+ledger, whose entries record each applied arrival's decision, migrated
+volume and budget.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Protocol, Sequence, Union
+from typing import Protocol, Union
 
 from .core import (
     EXACT_SEARCH_LIMIT,
@@ -27,6 +29,7 @@ from .core import (
     ZERO,
     apply_decision,
     as_fraction,
+    as_migration_factor,
     json_ready,
     ratio_bound,
 )
@@ -53,7 +56,7 @@ class Adversary(Protocol):
 
     def params(self) -> dict: ...
 
-    def next(self, state: ScheduleState, issued: Sequence[Job]) -> NextMove: ...
+    def next(self, state: ScheduleState) -> NextMove: ...
 
     def migration_proof_checks(self) -> list[tuple[str, bool]]: ...
 
@@ -72,7 +75,7 @@ class AdvHigh:
     name = "high"
 
     def __init__(self, m, gamma=None) -> None:
-        self.m = as_fraction(m)
+        self.m = as_migration_factor(m)
         if self.m < Fraction(5, 2):
             raise RegimeMismatch(f"high adversary needs m >= 5/2, got {self.m}")
         mu = ratio_bound(self.m).mu
@@ -90,9 +93,9 @@ class AdvHigh:
     def params(self) -> dict:
         return {"gamma": self.gamma}
 
-    def next(self, state: ScheduleState, issued: Sequence[Job]) -> NextMove:
+    def next(self, state: ScheduleState) -> NextMove:
         g = self.gamma
-        n = len(issued)
+        n = len(state.jobs)
         if n == 0:
             return Job(1, 1 - g, 2)
         if n == 1:
@@ -106,7 +109,7 @@ class AdvHigh:
                 return Job(3, 2 * g, 1)
             return Job(3, 2 * g, 2)
         # the third job's shape encodes which branch was taken
-        third = issued[2]
+        third = state.jobs[3]
         if third.size == g / 2:
             if n < 8:
                 return Job(n + 1, g / 2, 2)
@@ -146,14 +149,14 @@ class OpenerGame:
     m: Fraction
     opener: Fraction
 
-    def next(self, state: ScheduleState, issued: Sequence[Job]) -> NextMove:
+    def next(self, state: ScheduleState) -> NextMove:
         s = self.opener
-        n = len(issued)
+        n = len(state.jobs)
         if n == 0:
             return Job(1, s, 2)
         if n == 1:
             return Job(2, ONE, 1 if state.assignment[1] is MachineId.M1 else 2)
-        if n == 2 and issued[1].gos == 2 and state.assignment[2] is MachineId.M1:
+        if n == 2 and state.jobs[2].gos == 2 and state.assignment[2] is MachineId.M1:
             return Job(3, 1 - s, 1)
         return Stop(ONE, 2 - s)
 
@@ -175,7 +178,7 @@ class AdvMid(OpenerGame):
     name = "mid"
 
     def __init__(self, m, eps=Fraction(1, 1000)) -> None:
-        self.m = as_fraction(m)
+        self.m = as_migration_factor(m)
         self.eps = as_fraction(eps)
         if not Fraction(1, 2) <= self.m < Fraction(3, 4):
             raise RegimeMismatch(
@@ -201,9 +204,7 @@ class AdvLow(OpenerGame):
     opener = Fraction(1, 2)
 
     def __init__(self, m) -> None:
-        self.m = as_fraction(m)
-        if self.m < 0:
-            raise RegimeMismatch(f"m must be >= 0, got {self.m}")
+        self.m = as_migration_factor(m)
         if self.m >= Fraction(1, 2):
             raise RegimeMismatch(f"low adversary needs m < 1/2, got {self.m}")
 
@@ -237,7 +238,7 @@ class AdvTotalSize:
     name = "totalsize"
 
     def __init__(self, m, theta_hat=None) -> None:
-        self.m = as_fraction(m)
+        self.m = as_migration_factor(m)
         self.theta = refine_theta() if theta_hat is None else as_fraction(theta_hat)
         if self.m <= 0:
             raise RegimeMismatch(
@@ -267,8 +268,8 @@ class AdvTotalSize:
     def claimed(self) -> Fraction:
         return min(2 * self.theta, (2 - self.theta) / (2 * self.theta))
 
-    def next(self, state: ScheduleState, issued: Sequence[Job]) -> NextMove:
-        n = len(issued)
+    def next(self, state: ScheduleState) -> NextMove:
+        n = len(state.jobs)
         if n == 0:
             return Job(1, self.theta, 2)
         if n == 1:
@@ -281,8 +282,8 @@ class AdvTotalSize:
             sand_gos = 2 if both_on_m2 else 1
             return Job(3, self.sand_size, sand_gos)
         if n < 2 + self.sand_count:
-            return Job(n + 1, self.sand_size, issued[2].gos)
-        if issued[2].gos == 2:
+            return Job(n + 1, self.sand_size, state.jobs[3].gos)
+        if state.jobs[3].gos == 2:
             certified = Fraction(1)  # split one large job plus half the sand
         else:
             certified = 2 * self.theta  # grade-1 sand pins machine 1
@@ -402,17 +403,16 @@ def play_duel(adversary, scheduler_name: str, scheduler_fn, m) -> DuelTranscript
     certificate is confirmed against the brute-force oracle; a certificate
     the oracle contradicts raises :class:`BadCertificate`.
     """
-    m = as_fraction(m)
+    state = ScheduleState(m)
     transcript = DuelTranscript(
         adversary=adversary.name,
         adversary_params=adversary.params(),
         scheduler=scheduler_name,
-        m=m,
-        bound=ratio_bound(m).bound,
+        m=state.m,
+        bound=state.tight.bound,
     )
-    state = ScheduleState()
     while True:
-        move = adversary.next(state, transcript.jobs)
+        move = adversary.next(state)
         if isinstance(move, Stop):
             transcript.certified_opt = move.certified_opt
             transcript.claimed_min_ratio = move.claimed_min_ratio
@@ -420,8 +420,8 @@ def play_duel(adversary, scheduler_name: str, scheduler_fn, m) -> DuelTranscript
         job = move
         transcript.jobs.append(job)
         try:
-            decision = scheduler_fn(state, job, m)
-            state = apply_decision(state, job, decision, transcript.ledger, m)
+            decision = scheduler_fn(state, job)
+            state = apply_decision(state, job, decision, transcript.ledger)
         except IllegalDecision as exc:
             transcript.illegal = f"{type(exc).__name__}: {exc}"
             break

@@ -13,10 +13,11 @@ arrival that would push machine 2 above r:
 * ``baseline_nomig`` ignores m, never migrates and achieves 3/2 when the
   optimum is 1.
 
-All of them decide as deterministic functions of the visible state, on
-ints over the state's unit (the only change they make to a state is to
-extend that unit); the three subset selectors take and return ints over
-that unit too.  The enforcement of budgets and hierarchy stays in
+Each is called as ``fn(state, job)``: the state carries its migration
+factor m and m's constants.  All of them decide as deterministic
+functions of the visible state, on ints over the state's unit (the only
+change they make to a state is to extend that unit); the three subset
+selectors take and return ints over that unit too.  The enforcement of budgets and hierarchy stays in
 :func:`core.apply_decision`.
 Three deliberately naive opponents used by adversary tests live at the
 bottom.
@@ -24,7 +25,6 @@ bottom.
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
-from fractions import Fraction
 
 from .core import (
     EXACT_SEARCH_LIMIT,
@@ -34,12 +34,11 @@ from .core import (
     Regime,
     RegimeBound,
     ScheduleState,
-    UnitLimits,
     ratio_bound,
 )
 from .errors import ParseError, RegimeMismatch, SizeLimit
 
-SchedulerFn = Callable[[ScheduleState, Job, Fraction], AssignmentDecision]
+SchedulerFn = Callable[[ScheduleState, Job], AssignmentDecision]
 
 M1 = MachineId.M1
 M2 = MachineId.M2
@@ -55,7 +54,7 @@ def select_max_subset(sizes: Sequence[int], cap: int) -> tuple[tuple[int, ...], 
     ``cap``, exact.
 
     Sizes are a sequence of ints > 0 and the cap an int >= 0, all over
-    one unit; anything else raises ParseError.  Depth-first in the given order,
+    one unit; anything else raises ParseError.  Depth-first in input order,
     include before exclude, pruned by suffix sums; among equal-total
     optima this visits the lexicographically smallest index set first,
     which is the tie-break.
@@ -144,49 +143,43 @@ def require_regime(name: str, m) -> RegimeBound:
     return tight
 
 
-def _limits(name: str, state: ScheduleState, m) -> UnitLimits:
-    """m's constants over the state's unit, or RegimeMismatch unless m lies
-    in scheduler ``name``'s regime."""
-    limits = state.limits(m)
-    if limits.tight.regime is not SCHEDULER_REGIME[name]:
-        require_regime(name, m)
-    return limits
+def _check_regime(name: str, state: ScheduleState) -> None:
+    """Raise RegimeMismatch unless the state's m lies in scheduler
+    ``name``'s regime."""
+    if state.tight.regime is not SCHEDULER_REGIME[name]:
+        require_regime(name, state.m)
 
 
-def _window(
-    state: ScheduleState, job: Job, limits: UnitLimits
-) -> AssignmentDecision | None:
+def _window(state: ScheduleState, job: Job) -> AssignmentDecision | None:
     """Steps 2-3 of schedulers A-D, for r = ratio_bound(m).bound: grade-1
     jobs, or any job once machine 2 holds 2-r, go to machine 1; a job that
     keeps machine 2 within r joins it; otherwise None (rebalancing)."""
-    if job.gos == 1 or state.y_units >= limits.low:
+    if job.gos == 1 or state.y_units >= state.low:
         return _WINDOW_M1
-    if state.units_of(job.size) + state.y_units <= limits.r:
+    if state.units_of(job.size) + state.y_units <= state.r:
         return _WINDOW_M2
     return None
 
 
 def _to_m1(order: list[tuple[int, int]]) -> tuple[tuple[int, MachineId], ...]:
-    """Migrations moving the given (-units, index) machine-2 jobs to machine 1."""
+    """Migrations moving these (-units, index) machine-2 jobs to machine 1."""
     return tuple([(idx, M1) for _, idx in order])
 
 
-def _clear_prefix(
-    state: ScheduleState, p: int, limits: UnitLimits
-) -> AssignmentDecision:
+def _clear_prefix(state: ScheduleState, p: int) -> AssignmentDecision:
     """Step 4 of B and D for a large arrival of ``p`` units (p >= 2-r): the
     longest machine-2 prefix within migration_cap * p moves to machine 1 so
     the arrival fits under r; if it still does not fit, it takes machine 1."""
     order = state.y_order()
     k, total = select_prefix_max(
-        [-neg for neg, _ in order], limits.cap * p // state.unit
+        [-neg for neg, _ in order], state.cap * p // state.unit
     )
-    if state.y_units - total + p > limits.r:
+    if state.y_units - total + p > state.r:
         return AssignmentDecision(M1, step=4)
     return AssignmentDecision(M2, _to_m1(order[:k]), step=4)
 
 
-def alg_a(state: ScheduleState, job: Job, m: Fraction) -> AssignmentDecision:
+def alg_a(state: ScheduleState, job: Job) -> AssignmentDecision:
     """High-migration scheduler (m >= 5/2): final makespan at most 1 + mu.
 
     When the arrival does not fit the window, all grade-2 jobs plus the
@@ -194,7 +187,8 @@ def alg_a(state: ScheduleState, job: Job, m: Fraction) -> AssignmentDecision:
     of size at most 1; among equal totals the subset search prefers the
     earliest arrivals.
     """
-    decision = _window(state, job, _limits("A", state, m))
+    _check_regime("A", state)
+    decision = _window(state, job)
     if decision is not None:
         return decision
 
@@ -213,90 +207,90 @@ def alg_a(state: ScheduleState, job: Job, m: Fraction) -> AssignmentDecision:
     return AssignmentDecision(target, tuple(migrations), step=4)
 
 
-def alg_b(state: ScheduleState, job: Job, m: Fraction) -> AssignmentDecision:
+def alg_b(state: ScheduleState, job: Job) -> AssignmentDecision:
     """Mid-migration scheduler (3/4 <= m < 5/2): makespan at most 5/4 while
     migrating at most (3/4) * p_j per arrival."""
-    limits = _limits("B", state, m)
-    decision = _window(state, job, limits)
+    _check_regime("B", state)
+    decision = _window(state, job)
     if decision is not None:
         return decision
     p = state.units_of(job.size)
-    if p >= limits.low:
-        return _clear_prefix(state, p, limits)
+    if p >= state.low:
+        return _clear_prefix(state, p)
 
     # medium arrival (1/2 < p < 3/4); machine 2 holds more than 1/2
     order = state.y_order()
     p_max = -order[0][0]
-    if p + p_max > limits.r:
+    if p + p_max > state.r:
         return AssignmentDecision(M1, step=5)
     if 2 * p_max >= state.y_units:
         moved = order[1:]
-    elif p_max >= limits.quarter:
+    elif p_max >= state.quarter:
         moved = order[:1]
     else:
-        k, total = select_prefix_min([-neg for neg, _ in order], limits.quarter)
-        if total > limits.cap * p // state.unit:
+        k, total = select_prefix_min([-neg for neg, _ in order], state.quarter)
+        if total > state.cap * p // state.unit:
             moved = order[k:]
         else:
             moved = order[:k]
     return AssignmentDecision(M2, _to_m1(moved), step=5)
 
 
-def alg_c(state: ScheduleState, job: Job, m: Fraction) -> AssignmentDecision:
+def alg_c(state: ScheduleState, job: Job) -> AssignmentDecision:
     """Low-migration scheduler for 1/2 <= m < 2/3: makespan at most 2 - m.
 
     When the arrival does not fit, it goes to machine 1 if the largest
     machine-2 job is too big to migrate; otherwise the shortest prefix
     covering the overflow migrates and the arrival takes machine 2.
     """
-    limits = _limits("C", state, m)
-    decision = _window(state, job, limits)
+    _check_regime("C", state)
+    decision = _window(state, job)
     if decision is not None:
         return decision
     p = state.units_of(job.size)
     order = state.y_order()
-    if order and -order[0][0] > limits.m_units * p // state.unit:
+    if order and -order[0][0] > state.m_units * p // state.unit:
         return AssignmentDecision(M1, step=4)
 
-    deficit = p + state.y_units - limits.r
+    deficit = p + state.y_units - state.r
     k, _ = select_prefix_min([-neg for neg, _ in order], deficit)
     return AssignmentDecision(M2, _to_m1(order[:k]), step=5)
 
 
-def alg_d(state: ScheduleState, job: Job, m: Fraction) -> AssignmentDecision:
+def alg_d(state: ScheduleState, job: Job) -> AssignmentDecision:
     """Low-migration scheduler for 2/3 <= m < 3/4: makespan at most 2 - m.
 
     Large arrivals (p >= m) clear the longest prefix that fits the budget;
     smaller ones move a prefix of total in [m/3, 2m/3], swapped for its
     complement when it exceeds what the budget allows.
     """
-    limits = _limits("D", state, m)
-    decision = _window(state, job, limits)
+    _check_regime("D", state)
+    decision = _window(state, job)
     if decision is not None:
         return decision
     p = state.units_of(job.size)
-    if p >= limits.m_units:
-        return _clear_prefix(state, p, limits)
+    if p >= state.m_units:
+        return _clear_prefix(state, p)
 
     order = state.y_order()
-    k, w_total = select_prefix_min([-neg for neg, _ in order], limits.m_third)
+    k, w_total = select_prefix_min([-neg for neg, _ in order], state.m_third)
     moved = order[:k]
-    if w_total > min(limits.two_m_thirds, limits.m_units * p // state.unit):
+    if w_total > min(state.two_m_thirds, state.m_units * p // state.unit):
         moved, w_total = order[k:], state.y_units - w_total
-    if state.y_units - w_total + p > limits.r:
+    if state.y_units - w_total + p > state.r:
         return AssignmentDecision(M1, step=5)
     return AssignmentDecision(M2, _to_m1(moved), step=5)
 
 
-def baseline_nomig(state: ScheduleState, job: Job, m: Fraction) -> AssignmentDecision:
+def baseline_nomig(state: ScheduleState, job: Job) -> AssignmentDecision:
     """Threshold rule without migration: grade-2 jobs join machine 2 until
     its load reaches 1/2, everything else goes to machine 1.
 
     Achieves makespan at most 3/2 on any stream whose true optimum is 1:
     if machine 2 ends below 1/2 it holds every grade-2 job, so machine 1
     carries only grade-1 load (at most 1); otherwise machine 1 carries at
-    most 2 - 1/2 and machine 2 at most 1/2 + 1.  The migration factor m is
-    ignored.
+    most 2 - 1/2 and machine 2 at most 1/2 + 1.  The state's migration
+    factor is ignored.
     """
     if job.gos == 1 or 2 * state.y_units >= state.unit:
         return _WINDOW_M1
@@ -305,14 +299,12 @@ def baseline_nomig(state: ScheduleState, job: Job, m: Fraction) -> AssignmentDec
 
 # --- naive opponents used to exercise the adversaries -----------------
 
-def greedy_to_m2(state: ScheduleState, job: Job, m: Fraction) -> AssignmentDecision:
+def greedy_to_m2(state: ScheduleState, job: Job) -> AssignmentDecision:
     """Send every grade-2 job to machine 2, never migrate."""
     return AssignmentDecision(M2 if job.gos == 2 else M1)
 
 
-def greedy_least_loaded(
-    state: ScheduleState, job: Job, m: Fraction
-) -> AssignmentDecision:
+def greedy_least_loaded(state: ScheduleState, job: Job) -> AssignmentDecision:
     """Grade-2 jobs join the currently smaller machine (ties to machine 2)."""
     if job.gos == 1:
         return AssignmentDecision(M1)
@@ -321,7 +313,7 @@ def greedy_least_loaded(
     )
 
 
-def all_to_m1(state: ScheduleState, job: Job, m: Fraction) -> AssignmentDecision:
+def all_to_m1(state: ScheduleState, job: Job) -> AssignmentDecision:
     """Pile everything onto machine 1."""
     return AssignmentDecision(M1)
 

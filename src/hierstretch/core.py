@@ -2,10 +2,11 @@
 
 Everything is exact: sizes, loads, budgets, and bounds cross the API as
 :class:`fractions.Fraction` values, while the work runs on ints.  A
-:class:`ScheduleState` holds its loads over one common unit and is
-updated in place by :func:`apply_decision`, one arrival at a time; the
-exponential searches scale their input once (:func:`to_units`), and each
-migration factor's constants are scaled once (:attr:`RegimeBound.units`).
+:class:`ScheduleState` is bound to one migration factor m: it holds its
+loads and m's constants (:attr:`RegimeBound.units`, scaled once per m)
+over one common unit, and is updated in place by :func:`apply_decision`,
+one arrival at a time; the exponential searches scale their input once
+(:func:`to_units`).
 Every guarantee in this package is a decidable comparison rather than a
 float tolerance.  JSON output goes through one codec, :func:`json_ready`,
 which writes each Fraction as its 'num/den' string.
@@ -168,76 +169,64 @@ class MigrationLedger:
         )
 
 
-class UnitLimits:
-    """A migration factor's constants as ints over its state's unit.
-
-    ``r`` is the tight bound and ``low`` is 2 - r; ``cap`` is
-    ``migration_cap``; ``m_units``, ``m_third`` and ``two_m_thirds`` are
-    m, m/3 and 2m/3; ``quarter`` is 1/4.  The state rescales them with its
-    other ints, so they stay valid across a change of unit.
-    """
-
-    SCALED = ("r", "low", "cap", "m_units", "m_third", "two_m_thirds", "quarter")
-    __slots__ = ("given", "m", "tight", *SCALED)
-
-    def __init__(self, state: ScheduleState, given: RationalLike) -> None:
-        m = as_fraction(given)
-        tight = ratio_bound(m)
-        den, scaled = tight.units
-        if state.unit % den:
-            state._extend(den)
-        self.given, self.m, self.tight = given, m, tight
-        factor = state.unit // den
-        for name, value in zip(self.SCALED, scaled):
-            setattr(self, name, value * factor)
-
-
 class ScheduleState:
-    """Assignment of all arrived jobs plus running load aggregates.
+    """Assignment of all arrived jobs plus running load aggregates under
+    one migration factor m, fixed for the schedule.
 
+    ``ScheduleState(m)`` parses m once (a negative m raises
+    :class:`NegativeM`) and keeps it with its tight bound ``tight``.
     ``jobs`` holds the arrived jobs in arrival order and ``assignment``
-    their machines.  The three loads are ints over one ``unit``: the lcm
-    of every size denominator seen and of the constants of every migration
-    factor asked for (:meth:`limits`).  When a new denominator arrives, the
-    loads and the limits are rescaled once.  :meth:`units_of` gives a size
-    in units, and :meth:`y_order` sorts the machine-2 jobs when a
-    rebalancing rule asks for them.
+    their machines.  The ints named in ``SCALED`` share one ``unit``, the
+    lcm of every denominator among them and the sizes seen: the loads
+    ``x_units``, ``y_units`` and ``z_units``, then m's constants ``r``
+    (the tight bound), ``low`` (2 - r), ``cap`` (``migration_cap``),
+    ``m_units``, ``m_third`` and ``two_m_thirds`` (m, m/3 and 2m/3) and
+    ``quarter`` (1/4).  A new denominator rescales all of them once, so
+    read them from the state where they are used.  :meth:`units_of` gives
+    a size in units, and :meth:`y_order` sorts the machine-2 jobs.
 
     ``x``: total size of grade-1 jobs (all on machine 1).
     ``y``: total size of grade-2 jobs on machine 2.
     ``z``: total size of grade-2 jobs on machine 1.
     These, the loads and :meth:`sorted_y_desc` are Fraction views in
     lowest terms.  :func:`apply_decision` updates a state in place;
-    :meth:`copy` takes a snapshot.  States compare by their jobs,
+    :meth:`copy` takes a snapshot.  States compare by their m, jobs,
     assignment and loads, not by their unit.
     """
 
-    def __init__(self) -> None:
+    SCALED = (
+        "x_units", "y_units", "z_units",
+        "r", "low", "cap", "m_units", "m_third", "two_m_thirds", "quarter",
+    )
+
+    def __init__(self, m: RationalLike) -> None:
+        self.tight = ratio_bound(m)
+        self.m = self.tight.m
         self.jobs: dict[int, Job] = {}
         self.assignment: dict[int, MachineId] = {}
-        self.unit = 1
-        self.x_units = self.y_units = self.z_units = 0
-        self._limits: UnitLimits | None = None
+        self.unit, constants = self.tight.units
+        for name, value in zip(self.SCALED, (0, 0, 0, *constants)):
+            setattr(self, name, value)
 
     def copy(self) -> ScheduleState:
-        twin = ScheduleState()
-        twin.jobs = dict(self.jobs)
-        twin.assignment = dict(self.assignment)
-        twin.unit = self.unit
-        twin.x_units, twin.y_units, twin.z_units = self.x_units, self.y_units, self.z_units
+        twin = object.__new__(ScheduleState)
+        for name in ("m", "tight", "unit", *self.SCALED):
+            setattr(twin, name, getattr(self, name))
+        twin.jobs, twin.assignment = dict(self.jobs), dict(self.assignment)
         return twin
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ScheduleState):
             return NotImplemented
-        return (self.jobs, self.assignment, self.x, self.y, self.z) == (
-            other.jobs, other.assignment, other.x, other.y, other.z
+        return (self.m, self.jobs, self.assignment, self.x, self.y, self.z) == (
+            other.m, other.jobs, other.assignment, other.x, other.y, other.z
         )
 
     def __repr__(self) -> str:
         return (
-            f"ScheduleState(jobs={self.jobs!r}, assignment={self.assignment!r}, "
-            f"x={self.x!r}, y={self.y!r}, z={self.z!r})"
+            f"ScheduleState(m={self.m!r}, jobs={self.jobs!r}, "
+            f"assignment={self.assignment!r}, x={self.x!r}, y={self.y!r}, "
+            f"z={self.z!r})"
         )
 
     def units_of(self, value: Fraction) -> int:
@@ -248,24 +237,12 @@ class ScheduleState:
         return value.numerator * (self.unit // den)
 
     def _extend(self, den: int) -> None:
-        """Rescale the loads and limits once, so the unit becomes a multiple
+        """Rescale every ``SCALED`` int once, so the unit becomes a multiple
         of den."""
         factor = math.lcm(self.unit, den) // self.unit
         self.unit *= factor
-        self.x_units *= factor
-        self.y_units *= factor
-        self.z_units *= factor
-        if self._limits is not None:
-            for name in UnitLimits.SCALED:
-                setattr(self._limits, name, getattr(self._limits, name) * factor)
-
-    def limits(self, m: RationalLike) -> UnitLimits:
-        """m's constants over this state's unit; a negative m raises
-        :class:`NegativeM`.  Cached for the last m object asked for."""
-        limits = self._limits
-        if limits is None or limits.given is not m:
-            limits = self._limits = UnitLimits(self, m)
-        return limits
+        for name in self.SCALED:
+            setattr(self, name, getattr(self, name) * factor)
 
     @property
     def x(self) -> Fraction:
@@ -319,10 +296,10 @@ def apply_decision(
     job: Job,
     decision: AssignmentDecision,
     ledger: MigrationLedger,
-    m: RationalLike,
 ) -> ScheduleState:
     """Place ``job`` and apply the decision's migrations, enforcing the
-    per-arrival migration budget and the machine hierarchy.
+    per-arrival migration budget m * p_j, for the state's m, and the
+    machine hierarchy.
 
     Updates ``state`` in place and returns it; the ledger gains one entry
     for this arrival.  Raises an :class:`IllegalDecision` (BudgetExceeded,
@@ -332,7 +309,6 @@ def apply_decision(
     migration entry or a machine that is not a :class:`MachineId`
     included, and then leaves the state's values and the ledger untouched.
     """
-    limits = state.limits(m)
     if job.index in state.jobs:
         raise IllegalDecision(f"job {job.index} already scheduled")
     if not (
@@ -385,10 +361,10 @@ def apply_decision(
             migrated += size
             to_m2 += size if new_machine is MachineId.M2 else -size
         migrated_total = Fraction(migrated, state.unit)
-        if migrated * state.unit > limits.m_units * p:
+        if migrated * state.unit > state.m_units * p:
             raise BudgetExceeded(
                 f"arrival {job.index}: migrated {migrated_total} "
-                f"> budget {limits.m * job.size}"
+                f"> budget {state.m * job.size}"
             )
         for idx, new_machine in migrations:
             assignment[idx] = new_machine
@@ -404,7 +380,7 @@ def apply_decision(
         state.y_units += p
     else:
         state.z_units += p
-    ledger.entries.append(LedgerEntry(job, decision, migrated_total, limits.m))
+    ledger.entries.append(LedgerEntry(job, decision, migrated_total, state.m))
     return state
 
 
@@ -437,8 +413,9 @@ class RegimeBound:
 
     @cached_property
     def units(self) -> tuple[int, tuple[int, ...]]:
-        """``(den, scaled)``: the constants of :class:`UnitLimits`, in the
-        order of its ``SCALED``, as ints over their common denominator
+        """``(den, scaled)``: the seven constants of a
+        :class:`ScheduleState` under m, in the order of its ``SCALED``
+        after the three loads, as ints over their common denominator
         ``den``; computed once per cached bound, so once per m."""
         scaled, den = to_units([
             self.bound, 2 - self.bound, self.migration_cap, self.m, self.m / 3,

@@ -137,8 +137,7 @@ def run_stream(
     arrival.  Conservation of total size is always verified at the end,
     against a separate int sum of the arrived sizes.
     """
-    state = ScheduleState()
-    m = state.limits(as_fraction(m)).m  # a negative m raises NegativeM here
+    state = ScheduleState(m)  # a negative m raises NegativeM here
     ledger = MigrationLedger()
     violations: list[str] = []
     if bound is not None:
@@ -148,8 +147,8 @@ def run_stream(
     arrived, arrived_unit = 0, 1
     for job in jobs:
         try:
-            decision = scheduler_fn(state, job, m)
-            state = apply_decision(state, job, decision, ledger, m)
+            decision = scheduler_fn(state, job)
+            state = apply_decision(state, job, decision, ledger)
         except RegimeMismatch:
             raise
         except HierStretchError as exc:
@@ -520,8 +519,8 @@ def _cmd_duel(args: argparse.Namespace) -> int:
     m = as_fraction(args.m)
     # only the chosen adversary's own option is passed; the others are ignored
     options = {"high": args.gamma, "mid": args.eps, "totalsize": args.theta}
-    given = options.get(args.adversary)
-    params = () if given is None else (given,)
+    option = options.get(args.adversary)
+    params = () if option is None else (option,)
     adv = ADVERSARIES[args.adversary](m, *params)
     transcript = play_duel(adv, args.algorithm, SCHEDULERS[args.algorithm], m)
     _print_transcript(transcript, args.json)

@@ -42,7 +42,7 @@ def emitting(later):
     every later one with ``later``: a tuple is taken as the migrations of
     a move to machine 1, anything else is returned as it is."""
 
-    def scheduler(state, job, m):
+    def scheduler(state, job):
         if not state.jobs:
             return AssignmentDecision(MachineId.M2)
         if isinstance(later, tuple):
@@ -53,15 +53,15 @@ def emitting(later):
 
 
 def replay(jobs, scheduler_fn, m):
-    """Yield (pre_state, job, decision, post_state) for every arrival, the
-    states as snapshots, since :func:`apply_decision` updates in place."""
-    m = Fraction(m)
-    state = ScheduleState()
+    """Yield (pre_state, job, decision, post_state) for every arrival under
+    m, the states as snapshots, since :func:`apply_decision` updates in
+    place."""
+    state = ScheduleState(m)
     ledger = MigrationLedger()
     for job in jobs:
         pre = state.copy()
-        decision = scheduler_fn(state, job, m)
-        apply_decision(state, job, decision, ledger, m)
+        decision = scheduler_fn(state, job)
+        apply_decision(state, job, decision, ledger)
         yield pre, job, decision, state.copy()
 
 

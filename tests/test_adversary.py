@@ -19,7 +19,7 @@ from hierstretch.adversary import (
 from hierstretch.algorithms import SCHEDULERS
 from hierstretch.core import AssignmentDecision, Job, MachineId, ratio_bound
 from hierstretch.errors import (
-    BadCertificate, BadEps, BadGamma, BadTheta, RegimeMismatch
+    BadCertificate, BadEps, BadGamma, BadTheta, NegativeM, RegimeMismatch
 )
 from hierstretch.harness import main
 from hierstretch.oracle import brute_opt
@@ -34,7 +34,7 @@ def duel(adv, scheduler_name):
     return play_duel(adv, scheduler_name, SCHEDULERS[scheduler_name], adv.m)
 
 
-def cheat(state, job, m):
+def cheat(state, job):
     if state.jobs:
         # try to drag the opener along: over budget for m < 1/2
         return AssignmentDecision(M1, migrations=((1, M1),))
@@ -54,8 +54,8 @@ class OneJob:
     def params(self):
         return {}
 
-    def next(self, state, issued):
-        if not issued:
+    def next(self, state):
+        if not state.jobs:
             return Job(1, Fraction(1, 2), 2)
         return Stop(self.certified, self.claimed)
 
@@ -98,7 +98,7 @@ class TestHighAdversary:
 
     def test_split_first_to_m1_branch(self):
         # opener on machine 1, second on machine 2: one grade-1 closer
-        def contrarian(state, job, m):
+        def contrarian(state, job):
             if not state.jobs and job.gos == 2:
                 return AssignmentDecision(M1)
             return AssignmentDecision(M2 if job.gos == 2 else M1)
@@ -156,7 +156,7 @@ class TestLowAdversary:
     def test_regime_gate(self):
         with pytest.raises(RegimeMismatch):
             AdvLow(Fraction(1, 2))
-        with pytest.raises(RegimeMismatch):
+        with pytest.raises(NegativeM):
             AdvLow(Fraction(-1))
 
     def test_baseline_hits_three_halves(self):
@@ -230,6 +230,12 @@ class TestDefaults:
         with pytest.raises(RegimeMismatch):
             AdvHigh(Fraction(1))
 
+    @pytest.mark.parametrize("cls", [AdvHigh, AdvMid, AdvTotalSize])
+    def test_negative_m(self, cls):
+        # AdvLow's case is in TestLowAdversary::test_regime_gate
+        with pytest.raises(NegativeM):
+            cls(Fraction(-1))
+
     def test_explicit_parameter_overrides_default(self):
         assert AdvHigh(Fraction(5, 2), "1/5").gamma == Fraction(1, 5)
         assert AdvMid(Fraction(3, 5), "1/100").eps == Fraction(1, 100)
@@ -296,8 +302,8 @@ class TestDuelMechanics:
             def params(self):
                 return {}
 
-            def next(self, state, issued):
-                if len(issued) < 2:
+            def next(self, state):
+                if len(state.jobs) < 2:
                     return Job(1, Fraction(1, 2), 2)
                 return Stop(Fraction(1), Fraction(1))
 

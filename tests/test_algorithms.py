@@ -18,7 +18,7 @@ from hierstretch.algorithms import (
     select_prefix_max,
     select_prefix_min,
 )
-from hierstretch.core import MachineId, ratio_bound, to_units
+from hierstretch.core import Job, MachineId, ScheduleState, ratio_bound, to_units
 from hierstretch.errors import ParseError, RegimeMismatch, SizeLimit
 from hierstretch.generators import generate, random_config
 from hierstretch.harness import run_stream
@@ -214,6 +214,12 @@ class TestAlgorithmB:
         for m in ("1/2", "5/2", "10"):
             with pytest.raises(RegimeMismatch):
                 run_stream(stream(("1/2", 2)), alg_b, Fraction(m))
+
+    def test_first_arrival_reads_constants_after_the_unit_grows(self):
+        # 9/500 extends the unit while the window is deciding; the bound it
+        # is compared with must be read after that, not before
+        decision = alg_b(ScheduleState(1), Job(1, Fraction(9, 500), 2))
+        assert (decision.target, decision.migrations, decision.step) == (M2, (), 3)
 
 
 class TestAlgorithmC:

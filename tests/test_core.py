@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hierstretch.adversary import AdvHigh, play_duel
-from hierstretch.algorithms import SCHEDULERS, select_max_subset
+from hierstretch.algorithms import SCHEDULERS, alg_b, select_max_subset
 from hierstretch.core import (
     AssignmentDecision,
     Instance,
@@ -82,42 +82,38 @@ class TestToUnits:
         assert to_units([]) == ([], 1)
 
 
-def _state_with(pairs, machines):
-    """Build a state by placing the given jobs directly."""
-    state = ScheduleState()
+def _state_with(pairs, machines, m=10):
+    """Build a state under m by placing the given jobs directly."""
+    state = ScheduleState(m)
     ledger = MigrationLedger()
     for (p, g), mach in zip(pairs, machines):
         job = Job(len(state.jobs) + 1, as_fraction(p), g)
-        state = apply_decision(
-            state, job, AssignmentDecision(mach), ledger, Fraction(10)
-        )
+        state = apply_decision(state, job, AssignmentDecision(mach), ledger)
     return state
 
 
 class TestApplyDecision:
     def test_budget_exceeded(self):
         # budget is (1/2)*(2/5) = 1/5, but 1/4 wants to move
-        state = _state_with([("1/4", 2)], [M2])
+        state = _state_with([("1/4", 2)], [M2], Fraction(1, 2))
         job = Job(2, Fraction(2, 5), 2)
         decision = AssignmentDecision(M2, migrations=((1, M1),))
         with pytest.raises(BudgetExceeded):
-            apply_decision(state, job, decision, MigrationLedger(), Fraction(1, 2))
+            apply_decision(state, job, decision, MigrationLedger())
 
     def test_simple_placement(self):
-        state = ScheduleState()
+        state = ScheduleState(0)
         job = Job(1, Fraction(1, 2), 2)
-        new = apply_decision(
-            state, job, AssignmentDecision(M2), MigrationLedger(), Fraction(0)
-        )
+        new = apply_decision(state, job, AssignmentDecision(M2), MigrationLedger())
         assert new.y == Fraction(1, 2)
         assert new.load1 == 0
 
     def test_accepted_migration_is_ledgered(self):
-        state = _state_with([("13/20", 2)], [M2])
+        state = _state_with([("13/20", 2)], [M2], Fraction(5, 2))
         job = Job(2, Fraction(7, 10), 2)
         decision = AssignmentDecision(M2, migrations=((1, M1),))
         ledger = MigrationLedger()
-        new = apply_decision(state, job, decision, ledger, Fraction(5, 2))
+        new = apply_decision(state, job, decision, ledger)
         assert ledger.entries[-1].migrated_total == Fraction(13, 20)
         assert ledger.entries[-1].budget == Fraction(7, 4)
         assert new.load1 == Fraction(13, 20)
@@ -127,11 +123,7 @@ class TestApplyDecision:
         job = Job(1, Fraction(1), 1)
         with pytest.raises(HierarchyViolation):
             apply_decision(
-                ScheduleState(),
-                job,
-                AssignmentDecision(M2),
-                MigrationLedger(),
-                Fraction(1),
+                ScheduleState(1), job, AssignmentDecision(M2), MigrationLedger()
             )
 
     def test_hierarchy_violation_on_migration(self):
@@ -139,39 +131,33 @@ class TestApplyDecision:
         job = Job(2, Fraction(1), 2)
         decision = AssignmentDecision(M1, migrations=((1, M2),))
         with pytest.raises(HierarchyViolation):
-            apply_decision(state, job, decision, MigrationLedger(), Fraction(10))
+            apply_decision(state, job, decision, MigrationLedger())
 
     def test_unknown_job(self):
         job = Job(1, Fraction(1), 2)
         decision = AssignmentDecision(M1, migrations=((9, M1),))
         with pytest.raises(UnknownJob):
-            apply_decision(
-                ScheduleState(), job, decision, MigrationLedger(), Fraction(10)
-            )
+            apply_decision(ScheduleState(10), job, decision, MigrationLedger())
 
     def test_noop_migration_rejected(self):
         state = _state_with([("1/2", 2)], [M2])
         job = Job(2, Fraction(1), 2)
         decision = AssignmentDecision(M1, migrations=((1, M2),))
         with pytest.raises(IllegalDecision, match="does not change machines"):
-            apply_decision(state, job, decision, MigrationLedger(), Fraction(10))
+            apply_decision(state, job, decision, MigrationLedger())
 
     def test_duplicate_migration_rejected(self):
         state = _state_with([("1/2", 2)], [M2])
         job = Job(2, Fraction(1), 2)
         decision = AssignmentDecision(M2, migrations=((1, M1), (1, M1)))
         with pytest.raises(IllegalDecision, match="listed twice"):
-            apply_decision(state, job, decision, MigrationLedger(), Fraction(10))
+            apply_decision(state, job, decision, MigrationLedger())
 
     def test_duplicate_arrival_rejected(self):
         state = _state_with([("1/2", 2)], [M2])
         with pytest.raises(IllegalDecision, match="already scheduled"):
             apply_decision(
-                state,
-                Job(1, Fraction(1), 2),
-                AssignmentDecision(M1),
-                MigrationLedger(),
-                Fraction(1),
+                state, Job(1, Fraction(1), 2), AssignmentDecision(M1), MigrationLedger()
             )
 
     @settings(max_examples=200, deadline=None)
@@ -186,7 +172,7 @@ class TestApplyDecision:
         pairs = data.draw(
             st.lists(st.tuples(sizes, st.sampled_from([1, 2])), min_size=1, max_size=6)
         )
-        state, ledger = ScheduleState(), MigrationLedger()
+        state, ledger = ScheduleState(m), MigrationLedger()
         for job in stream(*pairs):
             indices = st.integers(0, job.index + 1)
             moves = st.tuples(indices, machines) | st.one_of(
@@ -203,12 +189,12 @@ class TestApplyDecision:
             entries = list(ledger.entries)
             before = state.copy()
             try:
-                new = apply_decision(state, job, decision, ledger, m)
+                new = apply_decision(state, job, decision, ledger)
             except IllegalDecision:
                 assert ledger.entries == entries
                 assert state == before
                 assert state.sorted_y_desc() == before.sorted_y_desc()
-                new = apply_decision(state, job, AssignmentDecision(M1), ledger, m)
+                new = apply_decision(state, job, AssignmentDecision(M1), ledger)
             else:
                 moved = sum(state.jobs[i].size for i, _ in decision.migrations)
                 assert moved <= m * job.size
@@ -217,16 +203,6 @@ class TestApplyDecision:
             assert state.arrived_total == sum(j.size for j in state.jobs.values())
             assert all(
                 state.assignment[i] is M1 for i, j in state.jobs.items() if j.gos == 1
-            )
-
-    def test_negative_m(self):
-        with pytest.raises(NegativeM):
-            apply_decision(
-                ScheduleState(),
-                Job(1, Fraction(1), 2),
-                AssignmentDecision(M1),
-                MigrationLedger(),
-                Fraction(-1),
             )
 
     @pytest.mark.parametrize("name", ["baseline", "B"])
@@ -251,14 +227,14 @@ class TestScheduleState:
         assert state.sorted_y_desc() == [(2, Fraction(1, 2)), (3, Fraction(1, 3))]
 
     def test_max_jobs_default_to_zero(self):
-        assert ScheduleState().sorted_y_desc() == []
+        assert ScheduleState(1).sorted_y_desc() == []
         one = _state_with([("1/2", 2)], [M2])
         assert one.sorted_y_desc() == [(1, Fraction(1, 2))]
 
     def test_states_are_unhashable(self):
         # a class that defines __eq__ without __hash__ gets no hash
         with pytest.raises(TypeError):
-            hash(ScheduleState())
+            hash(ScheduleState(1))
 
     def test_sorted_y_breaks_ties_by_arrival(self):
         state = _state_with([("1/2", 2), ("1/2", 2)], [M2, M2])
@@ -266,6 +242,44 @@ class TestScheduleState:
             (1, Fraction(1, 2)),
             (2, Fraction(1, 2)),
         ]
+
+    def test_negative_m(self):
+        with pytest.raises(NegativeM):
+            ScheduleState(-1)
+
+    @pytest.mark.parametrize("m", ["0", "1/4", "11/20", "7/10", "1", "5/2", "3"])
+    def test_constants_are_ratio_bound_units(self, m):
+        # the seven constants are m's, scaled to the state's unit, before
+        # and after the unit grows
+        state = ScheduleState(m)
+        den, scaled = ratio_bound(m).units
+        for size in (None, Fraction(1, 7919), Fraction(3, 14)):
+            if size is not None:
+                state.units_of(size)
+            factor, rest = divmod(state.unit, den)
+            assert rest == 0
+            assert [getattr(state, name) for name in ScheduleState.SCALED[3:]] == [
+                value * factor for value in scaled
+            ]
+        assert (state.m, state.tight) == (Fraction(m), ratio_bound(m))
+
+    def test_extending_a_copy_leaves_the_original(self):
+        state = _state_with([("1/2", 2), ("1/3", 2)], [M2, M1], 1)
+        scaled = [getattr(state, name) for name in ScheduleState.SCALED]
+        unit = state.unit
+        twin = state.copy()
+        twin.units_of(Fraction(1, 7919))
+        assert twin.unit == 7919 * unit and state.unit == unit
+        assert [getattr(state, name) for name in ScheduleState.SCALED] == scaled
+        assert twin == state
+        # 9/10 does not fit over machine 2's 1/2, so B rebalances
+        job = Job(3, Fraction(9, 10), 2)
+        assert alg_b(twin, job) == alg_b(state, job)
+        assert alg_b(state, job).step == 4
+
+    def test_states_under_different_m_differ(self):
+        assert ScheduleState(1) == ScheduleState("1")
+        assert ScheduleState(1) != ScheduleState(Fraction(5, 2))
 
 
 # migration factors each scheduler accepts, with assorted denominators
@@ -289,10 +303,10 @@ class TestKernel:
         pairs = data.draw(
             st.lists(st.tuples(mixed_sizes, st.sampled_from([1, 2])), min_size=1, max_size=10)
         )
-        state, ledger = ScheduleState(), MigrationLedger()
+        state, ledger = ScheduleState(m), MigrationLedger()
         for job in stream(*pairs):
             try:
-                apply_decision(state, job, SCHEDULERS[name](state, job, m), ledger, m)
+                apply_decision(state, job, SCHEDULERS[name](state, job), ledger)
             except IllegalDecision:
                 break
             jobs, where = state.jobs, state.assignment
@@ -332,14 +346,14 @@ class TestKernel:
         jobs = stream(*pairs)
         for name, fn in SCHEDULERS.items():
             m = Fraction(data.draw(st.sampled_from(KERNEL_M.get(name, ["0", "1/4", "3"]))))
-            fresh, primed = ScheduleState(), ScheduleState()
+            fresh, primed = ScheduleState(m), ScheduleState(m)
             primed.units_of(Fraction(1, 7919))
             runs = []
             for state in (fresh, primed):
                 ledger = MigrationLedger()
                 for job in jobs:
                     try:
-                        apply_decision(state, job, fn(state, job, m), ledger, m)
+                        apply_decision(state, job, fn(state, job), ledger)
                     except IllegalDecision:
                         break
                 # the two states hold different units; the migrated
@@ -350,11 +364,11 @@ class TestKernel:
             assert fresh == primed, name
 
     def test_copy_is_a_snapshot(self):
-        state, ledger = ScheduleState(), MigrationLedger()
+        state, ledger = ScheduleState(1), MigrationLedger()
         jobs = stream(("1/2", 2), ("1/3", 2))
-        apply_decision(state, jobs[0], AssignmentDecision(M2), ledger, 1)
+        apply_decision(state, jobs[0], AssignmentDecision(M2), ledger)
         snapshot = state.copy()
-        assert apply_decision(state, jobs[1], AssignmentDecision(M2), ledger, 1) is state
+        assert apply_decision(state, jobs[1], AssignmentDecision(M2), ledger) is state
         assert snapshot.jobs == {1: jobs[0]} and snapshot.y == Fraction(1, 2)
         assert state != snapshot and state.y == Fraction(5, 6)
 
@@ -484,7 +498,7 @@ class TestRatioBound:
 
 class TestMigrationLedger:
     def test_max_ratio(self):
-        ledger, state = MigrationLedger(), ScheduleState()
+        ledger, state = MigrationLedger(), ScheduleState(2)
         assert ledger.max_ratio == 0
         jobs = stream(("1/4", 2), ("1/2", 2), ("1/3", 2))
         decisions = [
@@ -493,7 +507,7 @@ class TestMigrationLedger:
             AssignmentDecision(M1, ((1, M2),)),
         ]
         for job, decision in zip(jobs, decisions):
-            state = apply_decision(state, job, decision, ledger, Fraction(2))
+            state = apply_decision(state, job, decision, ledger)
         # one entry per arrival: the job, its decision, moved volume, budget
         assert [e.job for e in ledger.entries] == list(jobs)
         assert [e.decision for e in ledger.entries] == decisions
@@ -506,8 +520,8 @@ class TestMigrationLedger:
         ledger = MigrationLedger()
         jobs = stream(("1/4", 2), ("1/2", 2))
         moving = AssignmentDecision(M2, ((1, M1),))
-        state = apply_decision(ScheduleState(), jobs[0], AssignmentDecision(M2), ledger, 2)
-        apply_decision(state, jobs[1], moving, ledger, 2)
+        state = apply_decision(ScheduleState(2), jobs[0], AssignmentDecision(M2), ledger)
+        apply_decision(state, jobs[1], moving, ledger)
         first, second = ledger.entries
         assert first.migrated_total is ZERO
         assert tuple(second) == (jobs[1], moving, Fraction(1, 4), Fraction(2))

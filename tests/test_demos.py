@@ -1,4 +1,5 @@
-"""Every script in ``demos/`` runs to completion against the package."""
+"""Every script in ``demos/`` runs to completion against the package and
+prints exactly its pinned output, ``tests/golden/<stem>.txt``."""
 from __future__ import annotations
 
 import os
@@ -10,6 +11,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+GOLDEN = ROOT / "tests" / "golden"
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=[path.name for path in DEMOS])
@@ -23,4 +25,4 @@ def test_demo_runs(script):
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout
+    assert result.stdout == (GOLDEN / f"{script.stem}.txt").read_text(encoding="utf-8")

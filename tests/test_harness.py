@@ -108,7 +108,7 @@ class TestRunMachinery:
     def test_run_violations_judge_cap_and_once_only_rule(self):
         # at m = 1 moving a 1/2 job for a 1/2 arrival keeps the budget m * p
         # but not B's cap of 3/4; a second rebalance breaks the once-only rule
-        def rebalancer(state, job, m):
+        def rebalancer(state, job):
             if job.index == 1:
                 return AssignmentDecision(M2)
             if job.index == 2:
@@ -218,6 +218,13 @@ class TestCli:
         assert main(["duel", "high", "A", "--m", "1"]) == 2
         assert capsys.readouterr().err == (
             "error: RegimeMismatch: high adversary needs m >= 5/2, got 1\n"
+        )
+
+    @pytest.mark.parametrize("adversary", ["high", "mid", "low", "totalsize"])
+    def test_duel_negative_m(self, adversary, capsys):
+        assert main(["duel", adversary, "baseline", "--m", "-1"]) == 2
+        assert capsys.readouterr().err == (
+            "error: NegativeM: migration factor must be >= 0, got -1\n"
         )
 
     def test_duel_totalsize_default_theta(self, capsys):

@@ -1,7 +1,7 @@
 """Semi-online bin stretching with migration on two hierarchical machines.
 
 Exact-rational schedulers for every migration factor, the matching
-adversarial lower-bound games, a brute-force offline oracle, planted
+adversarial lower-bound games, an exact offline oracle, planted
 instance generators, and a verification harness.  Import each name from
 the module that defines it, e.g. ``from hierstretch.core import Job``.
 """

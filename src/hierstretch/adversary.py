@@ -400,10 +400,16 @@ def play_duel(adversary, scheduler_name: str, scheduler_fn, m) -> DuelTranscript
     An illegal scheduler decision (any :class:`IllegalDecision`) ends the
     duel as a scheduler loss, recorded on the transcript.  When the
     emitted stream has at most ``EXACT_SEARCH_LIMIT`` grade-2 jobs, the
-    certificate is confirmed against the brute-force oracle; a certificate
-    the oracle contradicts raises :class:`BadCertificate`.
+    certificate is confirmed against the oracle; a certificate the oracle
+    contradicts raises :class:`BadCertificate`.  An m other than the
+    adversary's own raises :class:`RegimeMismatch` before any move.
     """
     state = ScheduleState(m)
+    if state.m != adversary.m:
+        raise RegimeMismatch(
+            f"adversary {adversary.name} plays m = {adversary.m}, "
+            f"but the duel was given m = {state.m}"
+        )
     transcript = DuelTranscript(
         adversary=adversary.name,
         adversary_params=adversary.params(),

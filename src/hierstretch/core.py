@@ -570,7 +570,7 @@ def validate_instance(instance: Instance, check_opt: bool = False) -> Validation
 
     Structural checks: positive sizes (enforced at parse already), total
     size at most twice the declared optimum, and grade-1 total at most the
-    declared optimum.  With ``check_opt``, the brute-force oracle must
+    declared optimum.  With ``check_opt``, the exact oracle must
     reproduce the declared optimum exactly.
     """
     report = ValidationReport()

@@ -1,9 +1,16 @@
-"""Brute-force offline optimum and prefix loads, used as ground truth.
+"""Exact offline optimum and prefix loads, used as ground truth.
 
-The search is exact: sizes are scaled once to integer units, every
-assignment of grade-2 jobs is enumerated on those ints (grade-1 jobs are
-pinned to machine 1) with branch-and-bound pruning on the partial loads,
-and results leave as Fractions.  Deliberately a different computation path
+Sizes are scaled once to integer units.  Grade-1 jobs are pinned to
+machine 1, so the optimum is fixed by y, the machine-2 load: the makespan
+is max(T - y, y) over the total T.  When the grade-2 total is at most
+``BITSET_LIMIT`` units, the loads y the grade-2 jobs can reach are the set
+bits of one int, built with one shift-or per job; the best y is the
+largest reachable one up to T/2 or the smallest from T/2 up, and one walk
+in arrival order picks the machine vector.  Larger totals (sizes with
+huge denominators, such as the known-total-size adversary's sand) fall
+back to a branch-and-bound over the 2^k placements.  Both paths refuse
+more than ``EXACT_SEARCH_LIMIT`` grade-2 jobs and return the same split;
+results leave as Fractions.  Deliberately a different computation path
 from any scheduler, so tests can use it as an independent oracle.
 """
 from __future__ import annotations
@@ -15,27 +22,53 @@ from typing import Sequence
 from .core import EXACT_SEARCH_LIMIT, Job, MachineId, ZERO, to_units
 from .errors import SizeLimit
 
+# largest grade-2 total, in units, whose reachable loads are kept as the
+# bits of one int (128 KiB); larger totals take the branch-and-bound
+BITSET_LIMIT = 1 << 20
 
-def _least_optimal_split(
-    jobs: Sequence[Job],
-) -> tuple[Fraction, tuple[MachineId, ...]]:
-    """The least optimal assignment of the grade-2 jobs, exact.
 
-    Returns the optimal makespan and the machine of each grade-2 job in
-    arrival order.  Among optimal assignments the least is the one with
-    the smallest machine-2 load, then the lexicographically smallest
-    machine vector (machine 1 before machine 2).  Grade-1 jobs are pinned
-    to machine 1; empty input gives makespan 0.
-    """
-    units, unit = to_units([job.size for job in jobs])
-    sizes = [size for size, job in zip(units, jobs) if job.gos == 2]
+def _bitset_split(
+    sizes: list[int], total: int
+) -> tuple[int, tuple[MachineId, ...]]:
+    """The least optimal split of grade-2 ``sizes`` (ints) when all jobs sum
+    to ``total``: its makespan and the machine of each grade-2 job."""
+    # suffix[i]: bit y set when jobs i.. can put exactly y on machine 2
+    suffix = [1]
+    for size in reversed(sizes):
+        reach = suffix[-1]
+        suffix.append(reach | reach << size)
+    suffix.reverse()
+    reach, grade2 = suffix[0], sum(sizes)
+    # y <= total // 2 has makespan total - y: take the largest such y; the
+    # mask is sized by the grade-2 total, since total may be huge
+    half = total // 2
+    y = (reach & ((2 << min(half, grade2)) - 1)).bit_length() - 1
+    best = total - y
+    # y >= total - half has makespan y: take the smallest, if it is better
+    rest = total - half
+    if rest <= grade2:  # bit grade2 is set, so some such y is reachable
+        upper = reach >> rest
+        up = rest + (upper & -upper).bit_length() - 1
+        if up < best:
+            best = y = up
+    # machine 1 first, whenever the later jobs can still make up y
+    vector = []
+    for size, later in zip(sizes, suffix[1:]):
+        if later >> y & 1:
+            vector.append(MachineId.M1)
+        else:
+            vector.append(MachineId.M2)
+            y -= size
+    return best, tuple(vector)
+
+
+def _search_split(
+    sizes: list[int], total: int
+) -> tuple[int, tuple[MachineId, ...]]:
+    """:func:`_bitset_split` by branch-and-bound, for any grade-2 total."""
     n = len(sizes)
-    if n > EXACT_SEARCH_LIMIT:
-        raise SizeLimit(
-            f"{n} grade-2 jobs exceed the exact-search limit {EXACT_SEARCH_LIMIT}"
-        )
     # start from everything on machine 1: the least vector of all
-    best = sum(units)
+    best = total
     best_y = 0
     best_mask = 0  # bit i set: grade-2 job i on machine 2
 
@@ -53,19 +86,41 @@ def _least_optimal_split(
         search(i + 1, load1, y + sizes[i], mask | (1 << i))
         search(i + 1, load1 + sizes[i], y, mask)
 
-    search(0, best - sum(sizes), 0, 0)
+    search(0, total - sum(sizes), 0, 0)
     del search  # its cell refers to it: leave no cycle for the collector
-    vector = tuple([
+    return best, tuple([
         MachineId.M2 if best_mask >> i & 1 else MachineId.M1 for i in range(n)
     ])
+
+
+def _least_optimal_split(
+    jobs: Sequence[Job],
+) -> tuple[Fraction, tuple[MachineId, ...]]:
+    """The least optimal assignment of the grade-2 jobs, exact.
+
+    Returns the optimal makespan and the machine of each grade-2 job in
+    arrival order.  Among optimal assignments the least is the one with
+    the smallest machine-2 load, then the lexicographically smallest
+    machine vector (machine 1 before machine 2).  Grade-1 jobs are pinned
+    to machine 1; empty input gives makespan 0.
+    """
+    units, unit = to_units([job.size for job in jobs])
+    sizes = [size for size, job in zip(units, jobs) if job.gos == 2]
+    if len(sizes) > EXACT_SEARCH_LIMIT:
+        raise SizeLimit(
+            f"{len(sizes)} grade-2 jobs exceed the exact-search limit "
+            f"{EXACT_SEARCH_LIMIT}"
+        )
+    split = _bitset_split if sum(sizes) <= BITSET_LIMIT else _search_split
+    best, vector = split(sizes, sum(units))
     return Fraction(best, unit), vector
 
 
 def brute_opt(jobs: Sequence[Job]) -> Fraction:
     """Minimum makespan over all feasible assignments, exact.
 
-    Grade-1 jobs are forced onto machine 1; the 2^k placements of the k
-    grade-2 jobs are searched with pruning.  Empty input gives 0.
+    Grade-1 jobs are forced onto machine 1 and the grade-2 jobs placed
+    as the module docstring describes.  Empty input gives 0.
     """
     return _least_optimal_split(jobs)[0]
 
@@ -117,7 +172,7 @@ class PrefixMonotoneReport:
 
 
 def prefix_opt_monotone_check(jobs: Sequence[Job]) -> PrefixMonotoneReport:
-    """Assert the brute-force optimum is non-decreasing over prefixes and
+    """Assert the exact optimum is non-decreasing over prefixes and
     never exceeds the optimum of the full input."""
     prefix_opts: list[Fraction] = []
     failures: list[str] = []

@@ -324,6 +324,23 @@ class TestDuelMechanics:
         err = capsys.readouterr().err
         assert err.startswith("error: BadCertificate: ") and err.count("\n") == 1
 
+    def test_mismatched_m_is_a_typed_error(self):
+        # the duel's m must be the game's own: A's budget at 3 against the
+        # low game at 1/4 would blame the game for the caller's m
+        with pytest.raises(RegimeMismatch, match="plays m = 1/4.*given m = 3"):
+            play_duel(AdvLow(Fraction(1, 4)), "A", SCHEDULERS["A"], 3)
+        transcript = play_duel(
+            AdvLow(Fraction(1, 4)), "baseline", SCHEDULERS["baseline"], "0.25"
+        )
+        assert transcript.m == Fraction(1, 4)
+
+    @pytest.mark.parametrize("claimed, code", [(Fraction(1), 0), (Fraction(2), 1)])
+    def test_cli_duel_exit_code_follows_the_verdict(self, claimed, code, monkeypatch):
+        monkeypatch.setitem(
+            ADVERSARIES, "one-job", lambda m: OneJob(m, claimed=claimed)
+        )
+        assert main(["duel", "one-job", "B", "--m", "1"]) == code
+
     def test_soundness_against_naive_schedulers(self):
         adversaries = [
             AdvHigh(Fraction(5, 2), ratio_bound(Fraction(5, 2)).mu * Fraction(999, 1000)),

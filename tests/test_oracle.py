@@ -11,7 +11,12 @@ from hypothesis import given, settings, strategies as st
 from hierstretch.core import MachineId
 from hierstretch.errors import SizeLimit
 from hierstretch.generators import generate, random_config
+from hierstretch import oracle
 from hierstretch.oracle import (
+    BITSET_LIMIT,
+    _bitset_split,
+    _least_optimal_split,
+    _search_split,
     brute_opt,
     opt_prefix_loads,
     prefix_opt_monotone_check,
@@ -78,6 +83,41 @@ class TestBruteOpt:
             assert opt >= max(job.size for job in jobs)
         if jobs and gos1 == 0:
             assert opt >= total / 2
+
+    def test_small_grade2_total_beside_huge_grade1_load(self):
+        # the bitset masks are sized by the grade-2 total, not the total
+        jobs = stream((10**12, 1), ("1/2", 2))
+        assert brute_opt(jobs) == 10**12
+        result = opt_prefix_loads(jobs)
+        assert result.opt == 10**12
+        assert result.machines[2] is M2
+
+
+class TestBitsetAgainstSearch:
+    """The bitset path and the branch-and-bound, called directly."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.integers(1, 1000), min_size=8, max_size=18),
+        st.one_of(st.just(0), st.integers(1, 3000), st.integers(1, 10**15)),
+    )
+    def test_same_split_at_thousandths(self, sizes, grade1):
+        # sizes in units of 1/1000, beside a grade-1 total of any size
+        total = grade1 + sum(sizes)
+        assert _bitset_split(sizes, total) == _search_split(sizes, total)
+
+    @pytest.mark.parametrize("grade2", [BITSET_LIMIT, BITSET_LIMIT + 1])
+    def test_path_boundary(self, grade2, monkeypatch):
+        sizes = [grade2 // 3, grade2 // 5, grade2 - grade2 // 3 - grade2 // 5]
+        for grade1 in (0, grade2 // 7, 3 * grade2):
+            total = grade1 + grade2
+            assert _bitset_split(sizes, total) == _search_split(sizes, total)
+        # the bitset takes totals up to the limit, the search anything above
+        jobs = stream(*[(size, 2) for size in sizes], (grade2 // 7, 1))
+        expected = _least_optimal_split(jobs)
+        unused = "_search_split" if grade2 <= BITSET_LIMIT else "_bitset_split"
+        monkeypatch.setattr(oracle, unused, None)
+        assert _least_optimal_split(jobs) == expected
 
 
 class TestOptPrefixLoads:

@@ -60,7 +60,7 @@ def as_fraction(value: RationalLike) -> Fraction:
 def as_migration_factor(value: RationalLike) -> Fraction:
     """:func:`as_fraction` for a migration factor m, which must be >= 0."""
     m = as_fraction(value)
-    if m < 0:
+    if m.numerator < 0:
         raise NegativeM(f"migration factor must be >= 0, got {m}")
     return m
 
@@ -117,7 +117,7 @@ class Job:
             raise ParseError(f"job index must be an int >= 1, got {self.index!r}")
         if not isinstance(self.size, Fraction):
             object.__setattr__(self, "size", as_fraction(self.size))
-        if self.size <= 0:
+        if self.size.numerator <= 0:
             raise ParseError(f"job {self.index} has non-positive size {self.size}")
         if type(self.gos) is not int or self.gos not in (1, 2):
             raise ParseError(
@@ -200,13 +200,15 @@ class ScheduleState:
     )
 
     def __init__(self, m: RationalLike) -> None:
-        self.tight = ratio_bound(m)
-        self.m = self.tight.m
+        self.tight = tight = ratio_bound(m)
+        self.m = tight.m
         self.jobs: dict[int, Job] = {}
         self.assignment: dict[int, MachineId] = {}
-        self.unit, constants = self.tight.units
-        for name, value in zip(self.SCALED, (0, 0, 0, *constants)):
-            setattr(self, name, value)
+        self.unit, (
+            self.r, self.low, self.cap, self.m_units, self.m_third,
+            self.two_m_thirds, self.quarter,
+        ) = tight.units
+        self.x_units = self.y_units = self.z_units = 0
 
     def copy(self) -> ScheduleState:
         twin = object.__new__(ScheduleState)
@@ -241,8 +243,16 @@ class ScheduleState:
         of den."""
         factor = math.lcm(self.unit, den) // self.unit
         self.unit *= factor
-        for name in self.SCALED:
-            setattr(self, name, getattr(self, name) * factor)
+        self.x_units *= factor
+        self.y_units *= factor
+        self.z_units *= factor
+        self.r *= factor
+        self.low *= factor
+        self.cap *= factor
+        self.m_units *= factor
+        self.m_third *= factor
+        self.two_m_thirds *= factor
+        self.quarter *= factor
 
     @property
     def x(self) -> Fraction:
@@ -425,7 +435,10 @@ class RegimeBound:
 
 
 @lru_cache(maxsize=4096)
-def _ratio_bound_cached(m: Fraction) -> RegimeBound:
+def _ratio_bound_cached(num: int, den: int) -> RegimeBound:
+    """The bound of m = num/den in lowest terms; keyed on two ints, which
+    hash faster than a Fraction."""
+    m = Fraction(num, den)
     if m >= Fraction(5, 2):
         mu = Fraction(2, 2 * m + 3)
         return RegimeBound(m, Regime.HIGH, 1 + mu, mu)
@@ -444,7 +457,8 @@ def ratio_bound(m: RationalLike) -> RegimeBound:
     (2m+5)/(2m+3) for m >= 5/2; 5/4 on [3/4, 5/2); 2-m on [1/2, 3/4);
     3/2 below 1/2.  Non-increasing in m and continuous at every boundary.
     """
-    return _ratio_bound_cached(as_migration_factor(m))
+    m = as_migration_factor(m)
+    return _ratio_bound_cached(m.numerator, m.denominator)
 
 
 @dataclass(frozen=True)

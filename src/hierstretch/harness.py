@@ -42,6 +42,7 @@ from .core import (
     Instance,
     Job,
     MigrationLedger,
+    RationalLike,
     RegimeBound,
     ScheduleState,
     apply_decision,
@@ -126,22 +127,25 @@ def run_stream(
     jobs: Sequence[Job],
     scheduler_fn: SchedulerFn,
     m,
-    bound: Fraction | None = None,
+    bound: RationalLike | None = None,
     per_arrival_bound: bool = False,
 ) -> RunResult:
     """Feed jobs through a scheduler with full budget/hierarchy enforcement.
 
-    A negative ``m`` raises :class:`NegativeM` before the first arrival.
-    Records a violation (and stops) if the scheduler produces an illegal
-    decision; optionally checks the makespan against ``bound`` after every
-    arrival.  Conservation of total size is always verified at the end,
-    against a separate int sum of the arrived sizes.
+    A negative ``m`` raises :class:`NegativeM` and a ``bound`` that is not
+    rational (see :func:`as_fraction`) :class:`ParseError`, both before
+    the first arrival.  Records a violation (and stops) if the scheduler
+    produces an illegal decision; optionally checks the makespan against
+    ``bound`` after every arrival.  Conservation of total size is always
+    verified at the end, against a separate int sum of the arrived sizes.
     """
     state = ScheduleState(m)  # a negative m raises NegativeM here
     ledger = MigrationLedger()
     violations: list[str] = []
     if bound is not None:
+        bound = as_fraction(bound)
         bound_num, bound_den = bound.numerator, bound.denominator
+    check_each = per_arrival_bound and bound is not None
 
     # arrived sizes in units of arrived_unit, which follows state.unit
     arrived, arrived_unit = 0, 1
@@ -160,14 +164,12 @@ def run_stream(
             arrived_unit = unit
         size = job.size
         arrived += size.numerator * (unit // size.denominator)
-        if (
-            per_arrival_bound
-            and bound is not None
-            and state.makespan_units * bound_den > bound_num * unit
-        ):
-            violations.append(
-                f"arrival {job.index}: makespan {state.makespan} > bound {bound}"
-            )
+        if check_each:
+            load1, load2 = state.x_units + state.z_units, state.y_units
+            if (load1 if load1 > load2 else load2) * bound_den > bound_num * unit:
+                violations.append(
+                    f"arrival {job.index}: makespan {state.makespan} > bound {bound}"
+                )
     unit = state.unit
     if bound is not None and state.makespan_units * bound_den > bound_num * unit:
         violations.append(f"final makespan {state.makespan} > bound {bound}")
@@ -186,7 +188,8 @@ def run_violations(result: RunResult, name: str, tight: RegimeBound) -> list[str
     scheduler."""
     violations = list(result.violations)
     ratio = result.ledger.max_ratio
-    if ratio > tight.migration_cap:
+    # a run that never migrated keeps every cap: compare only a nonzero ratio
+    if ratio and ratio > tight.migration_cap:
         violations.append(f"migration ratio {ratio} exceeds {tight.migration_cap}")
     if name in ONCE_ONLY and result.step45_count > 1:
         violations.append(f"rebalancing fired {result.step45_count} times")
@@ -302,38 +305,59 @@ def iter_suite_instances(seed: int, count: int):
         yield config, generate(config)
 
 
+def _check_count(count) -> None:
+    """Raise ParseError unless a suite's instance count is an int >= 0."""
+    if type(count) is not int or count < 0:
+        raise ParseError(f"suite count must be >= 0, got {count!r}")
+
+
+# the tight bound of each acceptance m, computed once
+ACCEPTANCE_BOUNDS = tuple(ratio_bound(m) for m in ACCEPTANCE_M_VALUES)
+
+
 def guarantee_suite(seed: int, count: int) -> SuiteSummary:
     """Run every generated instance under the regime's scheduler for each m.
 
     Checks, all exact: the makespan within the tight bound after every
     arrival, then :func:`run_violations`: no illegal decision, migration
     within ``migration_cap`` * p_j (m, or 3/4 for scheduler B), and at most
-    one rebalancing step per run for schedulers B, C, and D.
+    one rebalancing step per run for schedulers B, C, and D.  The twelve
+    bounds are computed once, in ``ACCEPTANCE_BOUNDS``, and their
+    schedulers once per call; per run, the margin to the bound is kept as
+    an int pair over the run's unit, and the note's Fraction is built
+    once at the end.  A ``count`` that is not an int >= 0 raises
+    :class:`ParseError`.
     """
-    if count < 0:
-        raise ParseError(f"suite count must be >= 0, got {count}")
+    _check_count(count)
     summary = SuiteSummary(name="guarantees")
-    plans = [
-        (m, ratio_bound(m), *scheduler_for_regime(m)) for m in ACCEPTANCE_M_VALUES
-    ]
-    worst_margin: Fraction | None = None
+    # looked up per call, so a rebound scheduler_for_regime or SCHEDULERS
+    # entry (a wrapper, a probe) is the one that runs
+    plans = [(tight, *scheduler_for_regime(tight.m)) for tight in ACCEPTANCE_BOUNDS]
+    # the smallest bound - makespan so far, as (num, den) with den > 0
+    worst: tuple[int, int] | None = None
     max_step45: dict[str, int] = {}
     for index, (config, instance) in enumerate(iter_suite_instances(seed, count)):
-        for m, tight, name, fn in plans:
+        for tight, name, fn in plans:
+            m, bound = tight.m, tight.bound
             result = run_stream(
-                instance.jobs, fn, m, bound=tight.bound, per_arrival_bound=True
+                instance.jobs, fn, m, bound=bound, per_arrival_bound=True
             )
             summary.runs += 1
-            tag = f"instance#{index}(seed={config.seed}) {name}@m={m}"
-            for violation in run_violations(result, name, tight):
-                summary.add_violation(f"{tag}: {violation}")
+            violations = run_violations(result, name, tight)
+            if violations:
+                tag = f"instance#{index}(seed={config.seed}) {name}@m={m}"
+                for violation in violations:
+                    summary.add_violation(f"{tag}: {violation}")
             if name in ONCE_ONLY:
                 max_step45[name] = max(max_step45.get(name, 0), result.step45_count)
-            margin = tight.bound - result.makespan
-            if worst_margin is None or margin < worst_margin:
-                worst_margin = margin
-    if worst_margin is not None:
-        summary.notes["smallest bound margin"] = _fmt(worst_margin)
+            state = result.final_state
+            unit, bound_den = state.unit, bound.denominator
+            num = bound.numerator * unit - state.makespan_units * bound_den
+            den = bound_den * unit
+            if worst is None or num * worst[1] < worst[0] * den:
+                worst = num, den
+    if worst is not None:
+        summary.notes["smallest bound margin"] = _fmt(Fraction(*worst))
     for name in sorted(max_step45):
         summary.notes[f"max rebalances per run ({name})"] = str(max_step45[name])
     return summary
@@ -392,9 +416,9 @@ def adversary_suite() -> SuiteSummary:
 
 
 def oracle_suite(seed: int, count: int) -> SuiteSummary:
-    """Planted-optimum and prefix-monotonicity checks for the oracle."""
-    if count < 0:
-        raise ParseError(f"suite count must be >= 0, got {count}")
+    """Planted-optimum and prefix-monotonicity checks for the oracle; a
+    ``count`` that is not an int >= 0 raises :class:`ParseError`."""
+    _check_count(count)
     summary = SuiteSummary(name="oracle")
     rng = random.Random(seed)
     for i in range(count):

@@ -52,10 +52,10 @@ class TestJob:
         job = Job(1, Fraction(1, 2), 2)
         assert job.size == Fraction(1, 2)
 
-    @pytest.mark.parametrize("size", [0, Fraction(0), Fraction(-1, 3)])
+    @pytest.mark.parametrize("size", [0, Fraction(0), Fraction(-1, 3), "-1/3", "0/7"])
     def test_rejects_nonpositive_size(self, size):
         with pytest.raises(ParseError):
-            Job(1, Fraction(size), 2)
+            Job(1, size, 2)
 
     def test_rejects_bad_gos(self):
         # a grade is the int 1 or 2: bools and floats are refused too
@@ -471,8 +471,14 @@ class TestRatioBound:
         assert ratio_bound("1/2").bound == Fraction(3, 2)  # lowC meets nomig
 
     def test_negative_m(self):
-        with pytest.raises(NegativeM):
-            ratio_bound("-1/2")
+        for m in ("-1/2", "-1/3", Fraction(-1, 10**9)):
+            with pytest.raises(NegativeM):
+                ratio_bound(m)
+
+    def test_cached_once_per_value(self):
+        # one cached bound per m in lowest terms, however m is written
+        assert ratio_bound(3) is ratio_bound("6/2") is ratio_bound(Fraction(3))
+        assert ratio_bound("3").m == 3
 
     @given(
         st.fractions(min_value=0, max_value=50, max_denominator=400),

@@ -13,12 +13,14 @@ from pathlib import Path
 import pytest
 
 import hierstretch
+from hierstretch import algorithms, harness
 from hierstretch.algorithms import SCHEDULERS
 from hierstretch.core import (
     AssignmentDecision,
     Instance,
     Job,
     MachineId,
+    fraction_str,
     jobs_from_pairs,
     ratio_bound,
 )
@@ -27,7 +29,10 @@ from hierstretch.harness import (
     ACCEPTANCE_M_VALUES,
     FOREIGN_SCHEDULERS,
     DEFAULT_SEED,
+    guarantee_suite,
+    iter_suite_instances,
     main,
+    oracle_suite,
     resolve_algorithm,
     run_instance,
     run_stream,
@@ -79,6 +84,19 @@ class TestRunMachinery:
         assert "IllegalDecision" in result.violations[0]
         assert reason in result.violations[0]
 
+    def test_run_stream_coerces_bound(self):
+        # a 'num/den' string is a bound; floats and bools are not rationals
+        jobs = stream(("1/2", 2), ("1", 2), ("1/2", 1))
+        baseline = SCHEDULERS["baseline"]
+        assert run_stream(jobs, baseline, 0, bound="3/2").violations == []
+        result = run_stream(jobs, baseline, 0, bound="5/4", per_arrival_bound=True)
+        assert result.violations == [
+            "arrival 3: makespan 3/2 > bound 5/4", "final makespan 3/2 > bound 5/4"
+        ]
+        for bad in (1.25, True):
+            with pytest.raises(ParseError):
+                run_stream(jobs, baseline, 0, bound=bad)
+
     def test_rescaled_instance(self):
         # declared optimum 2: sizes are halved internally, reports rescale back
         inst = Instance(
@@ -124,6 +142,49 @@ class TestRunMachinery:
             cap, "rebalancing fired 2 times"
         ]
         assert run_violations(result, "baseline", tight) == [cap]
+
+
+class TestGuaranteeSuite:
+    @pytest.mark.parametrize("suite", [guarantee_suite, oracle_suite])
+    @pytest.mark.parametrize("count", [2.5, "3", None, True, -1])
+    def test_count_must_be_an_int(self, suite, count):
+        with pytest.raises(ParseError, match="suite count must be >= 0"):
+            suite(1, count)
+
+    def test_sees_a_rebound_scheduler(self, monkeypatch):
+        # a wrapper put into SCHEDULERS is the one that runs
+        calls = []
+        original = algorithms.SCHEDULERS["B"]
+
+        def counting(state, job):
+            calls.append(job.index)
+            return original(state, job)
+
+        monkeypatch.setitem(algorithms.SCHEDULERS, "B", counting)
+        summary = guarantee_suite(1, 3)
+        assert summary.ok
+        assert calls
+
+    def test_sees_a_rebound_regime_lookup(self, monkeypatch):
+        # the benchmark's self-test swaps in a scheduler this way; piling
+        # everything onto machine 1 must break the bound
+        monkeypatch.setattr(
+            harness, "scheduler_for_regime", lambda m: ("all-m1", SCHEDULERS["all-m1"])
+        )
+        summary = guarantee_suite(1, 3)
+        assert not summary.ok
+        assert any("> bound" in violation for violation in summary.violations)
+
+    @pytest.mark.parametrize("seed, count", [(3, 30), (17, 40), (2024, 50)])
+    def test_margin_matches_a_fraction_recount(self, seed, count):
+        smallest = min(
+            ratio_bound(m).bound
+            - run_stream(instance.jobs, resolve_algorithm("auto", m)[1], m).makespan
+            for _, instance in iter_suite_instances(seed, count)
+            for m in ACCEPTANCE_M_VALUES
+        )
+        notes = guarantee_suite(seed, count).notes
+        assert notes["smallest bound margin"].split()[0] == fraction_str(smallest)
 
 
 def test_package_root_binds_only_its_modules():

@@ -15,10 +15,13 @@ arrival that would push machine 2 above r:
 
 Each is called as ``fn(state, job)``: the state carries its migration
 factor m and m's constants.  All of them decide as deterministic
-functions of the visible state, on ints over the state's unit (the only
-change they make to a state is to extend that unit); the three subset
-selectors take and return ints over that unit too.  The enforcement of budgets and hierarchy stays in
-:func:`core.apply_decision`.
+functions of the visible state, on ints over the state's unit: the
+arrival's size from :meth:`ScheduleState.units_of` and the placed jobs'
+from ``state.sizes`` (the only change they make to a state is to extend
+that unit and fill the conversion memo); the three subset selectors take
+and return ints over that unit too.  Schedulers A-D check the state's
+regime in their shared window.  The enforcement of budgets and hierarchy
+stays in :func:`core.apply_decision`.
 Three deliberately naive opponents used by adversary tests live at the
 bottom.
 """
@@ -143,17 +146,14 @@ def require_regime(name: str, m) -> RegimeBound:
     return tight
 
 
-def _check_regime(name: str, state: ScheduleState) -> None:
-    """Raise RegimeMismatch unless the state's m lies in scheduler
-    ``name``'s regime."""
+def _window(name: str, state: ScheduleState, job: Job) -> AssignmentDecision | None:
+    """Steps 2-3 of scheduler ``name`` (A-D), for r = ratio_bound(m).bound,
+    after raising RegimeMismatch unless the state's m lies in its regime:
+    grade-1 jobs, or any job once machine 2 holds 2-r, go to machine 1; a
+    job that keeps machine 2 within r joins it; otherwise None
+    (rebalancing)."""
     if state.tight.regime is not SCHEDULER_REGIME[name]:
         require_regime(name, state.m)
-
-
-def _window(state: ScheduleState, job: Job) -> AssignmentDecision | None:
-    """Steps 2-3 of schedulers A-D, for r = ratio_bound(m).bound: grade-1
-    jobs, or any job once machine 2 holds 2-r, go to machine 1; a job that
-    keeps machine 2 within r joins it; otherwise None (rebalancing)."""
     if job.gos == 1 or state.y_units >= state.low:
         return _WINDOW_M1
     if state.units_of(job.size) + state.y_units <= state.r:
@@ -187,22 +187,21 @@ def alg_a(state: ScheduleState, job: Job) -> AssignmentDecision:
     of size at most 1; among equal totals the subset search prefers the
     earliest arrivals.
     """
-    _check_regime("A", state)
-    decision = _window(state, job)
+    decision = _window("A", state, job)
     if decision is not None:
         return decision
 
     # rebalance: machine 2 gets a max-total subset of Z u Y u {j} capped at 1
     p = state.units_of(job.size)
-    candidates = [other for other in state.jobs.values() if other.gos == 2]
-    sizes = [state.units_of(other.size) for other in candidates] + [p]
+    candidates = [idx for idx, other in state.jobs.items() if other.gos == 2]
+    sizes = [state.sizes[idx] for idx in candidates] + [p]
     chosen, _ = select_max_subset(sizes, state.unit)
     picked = set(chosen)
     migrations = []
-    for pos, other in enumerate(candidates):
+    for pos, idx in enumerate(candidates):
         new_machine = M2 if pos in picked else M1
-        if state.assignment[other.index] is not new_machine:
-            migrations.append((other.index, new_machine))
+        if state.assignment[idx] is not new_machine:
+            migrations.append((idx, new_machine))
     target = M2 if len(candidates) in picked else M1  # the arrival is last
     return AssignmentDecision(target, tuple(migrations), step=4)
 
@@ -210,8 +209,7 @@ def alg_a(state: ScheduleState, job: Job) -> AssignmentDecision:
 def alg_b(state: ScheduleState, job: Job) -> AssignmentDecision:
     """Mid-migration scheduler (3/4 <= m < 5/2): makespan at most 5/4 while
     migrating at most (3/4) * p_j per arrival."""
-    _check_regime("B", state)
-    decision = _window(state, job)
+    decision = _window("B", state, job)
     if decision is not None:
         return decision
     p = state.units_of(job.size)
@@ -243,8 +241,7 @@ def alg_c(state: ScheduleState, job: Job) -> AssignmentDecision:
     machine-2 job is too big to migrate; otherwise the shortest prefix
     covering the overflow migrates and the arrival takes machine 2.
     """
-    _check_regime("C", state)
-    decision = _window(state, job)
+    decision = _window("C", state, job)
     if decision is not None:
         return decision
     p = state.units_of(job.size)
@@ -264,8 +261,7 @@ def alg_d(state: ScheduleState, job: Job) -> AssignmentDecision:
     smaller ones move a prefix of total in [m/3, 2m/3], swapped for its
     complement when it exceeds what the budget allows.
     """
-    _check_regime("D", state)
-    decision = _window(state, job)
+    decision = _window("D", state, job)
     if decision is not None:
         return decision
     p = state.units_of(job.size)

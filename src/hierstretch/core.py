@@ -6,7 +6,10 @@ Everything is exact: sizes, loads, budgets, and bounds cross the API as
 loads and m's constants (:attr:`RegimeBound.units`, scaled once per m)
 over one common unit, and is updated in place by :func:`apply_decision`,
 one arrival at a time; the exponential searches scale their input once
-(:func:`to_units`).
+(:func:`to_units`).  The state keeps each placed job's size in units, so
+an arrival converts only its own size, once.  A :class:`MigrationLedger`
+keeps the arrivals as columns and builds its :class:`LedgerEntry` records
+only when they are read.
 Every guarantee in this package is a decidable comparison rather than a
 float tolerance.  JSON output goes through one codec, :func:`json_ready`,
 which writes each Fraction as its 'num/den' string.
@@ -99,6 +102,11 @@ class MachineId(IntEnum):
     M2 = 2
 
 
+# a member read through its enum class costs a metaclass lookup; the hot
+# paths read this module global instead
+_M2 = MachineId.M2
+
+
 @dataclass(frozen=True, slots=True)
 class Job:
     """One stream element: positive size and a grade of service in {1, 2}.
@@ -155,18 +163,44 @@ class LedgerEntry(NamedTuple):
 
 
 class MigrationLedger:
-    """Per-arrival record of decisions and migrated volume, in arrival order."""
+    """Per-arrival record of decisions and migrated volume, in arrival
+    order, kept as columns that :func:`apply_decision` appends to.
+
+    ``jobs``, ``decisions`` and ``ms`` (the m of the state that applied
+    the arrival) hold one item per applied arrival; ``migrated`` maps the
+    position of each arrival that migrated to its volume, a Fraction.
+    ``max_ratio`` is the largest migrated volume / p_j so far (``ZERO`` if
+    none), updated only when an arrival migrates.  :attr:`entries` is the
+    same record as :class:`LedgerEntry` values, built when read.
+    """
 
     def __init__(self) -> None:
-        self.entries: list[LedgerEntry] = []
+        self.jobs: list[Job] = []
+        self.decisions: list[AssignmentDecision] = []
+        self.ms: list[Fraction] = []
+        self.migrated: dict[int, Fraction] = {}
+        self.max_ratio = ZERO
+        self._entries: list[LedgerEntry] = []
 
     @property
-    def max_ratio(self) -> Fraction:
-        """Largest migrated_total / p_j over all arrivals (0 if none)."""
-        return max(
-            (e.migrated_total / e.job.size for e in self.entries if e.migrated_total),
-            default=ZERO,
-        )
+    def entries(self) -> list[LedgerEntry]:
+        """One :class:`LedgerEntry` per applied arrival, in arrival order.
+
+        The list is cached and extended by the arrivals applied since the
+        last read, so reading it after every arrival stays linear; do not
+        modify it."""
+        built = self._entries
+        start = len(built)
+        if start < len(self.jobs):
+            migrated = self.migrated
+            built += [
+                LedgerEntry(job, decision, migrated.get(pos, ZERO), m)
+                for pos, job, decision, m in zip(
+                    range(start, len(self.jobs)),
+                    self.jobs[start:], self.decisions[start:], self.ms[start:],
+                )
+            ]
+        return built
 
 
 class ScheduleState:
@@ -175,15 +209,18 @@ class ScheduleState:
 
     ``ScheduleState(m)`` parses m once (a negative m raises
     :class:`NegativeM`) and keeps it with its tight bound ``tight``.
-    ``jobs`` holds the arrived jobs in arrival order and ``assignment``
-    their machines.  The ints named in ``SCALED`` share one ``unit``, the
-    lcm of every denominator among them and the sizes seen: the loads
-    ``x_units``, ``y_units`` and ``z_units``, then m's constants ``r``
-    (the tight bound), ``low`` (2 - r), ``cap`` (``migration_cap``),
-    ``m_units``, ``m_third`` and ``two_m_thirds`` (m, m/3 and 2m/3) and
-    ``quarter`` (1/4).  A new denominator rescales all of them once, so
-    read them from the state where they are used.  :meth:`units_of` gives
-    a size in units, and :meth:`y_order` sorts the machine-2 jobs.
+    ``jobs`` holds the arrived jobs in arrival order, ``assignment``
+    their machines and ``sizes`` their sizes in units.  The ints named in
+    ``SCALED`` and ``sizes`` share one ``unit``, the lcm of every
+    denominator among them and the sizes seen: the loads ``x_units``,
+    ``y_units`` and ``z_units``, then m's constants ``r`` (the tight
+    bound), ``low`` (2 - r), ``cap`` (``migration_cap``), ``m_units``,
+    ``m_third`` and ``two_m_thirds`` (m, m/3 and 2m/3) and ``quarter``
+    (1/4).  A new denominator rescales all of them once, so read them from
+    the state where they are used.  :meth:`units_of` gives a size in
+    units and remembers the last size it converted, so a scheduler and
+    :func:`apply_decision` convert an arrival once between them;
+    :meth:`y_order` sorts the machine-2 jobs.
 
     ``x``: total size of grade-1 jobs (all on machine 1).
     ``y``: total size of grade-2 jobs on machine 2.
@@ -204,17 +241,22 @@ class ScheduleState:
         self.m = tight.m
         self.jobs: dict[int, Job] = {}
         self.assignment: dict[int, MachineId] = {}
+        self.sizes: dict[int, int] = {}
         self.unit, (
             self.r, self.low, self.cap, self.m_units, self.m_third,
             self.two_m_thirds, self.quarter,
         ) = tight.units
         self.x_units = self.y_units = self.z_units = 0
+        # units_of's memo: the last size converted and its units
+        self._last_size: Fraction | None = None
+        self._last_units = 0
 
     def copy(self) -> ScheduleState:
         twin = object.__new__(ScheduleState)
-        for name in ("m", "tight", "unit", *self.SCALED):
+        for name in ("m", "tight", "unit", "_last_size", "_last_units", *self.SCALED):
             setattr(twin, name, getattr(self, name))
         twin.jobs, twin.assignment = dict(self.jobs), dict(self.assignment)
+        twin.sizes = dict(self.sizes)
         return twin
 
     def __eq__(self, other: object) -> bool:
@@ -232,17 +274,26 @@ class ScheduleState:
         )
 
     def units_of(self, value: Fraction) -> int:
-        """``value`` in units, first extending the unit to its denominator."""
+        """``value`` in units, first extending the unit to its denominator.
+
+        The last Fraction object converted is remembered with its units
+        and served again without arithmetic; every other value, the only
+        kind that can extend the unit, replaces it."""
+        if value is self._last_size:
+            return self._last_units
         den = value.denominator
         if self.unit % den:
             self._extend(den)
-        return value.numerator * (self.unit // den)
+        units = value.numerator * (self.unit // den)
+        self._last_size, self._last_units = value, units
+        return units
 
     def _extend(self, den: int) -> None:
-        """Rescale every ``SCALED`` int once, so the unit becomes a multiple
-        of den."""
+        """Rescale every ``SCALED`` int and each job's units once, so the
+        unit becomes a multiple of den."""
         factor = math.lcm(self.unit, den) // self.unit
         self.unit *= factor
+        self.sizes = {idx: size * factor for idx, size in self.sizes.items()}
         self.x_units *= factor
         self.y_units *= factor
         self.z_units *= factor
@@ -289,10 +340,11 @@ class ScheduleState:
     def y_order(self) -> list[tuple[int, int]]:
         """Machine-2 jobs as (-units, index), sorted: the largest job first,
         ties to the smaller index."""
+        sizes = self.sizes
         return sorted([
-            (-self.units_of(self.jobs[idx].size), idx)
+            (-sizes[idx], idx)
             for idx, machine in self.assignment.items()
-            if machine is MachineId.M2
+            if machine is _M2
         ])
 
     def sorted_y_desc(self) -> list[tuple[int, Fraction]]:
@@ -311,8 +363,8 @@ def apply_decision(
     per-arrival migration budget m * p_j, for the state's m, and the
     machine hierarchy.
 
-    Updates ``state`` in place and returns it; the ledger gains one entry
-    for this arrival.  Raises an :class:`IllegalDecision` (BudgetExceeded,
+    Updates ``state`` in place and returns it; the ledger's columns gain
+    this arrival.  Raises an :class:`IllegalDecision` (BudgetExceeded,
     HierarchyViolation, UnknownJob, or the base class itself) on an
     illegal decision, a decision that is not an
     :class:`AssignmentDecision` with a tuple of migrations, a malformed
@@ -329,15 +381,15 @@ def apply_decision(
     target = decision.target
     if not isinstance(target, MachineId):
         raise IllegalDecision(f"job {job.index} sent to unknown machine {target!r}")
-    if job.gos == 1 and target is MachineId.M2:
+    if job.gos == 1 and target is _M2:
         raise HierarchyViolation(
             f"grade-1 job {job.index} cannot run on machine 2"
         )
 
     p = state.units_of(job.size)
     assignment = state.assignment
+    sizes = state.sizes
     migrations = decision.migrations
-    migrated_total = ZERO
     if migrations:
         migrated = to_m2 = 0  # to_m2: net units moved onto machine 2
         seen: set[int] = set()
@@ -363,13 +415,13 @@ def apply_decision(
                 raise IllegalDecision(
                     f"migration of job {idx} does not change machines"
                 )
-            if moved.gos == 1 and new_machine is MachineId.M2:
+            if moved.gos == 1 and new_machine is _M2:
                 raise HierarchyViolation(
                     f"grade-1 job {idx} cannot migrate to machine 2"
                 )
-            size = state.units_of(moved.size)
+            size = sizes[idx]
             migrated += size
-            to_m2 += size if new_machine is MachineId.M2 else -size
+            to_m2 += size if new_machine is _M2 else -size
         migrated_total = Fraction(migrated, state.unit)
         if migrated * state.unit > state.m_units * p:
             raise BudgetExceeded(
@@ -380,17 +432,24 @@ def apply_decision(
             assignment[idx] = new_machine
         state.y_units += to_m2
         state.z_units -= to_m2
+        ledger.migrated[len(ledger.jobs)] = migrated_total
+        ratio = Fraction(migrated, p)
+        if ratio > ledger.max_ratio:
+            ledger.max_ratio = ratio
 
     idx = job.index
     state.jobs[idx] = job
     assignment[idx] = target
+    sizes[idx] = p
     if job.gos == 1:
         state.x_units += p
-    elif target is MachineId.M2:
+    elif target is _M2:
         state.y_units += p
     else:
         state.z_units += p
-    ledger.entries.append(LedgerEntry(job, decision, migrated_total, state.m))
+    ledger.jobs.append(job)
+    ledger.decisions.append(decision)
+    ledger.ms.append(state.m)
     return state
 
 

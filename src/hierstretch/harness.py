@@ -18,6 +18,7 @@ import random
 import sys
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from itertools import islice
 from typing import Sequence
 
 from .adversary import (
@@ -104,19 +105,25 @@ def _fmt(value: Fraction) -> str:
 
 @dataclass
 class RunResult:
-    """Outcome of streaming one job list through one scheduler."""
+    """Outcome of streaming one job list through one scheduler.
+
+    ``decisions`` and ``step45_count`` read the ledger's decision column;
+    the count walks it on its first read only."""
 
     final_state: ScheduleState
     ledger: MigrationLedger
     violations: list[str]
+    _step45: int | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def decisions(self) -> list[AssignmentDecision]:
-        return [entry.decision for entry in self.ledger.entries]
+        return list(self.ledger.decisions)
 
     @property
     def step45_count(self) -> int:
-        return sum(1 for e in self.ledger.entries if e.decision.step in (4, 5))
+        if self._step45 is None:
+            self._step45 = sum(1 for d in self.ledger.decisions if d.step in (4, 5))
+        return self._step45
 
     @property
     def makespan(self) -> Fraction:
@@ -136,8 +143,9 @@ def run_stream(
     rational (see :func:`as_fraction`) :class:`ParseError`, both before
     the first arrival.  Records a violation (and stops) if the scheduler
     produces an illegal decision; optionally checks the makespan against
-    ``bound`` after every arrival.  Conservation of total size is always
-    verified at the end, against a separate int sum of the arrived sizes.
+    ``bound`` after every arrival, as ints against the bound in units
+    rounded down.  Conservation of total size is always verified at the
+    end, against a separate int sum of the sizes of the input jobs placed.
     """
     state = ScheduleState(m)  # a negative m raises NegativeM here
     ledger = MigrationLedger()
@@ -146,9 +154,9 @@ def run_stream(
         bound = as_fraction(bound)
         bound_num, bound_den = bound.numerator, bound.denominator
     check_each = per_arrival_bound and bound is not None
-
-    # arrived sizes in units of arrived_unit, which follows state.unit
-    arrived, arrived_unit = 0, 1
+    # an int makespan exceeds the bound exactly when it exceeds the bound's
+    # floor in units: recomputed when the unit grows
+    limit_unit = limit = 0
     for job in jobs:
         try:
             decision = scheduler_fn(state, job)
@@ -158,22 +166,21 @@ def run_stream(
         except HierStretchError as exc:
             violations.append(f"arrival {job.index}: {type(exc).__name__}: {exc}")
             break
-        unit = state.unit
-        if unit != arrived_unit:
-            arrived *= unit // arrived_unit
-            arrived_unit = unit
-        size = job.size
-        arrived += size.numerator * (unit // size.denominator)
         if check_each:
-            load1, load2 = state.x_units + state.z_units, state.y_units
-            if (load1 if load1 > load2 else load2) * bound_den > bound_num * unit:
+            if state.unit != limit_unit:
+                limit_unit = state.unit
+                limit = bound_num * limit_unit // bound_den
+            if state.x_units + state.z_units > limit or state.y_units > limit:
                 violations.append(
                     f"arrival {job.index}: makespan {state.makespan} > bound {bound}"
                 )
     unit = state.unit
     if bound is not None and state.makespan_units * bound_den > bound_num * unit:
         violations.append(f"final makespan {state.makespan} > bound {bound}")
-    arrived *= unit // arrived_unit
+    arrived = 0
+    for job in islice(jobs, len(ledger.jobs)):
+        size = job.size
+        arrived += size.numerator * (unit // size.denominator)
     if state.x_units + state.y_units + state.z_units != arrived:
         violations.append(
             f"conservation broken: loads sum to {state.arrived_total}, "

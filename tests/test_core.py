@@ -15,6 +15,7 @@ from hierstretch.core import (
     AssignmentDecision,
     Instance,
     Job,
+    LedgerEntry,
     MachineId,
     MigrationLedger,
     Regime,
@@ -90,6 +91,14 @@ def _state_with(pairs, machines, m=10):
         job = Job(len(state.jobs) + 1, as_fraction(p), g)
         state = apply_decision(state, job, AssignmentDecision(mach), ledger)
     return state
+
+
+def _columns(ledger):
+    """Copies of every column of a ledger, and its running maximum."""
+    return (
+        list(ledger.jobs), list(ledger.decisions), list(ledger.ms),
+        dict(ledger.migrated), ledger.max_ratio,
+    )
 
 
 class TestApplyDecision:
@@ -173,6 +182,9 @@ class TestApplyDecision:
             st.lists(st.tuples(sizes, st.sampled_from([1, 2])), min_size=1, max_size=6)
         )
         state, ledger = ScheduleState(m), MigrationLedger()
+        # a twin fed the same legal decisions, whose entries are read only
+        # at the end, and the entries the old ledger built eagerly
+        twin, lazy, eager = ScheduleState(m), MigrationLedger(), []
         for job in stream(*pairs):
             indices = st.integers(0, job.index + 1)
             moves = st.tuples(indices, machines) | st.one_of(
@@ -183,27 +195,48 @@ class TestApplyDecision:
                 st.none() | indices,
             )
             migrations = st.lists(moves, max_size=4).map(tuple) | st.none() | indices
+            # well-formed decisions moving placed jobs (or the arrival
+            # itself), so that legal migrations and budget overruns are
+            # drawn too
+            target = st.sampled_from([M1, M2])
+            placed = st.tuples(st.integers(1, job.index), target)
+            wellformed = st.lists(placed, max_size=3, unique_by=lambda move: move[0])
             decision = data.draw(
-                st.builds(AssignmentDecision, machines, migrations) | st.none()
+                st.builds(AssignmentDecision, target, wellformed.map(tuple))
+                | st.builds(AssignmentDecision, machines, migrations)
+                | st.none()
             )
             entries = list(ledger.entries)
+            columns = _columns(ledger)
             before = state.copy()
             try:
                 new = apply_decision(state, job, decision, ledger)
             except IllegalDecision:
                 assert ledger.entries == entries
+                assert _columns(ledger) == columns
                 assert state == before
                 assert state.sorted_y_desc() == before.sorted_y_desc()
-                new = apply_decision(state, job, AssignmentDecision(M1), ledger)
+                decision = AssignmentDecision(M1)
+                new = apply_decision(state, job, decision, ledger)
             else:
                 moved = sum(state.jobs[i].size for i, _ in decision.migrations)
                 assert moved <= m * job.size
+            moved = sum((before.jobs[i].size for i, _ in decision.migrations), ZERO)
+            eager.append(LedgerEntry(job, decision, moved, state.m))
+            assert ledger.entries == eager
+            apply_decision(twin, job, decision, lazy)
             state = new
             assert all(isinstance(mach, MachineId) for mach in state.assignment.values())
             assert state.arrived_total == sum(j.size for j in state.jobs.values())
             assert all(
                 state.assignment[i] is M1 for i, j in state.jobs.items() if j.gos == 1
             )
+        assert lazy.entries == eager
+        old_walk = max(
+            (e.migrated_total / e.job.size for e in eager if e.migrated_total),
+            default=ZERO,
+        )
+        assert ledger.max_ratio == lazy.max_ratio == old_walk
 
     @pytest.mark.parametrize("name", ["baseline", "B"])
     def test_run_stream_negative_m(self, name):
@@ -363,6 +396,47 @@ class TestKernel:
             assert runs[0] == runs[1], name
             assert fresh == primed, name
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_sizes_follow_the_unit(self, data):
+        # each placed job's units stay its size over the state's unit after
+        # every arrival, every extension and every copy; a copy and its
+        # original each serve the memo only over their own unit
+        name = data.draw(st.sampled_from(sorted(SCHEDULERS)))
+        m = Fraction(data.draw(st.sampled_from(KERNEL_M.get(name, ["0", "1/4", "3"]))))
+        pairs = data.draw(
+            st.lists(st.tuples(mixed_sizes, st.sampled_from([1, 2])), min_size=1, max_size=10)
+        )
+        primes = iter([7919, 7907, 7901, 7883, 7879, 7877, 7873, 7867, 7853, 7841])
+
+        def holds(state):
+            assert state.sizes.keys() == state.jobs.keys()
+            for i, job in state.jobs.items():
+                assert state.sizes[i] == state.units_of(job.size)
+                assert Fraction(state.sizes[i], state.unit) == job.size
+
+        state, ledger = ScheduleState(m), MigrationLedger()
+        for job in stream(*pairs):
+            try:
+                apply_decision(state, job, SCHEDULERS[name](state, job), ledger)
+            except IllegalDecision:
+                break
+            holds(state)
+            twin = state.copy()
+            holds(twin)
+            # the memo holds the arrival's units; the original extends
+            assert state.units_of(job.size) == twin.units_of(job.size)
+            state.units_of(Fraction(1, next(primes)))
+            holds(state)
+            holds(twin)
+            for side in (state, twin):
+                assert Fraction(side.units_of(job.size), side.unit) == job.size
+            # and the other way round: the copy extends, the original keeps
+            twin.units_of(job.size)
+            twin.units_of(Fraction(1, 7829))
+            holds(twin)
+            assert Fraction(state.units_of(job.size), state.unit) == job.size
+
     def test_copy_is_a_snapshot(self):
         state, ledger = ScheduleState(1), MigrationLedger()
         jobs = stream(("1/2", 2), ("1/3", 2))
@@ -370,6 +444,7 @@ class TestKernel:
         snapshot = state.copy()
         assert apply_decision(state, jobs[1], AssignmentDecision(M2), ledger) is state
         assert snapshot.jobs == {1: jobs[0]} and snapshot.y == Fraction(1, 2)
+        assert snapshot.sizes == {1: snapshot.unit // 2}
         assert state != snapshot and state.y == Fraction(5, 6)
 
 

@@ -13,18 +13,20 @@ from pathlib import Path
 import pytest
 
 import hierstretch
-from hierstretch import algorithms, harness
+from hierstretch import algorithms, core, harness
 from hierstretch.algorithms import SCHEDULERS
 from hierstretch.core import (
     AssignmentDecision,
     Instance,
     Job,
+    LedgerEntry,
     MachineId,
     fraction_str,
     jobs_from_pairs,
     ratio_bound,
 )
 from hierstretch.errors import ParseError
+from hierstretch.generators import FillMode, GenConfig, generate
 from hierstretch.harness import (
     ACCEPTANCE_M_VALUES,
     FOREIGN_SCHEDULERS,
@@ -96,6 +98,80 @@ class TestRunMachinery:
         for bad in (1.25, True):
             with pytest.raises(ParseError):
                 run_stream(jobs, baseline, 0, bound=bad)
+
+    @pytest.mark.parametrize("name, gos", [("all-m1", 1), ("greedy-m2", 2)])
+    def test_per_arrival_bound_at_the_boundary(self, name, gos):
+        # at m = 0 the unit starts at 4 and grows to 12, 60 and 1860 with
+        # the arrivals: 2/3 is 8 units of 12, under the bound 7/10 (8.4
+        # units); 7/10 is 42 units of 60, equal to it; the last arrival
+        # adds one unit of 1860 over it
+        jobs = stream(("1/3", gos), ("1/3", gos), ("1/30", gos), ("1/1860", gos))
+        fn = SCHEDULERS[name]
+        bound = Fraction(7, 10)
+        result = run_stream(jobs[:3], fn, 0, bound=bound, per_arrival_bound=True)
+        assert result.violations == []
+        assert (result.makespan, result.final_state.unit) == (bound, 60)
+        result = run_stream(jobs, fn, 0, bound=bound, per_arrival_bound=True)
+        assert result.final_state.unit == 1860
+        over = bound + Fraction(1, 1860)
+        assert result.violations == [
+            f"arrival 4: makespan {over} > bound 7/10",
+            f"final makespan {over} > bound 7/10",
+        ]
+        # 3/4 is 9 units of 12: over the bound, which lies between 8 and 9
+        jobs = stream(("1/3", gos), ("1/3", gos), ("1/12", gos))
+        result = run_stream(jobs, fn, 0, bound=bound, per_arrival_bound=True)
+        assert result.violations == [
+            "arrival 3: makespan 3/4 > bound 7/10", "final makespan 3/4 > bound 7/10"
+        ]
+
+    def test_conservation_catches_a_dropped_load_update(self, monkeypatch):
+        # an apply_decision that forgets the grade-1 arrival's load
+        original = harness.apply_decision
+
+        def dropping(state, job, decision, ledger):
+            original(state, job, decision, ledger)
+            if job.gos == 1:
+                state.x_units -= state.sizes[job.index]
+            return state
+
+        monkeypatch.setattr(harness, "apply_decision", dropping)
+        jobs = stream(("1/2", 2), ("1/4", 1))
+        result = run_stream(jobs, SCHEDULERS["baseline"], Fraction(0))
+        assert result.violations == [
+            "conservation broken: loads sum to 1/2, arrived 3/4"
+        ]
+
+    def test_entries_are_built_only_when_read(self, monkeypatch):
+        # a long run keeps its ledger as columns: the decisions, the
+        # rebalance count, the migration ratio and the verdict read no entry
+        built = []
+
+        def counting(*fields):
+            built.append(fields)
+            return LedgerEntry(*fields)
+
+        monkeypatch.setattr(core, "LedgerEntry", counting)
+        config = GenConfig(
+            seed=0, n_gos2=800, n_gos1=200, denominator_bound=10**6,
+            fill_mode=FillMode.SLACK,
+        )
+        jobs = generate(config).jobs
+        assert len(jobs) == 1000
+        m = Fraction(1)
+        tight = ratio_bound(m)
+        result = run_stream(
+            jobs, SCHEDULERS["B"], m, bound=tight.bound, per_arrival_bound=True
+        )
+        assert run_violations(result, "B", tight) == []
+        assert len(result.decisions) == 1000
+        assert result.step45_count == 1
+        assert result.ledger.max_ratio > 0
+        assert built == []
+        entries = result.ledger.entries
+        assert len(built) == 1000
+        assert [e.decision for e in entries] == result.decisions
+        assert result.ledger.entries is entries and len(built) == 1000
 
     def test_rescaled_instance(self):
         # declared optimum 2: sizes are halved internally, reports rescale back

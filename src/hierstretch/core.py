@@ -71,10 +71,9 @@ def as_migration_factor(value: RationalLike) -> Fraction:
 def to_units(values: list[Fraction]) -> tuple[list[int], int]:
     """Scale exact rationals to ints over one common unit: returns each
     ``value * unit`` and ``unit``, the lcm of the denominators (1 if none)."""
-    unit = 1
-    for value in values:
-        unit = math.lcm(unit, value.denominator)
-    return [value.numerator * (unit // value.denominator) for value in values], unit
+    ratios = [value.as_integer_ratio() for value in values]
+    unit = math.lcm(*[den for _, den in ratios])
+    return [num * (unit // den) for num, den in ratios], unit
 
 
 def fraction_str(value: Fraction) -> str:
@@ -555,11 +554,13 @@ class Instance:
 
     @property
     def total_size(self) -> Fraction:
-        return sum((job.size for job in self.jobs), ZERO)
+        units, unit = to_units([job.size for job in self.jobs])
+        return Fraction(sum(units), unit)
 
     @property
     def gos1_total(self) -> Fraction:
-        return sum((job.size for job in self.jobs if job.gos == 1), ZERO)
+        units, unit = to_units([job.size for job in self.jobs if job.gos == 1])
+        return Fraction(sum(units), unit)
 
     def normalized(self) -> "Instance":
         """Rescale sizes by 1/declared_opt so the declared optimum is 1."""
@@ -647,26 +648,30 @@ def validate_instance(instance: Instance, check_opt: bool = False) -> Validation
     reproduce the declared optimum exactly.
     """
     report = ValidationReport()
-    total = instance.total_size
-    if total > 2 * instance.declared_opt:
+    jobs, opt = instance.jobs, instance.declared_opt
+    # both totals as ints over one unit, compared with opt = num/den by
+    # cross-multiplication; a Fraction is built only for a failure message
+    units, unit = to_units([job.size for job in jobs])
+    total = sum(units)
+    gos1 = sum([size for size, job in zip(units, jobs) if job.gos == 1])
+    num, den = opt.as_integer_ratio()
+    if total * den > 2 * num * unit:
         report.failures.append(
-            f"total size {total} exceeds twice the declared optimum "
-            f"{instance.declared_opt}"
+            f"total size {Fraction(total, unit)} exceeds twice the declared "
+            f"optimum {opt}"
         )
-    gos1 = instance.gos1_total
-    if gos1 > instance.declared_opt:
+    if gos1 * den > num * unit:
         report.failures.append(
-            f"grade-1 total {gos1} exceeds the declared optimum "
-            f"{instance.declared_opt}"
+            f"grade-1 total {Fraction(gos1, unit)} exceeds the declared "
+            f"optimum {opt}"
         )
     if check_opt:
         from .oracle import brute_opt
 
-        opt = brute_opt(instance.jobs)
-        report.oracle_opt = opt
-        if opt != instance.declared_opt:
+        report.oracle_opt = brute_opt(jobs)
+        if report.oracle_opt != opt:
             report.failures.append(
-                f"brute-force optimum {opt} differs from declared "
-                f"{instance.declared_opt}"
+                f"brute-force optimum {report.oracle_opt} differs from declared "
+                f"{opt}"
             )
     return report

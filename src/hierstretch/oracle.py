@@ -1,17 +1,21 @@
 """Exact offline optimum and prefix loads, used as ground truth.
 
-Sizes are scaled once to integer units.  Grade-1 jobs are pinned to
-machine 1, so the optimum is fixed by y, the machine-2 load: the makespan
-is max(T - y, y) over the total T.  When the grade-2 total is at most
-``BITSET_LIMIT`` units, the loads y the grade-2 jobs can reach are the set
-bits of one int, built with one shift-or per job; the best y is the
-largest reachable one up to T/2 or the smallest from T/2 up, and one walk
-in arrival order picks the machine vector.  Larger totals (sizes with
-huge denominators, such as the known-total-size adversary's sand) fall
-back to a branch-and-bound over the 2^k placements.  Both paths refuse
-more than ``EXACT_SEARCH_LIMIT`` grade-2 jobs and return the same split;
-results leave as Fractions.  Deliberately a different computation path
-from any scheduler, so tests can use it as an independent oracle.
+Each call scales its sizes once to integer units and works on ints;
+a Fraction is built only for a value it returns.  Grade-1 jobs are
+pinned to machine 1, so the optimum is fixed by y, the machine-2 load:
+the makespan is max(T - y, y) over the total T.  When the grade-2 total
+is at most ``BITSET_LIMIT`` units, the loads y the grade-2 jobs can reach
+are the set bits of one int, built with one shift-or per job; the best y
+is the largest reachable one up to T/2 or the smallest from T/2 up.
+:func:`brute_opt` keeps only that one int.  The least optimal split keeps
+the reach of every suffix, and one walk in arrival order picks its
+machine vector; :func:`opt_prefix_loads` then runs the prefix loads as
+ints.  Larger totals (sizes with huge denominators, such as the
+known-total-size adversary's sand) fall back to a branch-and-bound over
+the 2^k placements.  Both paths refuse more than ``EXACT_SEARCH_LIMIT``
+grade-2 jobs and return the same split.  Deliberately a different
+computation path from any scheduler, so tests can use it as an
+independent oracle.
 """
 from __future__ import annotations
 
@@ -26,19 +30,29 @@ from .errors import SizeLimit
 # bits of one int (128 KiB); larger totals take the branch-and-bound
 BITSET_LIMIT = 1 << 20
 
+# a member read through its enum class costs a metaclass lookup; the
+# per-job loops read these module globals instead
+M1 = MachineId.M1
+M2 = MachineId.M2
 
-def _bitset_split(
-    sizes: list[int], total: int
-) -> tuple[int, tuple[MachineId, ...]]:
-    """The least optimal split of grade-2 ``sizes`` (ints) when all jobs sum
-    to ``total``: its makespan and the machine of each grade-2 job."""
-    # suffix[i]: bit y set when jobs i.. can put exactly y on machine 2
-    suffix = [1]
-    for size in reversed(sizes):
-        reach = suffix[-1]
-        suffix.append(reach | reach << size)
-    suffix.reverse()
-    reach, grade2 = suffix[0], sum(sizes)
+
+def _grade2_units(jobs: Sequence[Job]) -> tuple[list[int], int, list[int]]:
+    """``(units, unit, sizes)``: every job's size over one unit, and the
+    grade-2 sizes among them in arrival order; more than
+    ``EXACT_SEARCH_LIMIT`` grade-2 jobs raise :class:`SizeLimit`."""
+    units, unit = to_units([job.size for job in jobs])
+    sizes = [size for size, job in zip(units, jobs) if job.gos == 2]
+    if len(sizes) > EXACT_SEARCH_LIMIT:
+        raise SizeLimit(
+            f"{len(sizes)} grade-2 jobs exceed the exact-search limit "
+            f"{EXACT_SEARCH_LIMIT}"
+        )
+    return units, unit, sizes
+
+
+def _best_load(reach: int, total: int, grade2: int) -> tuple[int, int]:
+    """The least makespan over the machine-2 loads y set in ``reach``
+    (grade-2 total ``grade2``, all jobs ``total``), and its smallest y."""
     # y <= total // 2 has makespan total - y: take the largest such y; the
     # mask is sized by the grade-2 total, since total may be huge
     half = total // 2
@@ -51,13 +65,28 @@ def _bitset_split(
         up = rest + (upper & -upper).bit_length() - 1
         if up < best:
             best = y = up
+    return best, y
+
+
+def _bitset_split(
+    sizes: list[int], total: int
+) -> tuple[int, tuple[MachineId, ...]]:
+    """The least optimal split of grade-2 ``sizes`` (ints) when all jobs sum
+    to ``total``: its makespan and the machine of each grade-2 job."""
+    # suffix[i]: bit y set when jobs i.. can put exactly y on machine 2
+    suffix = [1]
+    for size in reversed(sizes):
+        reach = suffix[-1]
+        suffix.append(reach | reach << size)
+    suffix.reverse()
+    best, y = _best_load(suffix[0], total, sum(sizes))
     # machine 1 first, whenever the later jobs can still make up y
     vector = []
     for size, later in zip(sizes, suffix[1:]):
         if later >> y & 1:
-            vector.append(MachineId.M1)
+            vector.append(M1)
         else:
-            vector.append(MachineId.M2)
+            vector.append(M2)
             y -= size
     return best, tuple(vector)
 
@@ -89,40 +118,43 @@ def _search_split(
     search(0, total - sum(sizes), 0, 0)
     del search  # its cell refers to it: leave no cycle for the collector
     return best, tuple([
-        MachineId.M2 if best_mask >> i & 1 else MachineId.M1 for i in range(n)
+        M2 if best_mask >> i & 1 else M1 for i in range(n)
     ])
 
 
 def _least_optimal_split(
     jobs: Sequence[Job],
-) -> tuple[Fraction, tuple[MachineId, ...]]:
+) -> tuple[Fraction, tuple[MachineId, ...], list[int], int]:
     """The least optimal assignment of the grade-2 jobs, exact.
 
     Returns the optimal makespan and the machine of each grade-2 job in
-    arrival order.  Among optimal assignments the least is the one with
-    the smallest machine-2 load, then the lexicographically smallest
-    machine vector (machine 1 before machine 2).  Grade-1 jobs are pinned
-    to machine 1; empty input gives makespan 0.
+    arrival order, then every job's size in units and the unit.  Among
+    optimal assignments the least is the one with the smallest machine-2
+    load, then the lexicographically smallest machine vector (machine 1
+    before machine 2).  Grade-1 jobs are pinned to machine 1; empty input
+    gives makespan 0.
     """
-    units, unit = to_units([job.size for job in jobs])
-    sizes = [size for size, job in zip(units, jobs) if job.gos == 2]
-    if len(sizes) > EXACT_SEARCH_LIMIT:
-        raise SizeLimit(
-            f"{len(sizes)} grade-2 jobs exceed the exact-search limit "
-            f"{EXACT_SEARCH_LIMIT}"
-        )
+    units, unit, sizes = _grade2_units(jobs)
     split = _bitset_split if sum(sizes) <= BITSET_LIMIT else _search_split
     best, vector = split(sizes, sum(units))
-    return Fraction(best, unit), vector
+    return Fraction(best, unit), vector, units, unit
 
 
 def brute_opt(jobs: Sequence[Job]) -> Fraction:
     """Minimum makespan over all feasible assignments, exact.
 
     Grade-1 jobs are forced onto machine 1 and the grade-2 jobs placed
-    as the module docstring describes.  Empty input gives 0.
+    as the module docstring describes; only the optimum is computed, not
+    the split that reaches it.  Empty input gives 0.
     """
-    return _least_optimal_split(jobs)[0]
+    units, unit, sizes = _grade2_units(jobs)
+    total, grade2 = sum(units), sum(sizes)
+    if grade2 > BITSET_LIMIT:
+        return Fraction(_search_split(sizes, total)[0], unit)
+    reach = 1  # bit y set: some grade-2 jobs seen so far sum to y
+    for size in sizes:
+        reach |= reach << size
+    return Fraction(_best_load(reach, total, grade2)[0], unit)
 
 
 @dataclass(frozen=True)
@@ -145,19 +177,24 @@ def opt_prefix_loads(jobs: Sequence[Job]) -> OptimalPrefixLoads:
     then the lexicographically smallest machine vector over grade-2 jobs
     in arrival order (machine 1 before machine 2).
     """
-    opt, vector = _least_optimal_split(jobs)
+    opt, vector, units, unit = _least_optimal_split(jobs)
     gos2_machines = iter(vector)
     machines: dict[int, MachineId] = {}
     loads = []
-    load1 = load2 = ZERO
-    for job in jobs:
-        machine = MachineId.M1 if job.gos == 1 else next(gos2_machines)
+    # the loads run as ints; each prefix builds a Fraction only for the
+    # load that changed and shares the other one's
+    load1 = load2 = 0
+    frac1 = frac2 = ZERO
+    for job, size in zip(jobs, units):
+        machine = M1 if job.gos == 1 else next(gos2_machines)
         machines[job.index] = machine
-        if machine is MachineId.M1:
-            load1 += job.size
+        if machine is M1:
+            load1 += size
+            frac1 = Fraction(load1, unit)
         else:
-            load2 += job.size
-        loads.append((load1, load2))
+            load2 += size
+            frac2 = Fraction(load2, unit)
+        loads.append((frac1, frac2))
     return OptimalPrefixLoads(loads=tuple(loads), machines=machines, opt=opt)
 
 
@@ -174,16 +211,17 @@ class PrefixMonotoneReport:
 def prefix_opt_monotone_check(jobs: Sequence[Job]) -> PrefixMonotoneReport:
     """Assert the exact optimum is non-decreasing over prefixes and
     never exceeds the optimum of the full input."""
-    prefix_opts: list[Fraction] = []
+    # one brute_opt call per prefix, looked up in the module each time, so
+    # a rebound oracle.brute_opt (a probe, a test) sees every prefix
+    prefix_opts = [brute_opt(jobs[:j]) for j in range(1, len(jobs) + 1)]
     failures: list[str] = []
-    for j in range(1, len(jobs) + 1):
-        prefix_opts.append(brute_opt(jobs[:j]))
     for j in range(1, len(prefix_opts)):
         if prefix_opts[j] < prefix_opts[j - 1]:
             failures.append(
                 f"prefix optimum drops at job {j + 1}: "
                 f"{prefix_opts[j - 1]} -> {prefix_opts[j]}"
             )
-    if prefix_opts and prefix_opts[-1] != max(prefix_opts):
+    # without a drop the optima never decrease, so the last is the largest
+    if failures and prefix_opts[-1] != max(prefix_opts):
         failures.append("full-input optimum is below a prefix optimum")
     return PrefixMonotoneReport(prefix_opts=prefix_opts, failures=failures)

@@ -42,7 +42,7 @@ from hierstretch.errors import (
 )
 from hierstretch.generators import GenConfig, generate
 from hierstretch.harness import guarantee_suite, run_stream
-from hierstretch.oracle import brute_opt, opt_prefix_loads
+from hierstretch.oracle import brute_opt, opt_prefix_loads, prefix_opt_monotone_check
 from helpers import in_lowest_terms, mixed_sizes, stream
 
 M1, M2 = MachineId.M1, MachineId.M2
@@ -458,6 +458,13 @@ CALLS = {
     "opt_prefix_loads": lambda: opt_prefix_loads(
         stream(("1/2", 2), ("1/3", 2), ("2/3", 1))
     ),
+    "prefix_opt_monotone_check": lambda: prefix_opt_monotone_check(
+        stream(("1/2", 2), ("1/3", 2), ("2/3", 1))
+    ),
+    "validate_instance": lambda: validate_instance(
+        Instance(jobs=stream(("1/2", 2), ("1/3", 2), ("2/3", 1))), check_opt=True
+    ),
+    "total_size": lambda: Instance(jobs=stream(("1/2", 2), ("1/3", 2), ("2/3", 1))).total_size,
     "run_stream": lambda: run_stream(
         stream(("3/5", 2), ("7/10", 2), ("1/4", 1)), SCHEDULERS["B"], 1
     ),
@@ -639,6 +646,43 @@ class TestValidateInstance:
         inst = Instance(jobs=stream(("3/2", 2), ("3/4", 2)), declared_opt=Fraction(1))
         report = validate_instance(inst)
         assert not report.valid
+
+    @pytest.mark.parametrize("extra, valid", [("1/2", True), ("501/1000", False)])
+    def test_total_at_its_bound(self, extra, valid):
+        # a total of exactly 2 * 3/2 passes, one unit of 1/1000 more fails
+        jobs = stream(("3/2", 2), ("1", 2), (extra, 2))
+        report = validate_instance(Instance(jobs=jobs, declared_opt=Fraction(3, 2)))
+        assert report.failures == (
+            [] if valid else ["total size 3001/1000 exceeds twice the declared optimum 3/2"]
+        )
+
+    @pytest.mark.parametrize("extra, valid", [("1/2", True), ("501/1000", False)])
+    def test_grade1_total_at_its_bound(self, extra, valid):
+        # a grade-1 total of exactly 3/2 passes, one unit of 1/1000 more fails
+        jobs = stream(("1", 1), ("1", 2), (extra, 1))
+        report = validate_instance(Instance(jobs=jobs, declared_opt=Fraction(3, 2)))
+        assert report.failures == (
+            [] if valid else ["grade-1 total 1501/1000 exceeds the declared optimum 3/2"]
+        )
+
+
+class TestInstanceTotals:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(mixed_sizes, st.sampled_from([1, 2])), max_size=10))
+    def test_totals_are_the_fraction_sums(self, pairs):
+        instance = Instance(jobs=stream(*pairs))
+        sizes = [job.size for job in instance.jobs]
+        grade1 = [job.size for job in instance.jobs if job.gos == 1]
+        assert instance.total_size == sum(sizes, Fraction(0))
+        assert instance.gos1_total == sum(grade1, Fraction(0))
+        assert in_lowest_terms(instance.total_size)
+        assert in_lowest_terms(instance.gos1_total)
+
+    def test_empty(self):
+        instance = Instance(jobs=())
+        assert instance.total_size == instance.gos1_total == 0
+        assert in_lowest_terms(instance.total_size)
+        assert in_lowest_terms(instance.gos1_total)
 
 
 class TestInstanceJson:

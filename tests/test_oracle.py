@@ -115,9 +115,25 @@ class TestBitsetAgainstSearch:
         # the bitset takes totals up to the limit, the search anything above
         jobs = stream(*[(size, 2) for size in sizes], (grade2 // 7, 1))
         expected = _least_optimal_split(jobs)
-        unused = "_search_split" if grade2 <= BITSET_LIMIT else "_bitset_split"
-        monkeypatch.setattr(oracle, unused, None)
+        if grade2 <= BITSET_LIMIT:
+            unused = ["_search_split"]
+        else:
+            unused = ["_bitset_split", "_best_load"]
+        for name in unused:
+            monkeypatch.setattr(oracle, name, None)
         assert _least_optimal_split(jobs) == expected
+        # brute_opt builds its own reach int, and takes the search above it
+        assert brute_opt(jobs) == expected[0]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(mixed_sizes, st.sampled_from([1, 2, 2])), max_size=9))
+    def test_optimum_alone_matches_the_split(self, pairs):
+        # units from 1/7 to the lcm of several 10^10..10^13 denominators put
+        # the grade-2 total on both sides of the limit
+        jobs = stream(*pairs)
+        opt = brute_opt(jobs)
+        assert opt == _least_optimal_split(jobs)[0]
+        assert in_lowest_terms(opt)
 
 
 class TestOptPrefixLoads:
@@ -209,3 +225,39 @@ class TestPrefixMonotone:
         for _ in range(20):
             instance = generate(random_config(rng))
             assert prefix_opt_monotone_check(instance.jobs).ok
+
+    @pytest.mark.parametrize(
+        "opts, failures",
+        [
+            (
+                ["1", "3/2", "1"],
+                [
+                    "prefix optimum drops at job 3: 3/2 -> 1",
+                    "full-input optimum is below a prefix optimum",
+                ],
+            ),
+            (["1", "1/2", "2"], ["prefix optimum drops at job 2: 1 -> 1/2"]),
+            (["1", "1", "3/2"], []),
+        ],
+    )
+    def test_reports_a_dropping_optimum(self, opts, failures, monkeypatch):
+        # an oracle that breaks monotonicity, to see both failure lines
+        monkeypatch.setattr(oracle, "brute_opt", lambda jobs: Fraction(opts[len(jobs) - 1]))
+        report = prefix_opt_monotone_check(stream(("1/2", 2), ("1/2", 2), ("1/2", 1)))
+        assert report.prefix_opts == [Fraction(opt) for opt in opts]
+        assert report.failures == failures
+
+    def test_one_brute_opt_call_per_prefix(self, monkeypatch):
+        # the check reads brute_opt through the module on every prefix, so
+        # a rebound oracle.brute_opt sees each one, in order
+        seen = []
+
+        def counting(jobs):
+            seen.append(tuple(jobs))
+            return brute_opt(jobs)
+
+        jobs = stream(("1/2", 2), ("1/3", 1), ("2/3", 2), ("1/4", 2))
+        monkeypatch.setattr(oracle, "brute_opt", counting)
+        report = prefix_opt_monotone_check(jobs)
+        assert seen == [jobs[:j] for j in range(1, len(jobs) + 1)]
+        assert report.prefix_opts == [brute_opt(prefix) for prefix in seen]

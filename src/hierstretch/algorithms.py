@@ -166,14 +166,13 @@ def _to_m1(order: list[tuple[int, int]]) -> tuple[tuple[int, MachineId], ...]:
     return tuple([(idx, M1) for _, idx in order])
 
 
-def _clear_prefix(state: ScheduleState, p: int) -> AssignmentDecision:
-    """Step 4 of B and D for a large arrival of ``p`` units (p >= 2-r): the
-    longest machine-2 prefix within migration_cap * p moves to machine 1 so
-    the arrival fits under r; if it still does not fit, it takes machine 1."""
+def _clear_prefix(state: ScheduleState, p: int, budget: int) -> AssignmentDecision:
+    """Step 4 of B and D for a large arrival of ``p`` units: the longest
+    machine-2 prefix within ``budget`` (the caller's migration cap times
+    p, in units rounded down) moves to machine 1 so the arrival fits under
+    r; if it still does not fit, it takes machine 1."""
     order = state.y_order()
-    k, total = select_prefix_max(
-        [-neg for neg, _ in order], state.cap * p // state.unit
-    )
+    k, total = select_prefix_max([-neg for neg, _ in order], budget)
     if state.y_units - total + p > state.r:
         return AssignmentDecision(M1, step=4)
     return AssignmentDecision(M2, _to_m1(order[:k]), step=4)
@@ -213,8 +212,10 @@ def alg_b(state: ScheduleState, job: Job) -> AssignmentDecision:
     if decision is not None:
         return decision
     p = state.units_of(job.size)
+    # the mid regime's migration cap, 3/4 = 2 - r, times p, rounded down
+    budget = state.low * p // state.unit
     if p >= state.low:
-        return _clear_prefix(state, p)
+        return _clear_prefix(state, p, budget)
 
     # medium arrival (1/2 < p < 3/4); machine 2 holds more than 1/2
     order = state.y_order()
@@ -223,11 +224,12 @@ def alg_b(state: ScheduleState, job: Job) -> AssignmentDecision:
         return AssignmentDecision(M1, step=5)
     if 2 * p_max >= state.y_units:
         moved = order[1:]
-    elif p_max >= state.quarter:
+    elif 4 * p_max >= state.unit:  # p_max >= 1/4
         moved = order[:1]
     else:
-        k, total = select_prefix_min([-neg for neg, _ in order], state.quarter)
-        if total > state.cap * p // state.unit:
+        # the shortest prefix of total at least 1/4, rounded up to a unit
+        k, total = select_prefix_min([-neg for neg, _ in order], -(-state.unit // 4))
+        if total > budget:
             moved = order[k:]
         else:
             moved = order[:k]
@@ -265,13 +267,17 @@ def alg_d(state: ScheduleState, job: Job) -> AssignmentDecision:
     if decision is not None:
         return decision
     p = state.units_of(job.size)
-    if p >= state.m_units:
-        return _clear_prefix(state, p)
+    m_units = state.m_units
+    budget = m_units * p // state.unit
+    if p >= m_units:
+        return _clear_prefix(state, p, budget)
 
+    # a prefix of total at least m/3 and at most 2m/3 and the budget, with
+    # m/3 rounded up and 2m/3 down to a unit
     order = state.y_order()
-    k, w_total = select_prefix_min([-neg for neg, _ in order], state.m_third)
+    k, w_total = select_prefix_min([-neg for neg, _ in order], -(-m_units // 3))
     moved = order[:k]
-    if w_total > min(state.two_m_thirds, state.m_units * p // state.unit):
+    if w_total > min(2 * m_units // 3, budget):
         moved, w_total = order[k:], state.y_units - w_total
     if state.y_units - w_total + p > state.r:
         return AssignmentDecision(M1, step=5)

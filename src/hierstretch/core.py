@@ -212,28 +212,25 @@ class ScheduleState:
     their machines and ``sizes`` their sizes in units.  The ints named in
     ``SCALED`` and ``sizes`` share one ``unit``, the lcm of every
     denominator among them and the sizes seen: the loads ``x_units``,
-    ``y_units`` and ``z_units``, then m's constants ``r`` (the tight
-    bound), ``low`` (2 - r), ``cap`` (``migration_cap``), ``m_units``,
-    ``m_third`` and ``two_m_thirds`` (m, m/3 and 2m/3) and ``quarter``
-    (1/4).  A new denominator rescales all of them once, so read them from
-    the state where they are used.  :meth:`units_of` gives a size in
-    units and remembers the last size it converted, so a scheduler and
-    :func:`apply_decision` convert an arrival once between them;
-    :meth:`y_order` sorts the machine-2 jobs.
+    ``y_units`` and ``z_units``, then the constants every arrival reads,
+    ``r`` (the tight bound), ``low`` (2 - r) and ``m_units`` (m).  A new
+    denominator rescales all of them once, so read them from the state
+    where they are used; a rule that needs another threshold works it out
+    from these and ``unit`` where it reads it.  :meth:`units_of` gives a
+    size in units and remembers the last size it converted, so a
+    scheduler and :func:`apply_decision` convert an arrival once between
+    them; :meth:`y_order` sorts the machine-2 jobs.
 
     ``x``: total size of grade-1 jobs (all on machine 1).
     ``y``: total size of grade-2 jobs on machine 2.
     ``z``: total size of grade-2 jobs on machine 1.
-    These, the loads and :meth:`sorted_y_desc` are Fraction views in
-    lowest terms.  :func:`apply_decision` updates a state in place;
-    :meth:`copy` takes a snapshot.  States compare by their m, jobs,
-    assignment and loads, not by their unit.
+    These and the loads are Fraction views in lowest terms.
+    :func:`apply_decision` updates a state in place; :meth:`copy` takes a
+    snapshot.  States compare by their m, jobs, assignment and loads, not
+    by their unit.
     """
 
-    SCALED = (
-        "x_units", "y_units", "z_units",
-        "r", "low", "cap", "m_units", "m_third", "two_m_thirds", "quarter",
-    )
+    SCALED = ("x_units", "y_units", "z_units", "r", "low", "m_units")
 
     def __init__(self, m: RationalLike) -> None:
         self.tight = tight = ratio_bound(m)
@@ -241,10 +238,7 @@ class ScheduleState:
         self.jobs: dict[int, Job] = {}
         self.assignment: dict[int, MachineId] = {}
         self.sizes: dict[int, int] = {}
-        self.unit, (
-            self.r, self.low, self.cap, self.m_units, self.m_third,
-            self.two_m_thirds, self.quarter,
-        ) = tight.units
+        self.unit, (self.r, self.low, self.m_units) = tight.units
         self.x_units = self.y_units = self.z_units = 0
         # units_of's memo: the last size converted and its units
         self._last_size: Fraction | None = None
@@ -298,11 +292,7 @@ class ScheduleState:
         self.z_units *= factor
         self.r *= factor
         self.low *= factor
-        self.cap *= factor
         self.m_units *= factor
-        self.m_third *= factor
-        self.two_m_thirds *= factor
-        self.quarter *= factor
 
     @property
     def x(self) -> Fraction:
@@ -345,11 +335,6 @@ class ScheduleState:
             for idx, machine in self.assignment.items()
             if machine is _M2
         ])
-
-    def sorted_y_desc(self) -> list[tuple[int, Fraction]]:
-        """Machine-2 jobs as (index, size), non-increasing size, ties by
-        smaller arrival index first."""
-        return [(idx, Fraction(-neg, self.unit)) for neg, idx in self.y_order()]
 
 
 def apply_decision(
@@ -481,14 +466,11 @@ class RegimeBound:
 
     @cached_property
     def units(self) -> tuple[int, tuple[int, ...]]:
-        """``(den, scaled)``: the seven constants of a
-        :class:`ScheduleState` under m, in the order of its ``SCALED``
+        """``(den, scaled)``: the bound, 2 - bound and m, the constants of
+        a :class:`ScheduleState` under m in the order of its ``SCALED``
         after the three loads, as ints over their common denominator
         ``den``; computed once per cached bound, so once per m."""
-        scaled, den = to_units([
-            self.bound, 2 - self.bound, self.migration_cap, self.m, self.m / 3,
-            2 * self.m / 3, Fraction(1, 4),
-        ])
+        scaled, den = to_units([self.bound, 2 - self.bound, self.m])
         return den, tuple(scaled)
 
 
@@ -555,11 +537,6 @@ class Instance:
     @property
     def total_size(self) -> Fraction:
         units, unit = to_units([job.size for job in self.jobs])
-        return Fraction(sum(units), unit)
-
-    @property
-    def gos1_total(self) -> Fraction:
-        units, unit = to_units([job.size for job in self.jobs if job.gos == 1])
         return Fraction(sum(units), unit)
 
     def normalized(self) -> "Instance":

@@ -18,8 +18,7 @@ import random
 import sys
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from itertools import islice
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .adversary import (
     ADVERSARIES,
@@ -131,7 +130,7 @@ class RunResult:
 
 
 def run_stream(
-    jobs: Sequence[Job],
+    jobs: Iterable[Job],
     scheduler_fn: SchedulerFn,
     m,
     bound: RationalLike | None = None,
@@ -145,7 +144,8 @@ def run_stream(
     produces an illegal decision; optionally checks the makespan against
     ``bound`` after every arrival, as ints against the bound in units
     rounded down.  Conservation of total size is always verified at the
-    end, against a separate int sum of the sizes of the input jobs placed.
+    end, against a separate int sum of the sizes of the input jobs placed
+    (the ledger's), so ``jobs`` may be a one-shot iterator.
     """
     state = ScheduleState(m)  # a negative m raises NegativeM here
     ledger = MigrationLedger()
@@ -178,7 +178,7 @@ def run_stream(
     if bound is not None and state.makespan_units * bound_den > bound_num * unit:
         violations.append(f"final makespan {state.makespan} > bound {bound}")
     arrived = 0
-    for job in islice(jobs, len(ledger.jobs)):
+    for job in ledger.jobs:
         size = job.size
         arrived += size.numerator * (unit // size.denominator)
     if state.x_units + state.y_units + state.z_units != arrived:

@@ -322,6 +322,56 @@ class TestAlgorithmD:
         # the co-resident pair is too big to share a machine with the arrival
         assert Fraction(13, 20) + Fraction(17, 25) > 2 - Fraction(7, 10)
 
+    @pytest.mark.parametrize(
+        "sizes, moved",
+        [
+            # the largest job is exactly m/3 = 7/30: the prefix ends there
+            (("7/30", "7/30", "1/5", "2/3"), (1,)),
+            # 23/100 is under m/3 = 23.33/100, though it is m/3 rounded down
+            # to a unit: the prefix needs the next job, and 46/100 exceeds
+            # m * p = 45.5/100, so the complement migrates
+            (("23/100", "23/100", "1/5", "13/20"), (3,)),
+            # a prefix of exactly 2m/3 = 7/15, under m * p: it migrates
+            (("7/15", "1/5", "41/60"), (1,)),
+            # 47/100 = 94/200 is one unit over 2m/3 = 93.33/200 rounded
+            # down, under m * p: the complement migrates
+            (("47/100", "9/40", "137/200"), (2,)),
+            # a prefix of exactly m * p = 91/200, under 2m/3: it migrates
+            (("91/200", "9/40", "13/20"), (1,)),
+            # 92/200 is one unit over m * p = 91.7/200 rounded down: the
+            # complement migrates
+            (("23/50", "11/50", "131/200"), (2,)),
+        ],
+    )
+    def test_step5_thresholds_are_exact(self, sizes, moved):
+        result = run_stream(
+            stream(*((p, 2) for p in sizes)), alg_d, Fraction(7, 10)
+        )
+        assert [d.step for d in result.decisions] == [3] * (len(sizes) - 1) + [5]
+        last = result.decisions[-1]
+        assert last.target is M2
+        assert last.migrations == tuple((idx, M1) for idx in moved)
+
+    @pytest.mark.parametrize(
+        "m, sizes, target, moved",
+        [
+            # a prefix of exactly m * p clears for the arrival
+            ("7/10", ("49/100", "3/20", "7/10"), M2, (1,)),
+            ("2/3", ("1/2", "1/8", "3/4"), M2, (1,)),
+            # 37/72 is one unit over m * p = 36.67/72 rounded down: nothing
+            # may move, and the arrival takes machine 1
+            ("2/3", ("37/72", "5/72", "55/72"), M1, ()),
+        ],
+    )
+    def test_step4_budget_is_exact(self, m, sizes, target, moved):
+        # at m = 2/3 every rebalanced arrival has p > 2 - 2m = m, so only
+        # step 4 is reachable there
+        result = run_stream(stream(*((p, 2) for p in sizes)), alg_d, Fraction(m))
+        assert [d.step for d in result.decisions] == [3] * (len(sizes) - 1) + [4]
+        last = result.decisions[-1]
+        assert last.target is target
+        assert last.migrations == tuple((idx, M1) for idx in moved)
+
     def test_regime_gate(self):
         for m in ("3/5", "3/4", "1"):
             with pytest.raises(RegimeMismatch):
@@ -384,7 +434,7 @@ def _window_checks(jobs, m):
         )
         if name == "B" and decision.step == 5 and decision.target is M2:
             deficit = pre.y + job.size - Fraction(5, 4)
-            assert job.size + pre.sorted_y_desc()[0][1] <= Fraction(5, 4)
+            assert job.size + Fraction(-pre.y_order()[0][0], pre.unit) <= Fraction(5, 4)
             assert deficit <= moved <= Fraction(3, 4) * job.size
             assert moved < Fraction(1, 2)
         if name == "C" and decision.step == 5:
@@ -417,6 +467,15 @@ class TestWindows:
             ((("1/5", 2), ("1/5", 2), ("1/5", 2), ("3/25", 2), ("3/5", 2)), (1, 2)),
             # that prefix exceeds 3/4 * p, so its complement migrates
             ((("6/25", 2), ("6/25", 2), ("23/100", 2), ("11/20", 2)), (3,)),
+            # the largest job is exactly 1/4: it migrates alone
+            ((("1/4", 2), ("1/5", 2), ("1/5", 2), ("7/10", 2)), (1,)),
+            # the prefix reaching exactly 1/4 migrates
+            (tuple([("1/8", 2)] * 5) + (("11/16", 2),), (1, 2)),
+            # a prefix of exactly 3/4 * p = 2/5 stays within the budget
+            ((("1/5", 2), ("1/5", 2), ("1/5", 2), ("13/100", 2), ("8/15", 2)), (1, 2)),
+            # 121/300 is one unit over 3/4 * p = 120.75/300 rounded down
+            ((("61/300", 2), ("1/5", 2), ("1/5", 2), ("2/15", 2), ("161/300", 2)),
+             (3, 4)),
         ],
     )
     def test_b_step5_to_m2_window(self, pairs, moved):

@@ -93,6 +93,12 @@ def _state_with(pairs, machines, m=10):
     return state
 
 
+def _y_sizes(state):
+    """The machine-2 jobs of :meth:`ScheduleState.y_order` as (index, size)
+    with Fraction sizes, which do not depend on the state's unit."""
+    return [(idx, Fraction(-neg, state.unit)) for neg, idx in state.y_order()]
+
+
 def _columns(ledger):
     """Copies of every column of a ledger, and its running maximum."""
     return (
@@ -215,7 +221,8 @@ class TestApplyDecision:
                 assert ledger.entries == entries
                 assert _columns(ledger) == columns
                 assert state == before
-                assert state.sorted_y_desc() == before.sorted_y_desc()
+                # a refused arrival may still have grown the unit
+                assert _y_sizes(state) == _y_sizes(before)
                 decision = AssignmentDecision(M1)
                 new = apply_decision(state, job, decision, ledger)
             else:
@@ -257,12 +264,13 @@ class TestScheduleState:
         assert state.load1 == Fraction(1, 4) + Fraction(1, 5)
         assert state.makespan == state.load2
         # machine 2 holds jobs 2 and 3, largest first; job 4 stays on machine 1
-        assert state.sorted_y_desc() == [(2, Fraction(1, 2)), (3, Fraction(1, 3))]
+        unit = state.unit
+        assert state.y_order() == [(-unit // 2, 2), (-unit // 3, 3)]
 
     def test_max_jobs_default_to_zero(self):
-        assert ScheduleState(1).sorted_y_desc() == []
+        assert ScheduleState(1).y_order() == []
         one = _state_with([("1/2", 2)], [M2])
-        assert one.sorted_y_desc() == [(1, Fraction(1, 2))]
+        assert one.y_order() == [(-one.unit // 2, 1)]
 
     def test_states_are_unhashable(self):
         # a class that defines __eq__ without __hash__ gets no hash
@@ -271,10 +279,8 @@ class TestScheduleState:
 
     def test_sorted_y_breaks_ties_by_arrival(self):
         state = _state_with([("1/2", 2), ("1/2", 2)], [M2, M2])
-        assert state.sorted_y_desc() == [
-            (1, Fraction(1, 2)),
-            (2, Fraction(1, 2)),
-        ]
+        half = state.unit // 2
+        assert state.y_order() == [(-half, 1), (-half, 2)]
 
     def test_negative_m(self):
         with pytest.raises(NegativeM):
@@ -282,7 +288,7 @@ class TestScheduleState:
 
     @pytest.mark.parametrize("m", ["0", "1/4", "11/20", "7/10", "1", "5/2", "3"])
     def test_constants_are_ratio_bound_units(self, m):
-        # the seven constants are m's, scaled to the state's unit, before
+        # the three constants are m's, scaled to the state's unit, before
         # and after the unit grows
         state = ScheduleState(m)
         den, scaled = ratio_bound(m).units
@@ -353,7 +359,7 @@ class TestKernel:
             assert views == (x, y, z, x + z, y, max(x + z, y), x + y + z)
             assert all(in_lowest_terms(view) for view in views)
             fresh = sorted(((i, jobs[i].size) for i in on_m2), key=lambda e: (-e[1], e[0]))
-            assert state.sorted_y_desc() == fresh
+            assert _y_sizes(state) == fresh
             entry = ledger.entries[-1]
             assert entry.job is job
             assert entry.budget == m * job.size
@@ -672,17 +678,13 @@ class TestInstanceTotals:
     def test_totals_are_the_fraction_sums(self, pairs):
         instance = Instance(jobs=stream(*pairs))
         sizes = [job.size for job in instance.jobs]
-        grade1 = [job.size for job in instance.jobs if job.gos == 1]
         assert instance.total_size == sum(sizes, Fraction(0))
-        assert instance.gos1_total == sum(grade1, Fraction(0))
         assert in_lowest_terms(instance.total_size)
-        assert in_lowest_terms(instance.gos1_total)
 
     def test_empty(self):
         instance = Instance(jobs=())
-        assert instance.total_size == instance.gos1_total == 0
+        assert instance.total_size == 0
         assert in_lowest_terms(instance.total_size)
-        assert in_lowest_terms(instance.gos1_total)
 
 
 class TestInstanceJson:

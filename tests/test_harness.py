@@ -101,16 +101,16 @@ class TestRunMachinery:
 
     @pytest.mark.parametrize("name, gos", [("all-m1", 1), ("greedy-m2", 2)])
     def test_per_arrival_bound_at_the_boundary(self, name, gos):
-        # at m = 0 the unit starts at 4 and grows to 12, 60 and 1860 with
-        # the arrivals: 2/3 is 8 units of 12, under the bound 7/10 (8.4
-        # units); 7/10 is 42 units of 60, equal to it; the last arrival
+        # at m = 0 the unit starts at 2 and grows to 6, 30 and 1860 with
+        # the arrivals: 2/3 is 4 units of 6, under the bound 7/10 (4.2
+        # units); 7/10 is 21 units of 30, equal to it; the last arrival
         # adds one unit of 1860 over it
         jobs = stream(("1/3", gos), ("1/3", gos), ("1/30", gos), ("1/1860", gos))
         fn = SCHEDULERS[name]
         bound = Fraction(7, 10)
         result = run_stream(jobs[:3], fn, 0, bound=bound, per_arrival_bound=True)
         assert result.violations == []
-        assert (result.makespan, result.final_state.unit) == (bound, 60)
+        assert (result.makespan, result.final_state.unit) == (bound, 30)
         result = run_stream(jobs, fn, 0, bound=bound, per_arrival_bound=True)
         assert result.final_state.unit == 1860
         over = bound + Fraction(1, 1860)
@@ -141,6 +141,15 @@ class TestRunMachinery:
         assert result.violations == [
             "conservation broken: loads sum to 1/2, arrived 3/4"
         ]
+
+    def test_conservation_on_a_one_shot_iterator(self):
+        # the end-of-run sum reads the jobs placed, not the consumed input
+        jobs = stream(("1/2", 2), ("1/2", 1), ("1/3", 2))
+        baseline = SCHEDULERS["baseline"]
+        result = run_stream(iter(jobs), baseline, 0)
+        assert result.violations == []
+        assert result.decisions == run_stream(jobs, baseline, 0).decisions
+        assert result.final_state.arrived_total == Fraction(4, 3)
 
     def test_entries_are_built_only_when_read(self, monkeypatch):
         # a long run keeps its ledger as columns: the decisions, the

@@ -34,17 +34,30 @@ from .core import (
     ratio_bound,
 )
 from .errors import (
-    BadCertificate, BadEps, BadGamma, BadTheta, IllegalDecision, RegimeMismatch
+    BadCertificate, BadEps, BadGamma, BadTheta, IllegalDecision, ParseError,
+    RegimeMismatch,
 )
 from .oracle import brute_opt
 
 
 @dataclass(frozen=True)
 class Stop:
-    """End of the input, with the adversary's certificate."""
+    """End of the input, with the adversary's certificate.
+
+    Both fields are coerced with :func:`core.as_fraction`; a field that is
+    not rational, or a certified optimum that is not positive, raises
+    :class:`ParseError`.
+    """
 
     certified_opt: Fraction
     claimed_min_ratio: Fraction
+
+    def __post_init__(self) -> None:
+        opt = as_fraction(self.certified_opt)
+        if opt <= 0:
+            raise ParseError(f"certified optimum must be positive, got {opt}")
+        object.__setattr__(self, "certified_opt", opt)
+        object.__setattr__(self, "claimed_min_ratio", as_fraction(self.claimed_min_ratio))
 
 
 NextMove = Union[Job, Stop]
@@ -402,7 +415,9 @@ def play_duel(adversary, scheduler_name: str, scheduler_fn, m) -> DuelTranscript
     emitted stream has at most ``EXACT_SEARCH_LIMIT`` grade-2 jobs, the
     certificate is confirmed against the oracle; a certificate the oracle
     contradicts raises :class:`BadCertificate`.  An m other than the
-    adversary's own raises :class:`RegimeMismatch` before any move.
+    adversary's own raises :class:`RegimeMismatch` before any move, and a
+    move that is neither a :class:`Job` nor a :class:`Stop` raises
+    :class:`ParseError`.
     """
     state = ScheduleState(m)
     if state.m != adversary.m:
@@ -423,6 +438,10 @@ def play_duel(adversary, scheduler_name: str, scheduler_fn, m) -> DuelTranscript
             transcript.certified_opt = move.certified_opt
             transcript.claimed_min_ratio = move.claimed_min_ratio
             break
+        if not isinstance(move, Job):
+            raise ParseError(
+                f"adversary {adversary.name} moved {move!r}, not a Job or a Stop"
+            )
         job = move
         transcript.jobs.append(job)
         try:

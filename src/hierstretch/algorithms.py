@@ -156,7 +156,7 @@ def _window(name: str, state: ScheduleState, job: Job) -> AssignmentDecision | N
         require_regime(name, state.m)
     if job.gos == 1 or state.y_units >= state.low:
         return _WINDOW_M1
-    if state.units_of(job.size) + state.y_units <= state.r:
+    if state.units_of(job) + state.y_units <= state.r:
         return _WINDOW_M2
     return None
 
@@ -191,7 +191,7 @@ def alg_a(state: ScheduleState, job: Job) -> AssignmentDecision:
         return decision
 
     # rebalance: machine 2 gets a max-total subset of Z u Y u {j} capped at 1
-    p = state.units_of(job.size)
+    p = state.units_of(job)
     candidates = [idx for idx, other in state.jobs.items() if other.gos == 2]
     sizes = [state.sizes[idx] for idx in candidates] + [p]
     chosen, _ = select_max_subset(sizes, state.unit)
@@ -211,7 +211,7 @@ def alg_b(state: ScheduleState, job: Job) -> AssignmentDecision:
     decision = _window("B", state, job)
     if decision is not None:
         return decision
-    p = state.units_of(job.size)
+    p = state.units_of(job)
     # the mid regime's migration cap, 3/4 = 2 - r, times p, rounded down
     budget = state.low * p // state.unit
     if p >= state.low:
@@ -246,7 +246,7 @@ def alg_c(state: ScheduleState, job: Job) -> AssignmentDecision:
     decision = _window("C", state, job)
     if decision is not None:
         return decision
-    p = state.units_of(job.size)
+    p = state.units_of(job)
     order = state.y_order()
     if order and -order[0][0] > state.m_units * p // state.unit:
         return AssignmentDecision(M1, step=4)
@@ -266,7 +266,7 @@ def alg_d(state: ScheduleState, job: Job) -> AssignmentDecision:
     decision = _window("D", state, job)
     if decision is not None:
         return decision
-    p = state.units_of(job.size)
+    p = state.units_of(job)
     m_units = state.m_units
     budget = m_units * p // state.unit
     if p >= m_units:

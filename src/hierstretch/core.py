@@ -6,8 +6,10 @@ Everything is exact: sizes, loads, budgets, and bounds cross the API as
 loads and m's constants (:attr:`RegimeBound.units`, scaled once per m)
 over one common unit, and is updated in place by :func:`apply_decision`,
 one arrival at a time; the exponential searches scale their input once
-(:func:`to_units`).  The state keeps each placed job's size in units, so
-an arrival converts only its own size, once.  A :class:`MigrationLedger`
+(:func:`job_units`).  A :class:`Job` reads its size's numerator and
+denominator once, when it is made, and every conversion of the size reads
+those two ints; the state keeps each placed job's size in units, so an
+arrival converts only its own size, once.  A :class:`MigrationLedger`
 keeps the arrivals as columns and builds its :class:`LedgerEntry` records
 only when they are read.
 Every guarantee in this package is a decidable comparison rather than a
@@ -22,7 +24,7 @@ from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Iterable, NamedTuple, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 from .errors import (
     BudgetExceeded,
@@ -76,6 +78,13 @@ def to_units(values: list[Fraction]) -> tuple[list[int], int]:
     return [num * (unit // den) for num, den in ratios], unit
 
 
+def job_units(jobs: Sequence[Job]) -> tuple[list[int], int]:
+    """:func:`to_units` of the jobs' sizes, from each job's ``size_num``
+    and ``size_den``."""
+    unit = math.lcm(*[job.size_den for job in jobs])
+    return [job.size_num * (unit // job.size_den) for job in jobs], unit
+
+
 def fraction_str(value: Fraction) -> str:
     """Canonical 'num/den' form: lowest terms, positive denominator."""
     return f"{value.numerator}/{value.denominator}"
@@ -106,30 +115,51 @@ class MachineId(IntEnum):
 _M2 = MachineId.M2
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Job:
     """One stream element: positive size and a grade of service in {1, 2}.
 
     Grade-1 jobs may only ever run on machine 1; grade-2 jobs run anywhere.
     A malformed field raises :class:`ParseError`: the index must be an int
     >= 1 and the grade the int 1 or 2, so ``True`` and floats are refused.
+    ``size_num`` and ``size_den`` are the size's numerator and denominator
+    in lowest terms, read once when the job is made, so every conversion
+    of the size to units reads two ints; equality, hashing and the repr
+    ignore them.
     """
 
     index: int
     size: Fraction
     gos: int
+    size_num: int = field(init=False, repr=False, compare=False)
+    size_den: int = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        if type(self.index) is not int or self.index < 1:
-            raise ParseError(f"job index must be an int >= 1, got {self.index!r}")
-        if not isinstance(self.size, Fraction):
-            object.__setattr__(self, "size", as_fraction(self.size))
-        if self.size.numerator <= 0:
-            raise ParseError(f"job {self.index} has non-positive size {self.size}")
-        if type(self.gos) is not int or self.gos not in (1, 2):
-            raise ParseError(
-                f"job {self.index} has bad grade of service {self.gos!r}"
-            )
+    # written by hand, not as a __post_init__ after a generated __init__:
+    # the adversaries make a Job per arrival and the generator one per
+    # deck entry, so it validates its arguments once and writes each slot
+    # through the slot's own setter, which costs less than the
+    # object.__setattr__ a frozen dataclass otherwise uses
+    def __init__(self, index: int, size: RationalLike, gos: int) -> None:
+        if type(index) is not int or index < 1:
+            raise ParseError(f"job index must be an int >= 1, got {index!r}")
+        if type(size) is not Fraction:  # a Fraction subclass is kept as is
+            size = as_fraction(size)
+        num, den = size.as_integer_ratio()
+        if num <= 0:
+            raise ParseError(f"job {index} has non-positive size {size}")
+        if type(gos) is not int or gos not in (1, 2):
+            raise ParseError(f"job {index} has bad grade of service {gos!r}")
+        _set_index(self, index)
+        _set_size(self, size)
+        _set_gos(self, gos)
+        _set_num(self, num)
+        _set_den(self, den)
+
+
+_set_index, _set_size, _set_gos, _set_num, _set_den = [
+    getattr(Job, name).__set__
+    for name in ("index", "size", "gos", "size_num", "size_den")
+]
 
 
 @dataclass(frozen=True)
@@ -217,7 +247,7 @@ class ScheduleState:
     denominator rescales all of them once, so read them from the state
     where they are used; a rule that needs another threshold works it out
     from these and ``unit`` where it reads it.  :meth:`units_of` gives a
-    size in units and remembers the last size it converted, so a
+    job's size in units and remembers the last job it converted, so a
     scheduler and :func:`apply_decision` convert an arrival once between
     them; :meth:`y_order` sorts the machine-2 jobs.
 
@@ -240,13 +270,13 @@ class ScheduleState:
         self.sizes: dict[int, int] = {}
         self.unit, (self.r, self.low, self.m_units) = tight.units
         self.x_units = self.y_units = self.z_units = 0
-        # units_of's memo: the last size converted and its units
-        self._last_size: Fraction | None = None
+        # units_of's memo: the last job converted and its units
+        self._last_job: Job | None = None
         self._last_units = 0
 
     def copy(self) -> ScheduleState:
         twin = object.__new__(ScheduleState)
-        for name in ("m", "tight", "unit", "_last_size", "_last_units", *self.SCALED):
+        for name in ("m", "tight", "unit", "_last_job", "_last_units", *self.SCALED):
             setattr(twin, name, getattr(self, name))
         twin.jobs, twin.assignment = dict(self.jobs), dict(self.assignment)
         twin.sizes = dict(self.sizes)
@@ -266,19 +296,20 @@ class ScheduleState:
             f"z={self.z!r})"
         )
 
-    def units_of(self, value: Fraction) -> int:
-        """``value`` in units, first extending the unit to its denominator.
+    def units_of(self, job: Job) -> int:
+        """``job``'s size in units, first extending the unit to its
+        denominator; reads the job's ``size_num`` and ``size_den``.
 
-        The last Fraction object converted is remembered with its units
-        and served again without arithmetic; every other value, the only
-        kind that can extend the unit, replaces it."""
-        if value is self._last_size:
+        The last Job object converted is remembered with its units and
+        served again without arithmetic; every other job, the only kind
+        that can extend the unit, replaces it."""
+        if job is self._last_job:
             return self._last_units
-        den = value.denominator
+        den = job.size_den
         if self.unit % den:
             self._extend(den)
-        units = value.numerator * (self.unit // den)
-        self._last_size, self._last_units = value, units
+        units = job.size_num * (self.unit // den)
+        self._last_job, self._last_units = job, units
         return units
 
     def _extend(self, den: int) -> None:
@@ -370,7 +401,7 @@ def apply_decision(
             f"grade-1 job {job.index} cannot run on machine 2"
         )
 
-    p = state.units_of(job.size)
+    p = state.units_of(job)
     assignment = state.assignment
     sizes = state.sizes
     migrations = decision.migrations
@@ -536,7 +567,7 @@ class Instance:
 
     @property
     def total_size(self) -> Fraction:
-        units, unit = to_units([job.size for job in self.jobs])
+        units, unit = job_units(self.jobs)
         return Fraction(sum(units), unit)
 
     def normalized(self) -> "Instance":
@@ -628,7 +659,7 @@ def validate_instance(instance: Instance, check_opt: bool = False) -> Validation
     jobs, opt = instance.jobs, instance.declared_opt
     # both totals as ints over one unit, compared with opt = num/den by
     # cross-multiplication; a Fraction is built only for a failure message
-    units, unit = to_units([job.size for job in jobs])
+    units, unit = job_units(jobs)
     total = sum(units)
     gos1 = sum([size for size, job in zip(units, jobs) if job.gos == 1])
     num, den = opt.as_integer_ratio()

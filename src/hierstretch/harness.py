@@ -144,8 +144,9 @@ def run_stream(
     produces an illegal decision; optionally checks the makespan against
     ``bound`` after every arrival, as ints against the bound in units
     rounded down.  Conservation of total size is always verified at the
-    end, against a separate int sum of the sizes of the input jobs placed
-    (the ledger's), so ``jobs`` may be a one-shot iterator.
+    end, against a separate int sum of the input jobs placed (the
+    ledger's), each read from its own ``size_num`` and ``size_den``
+    rather than the state's units, so ``jobs`` may be a one-shot iterator.
     """
     state = ScheduleState(m)  # a negative m raises NegativeM here
     ledger = MigrationLedger()
@@ -179,8 +180,7 @@ def run_stream(
         violations.append(f"final makespan {state.makespan} > bound {bound}")
     arrived = 0
     for job in ledger.jobs:
-        size = job.size
-        arrived += size.numerator * (unit // size.denominator)
+        arrived += job.size_num * (unit // job.size_den)
     if state.x_units + state.y_units + state.z_units != arrived:
         violations.append(
             f"conservation broken: loads sum to {state.arrived_total}, "

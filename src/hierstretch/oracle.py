@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .core import EXACT_SEARCH_LIMIT, Job, MachineId, ZERO, to_units
+from .core import EXACT_SEARCH_LIMIT, Job, MachineId, ZERO, job_units
 from .errors import SizeLimit
 
 # largest grade-2 total, in units, whose reachable loads are kept as the
@@ -40,7 +40,7 @@ def _grade2_units(jobs: Sequence[Job]) -> tuple[list[int], int, list[int]]:
     """``(units, unit, sizes)``: every job's size over one unit, and the
     grade-2 sizes among them in arrival order; more than
     ``EXACT_SEARCH_LIMIT`` grade-2 jobs raise :class:`SizeLimit`."""
-    units, unit = to_units([job.size for job in jobs])
+    units, unit = job_units(jobs)
     sizes = [size for size, job in zip(units, jobs) if job.gos == 2]
     if len(sizes) > EXACT_SEARCH_LIMIT:
         raise SizeLimit(

@@ -19,7 +19,7 @@ from hierstretch.adversary import (
 from hierstretch.algorithms import SCHEDULERS
 from hierstretch.core import AssignmentDecision, Job, MachineId, ratio_bound
 from hierstretch.errors import (
-    BadCertificate, BadEps, BadGamma, BadTheta, NegativeM, RegimeMismatch
+    BadCertificate, BadEps, BadGamma, BadTheta, NegativeM, ParseError, RegimeMismatch
 )
 from hierstretch.harness import main
 from hierstretch.oracle import brute_opt
@@ -323,6 +323,41 @@ class TestDuelMechanics:
         assert main(["duel", "liar", "B", "--m", "1"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: BadCertificate: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "certified, claimed, message",
+        [
+            ("x", None, "bad rational literal 'x'"),
+            (Fraction(1, 2), None, "not a rational: None"),
+            (0, 1, "certified optimum must be positive, got 0"),
+        ],
+    )
+    def test_malformed_stop_is_a_parse_error(self, certified, claimed, message, capsys, monkeypatch):
+        with pytest.raises(ParseError, match=message):
+            duel(OneJob(1, certified, claimed), "B")
+        monkeypatch.setitem(ADVERSARIES, "bad-stop", lambda m: OneJob(m, certified, claimed))
+        assert main(["duel", "bad-stop", "B", "--m", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ParseError: ") and err.count("\n") == 1
+
+    def test_stop_fields_are_coerced(self):
+        transcript = duel(OneJob(1, "1/2", 2), "B")
+        assert transcript.certified_opt == Fraction(1, 2)
+        assert transcript.claimed_min_ratio == Fraction(2)
+        assert isinstance(transcript.claimed_min_ratio, Fraction)
+        assert transcript.oracle_checked
+
+    def test_move_that_is_not_a_job_is_a_parse_error(self, capsys, monkeypatch):
+        class Talker(OneJob):
+            def next(self, state):
+                return "job"
+
+        with pytest.raises(ParseError, match="moved 'job', not a Job or a Stop"):
+            duel(Talker(1), "B")
+        monkeypatch.setitem(ADVERSARIES, "talker", Talker)
+        assert main(["duel", "talker", "B", "--m", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ParseError: ") and err.count("\n") == 1
 
     def test_mismatched_m_is_a_typed_error(self):
         # the duel's m must be the game's own: A's budget at 3 against the

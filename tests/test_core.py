@@ -1,6 +1,7 @@
 """Core types: state bookkeeping, budgets, bounds, instance validation."""
 from __future__ import annotations
 
+import dataclasses
 import gc
 import json
 import sys
@@ -72,6 +73,51 @@ class TestJob:
 
     def test_coerces_strings(self):
         assert Job(1, "7/10", 2).size == Fraction(7, 10)
+
+    @given(
+        st.one_of(
+            st.fractions(min_value=0, max_denominator=10**6).filter(bool),
+            st.integers(1, 10**6),
+            st.builds("{}/{}".format, st.integers(1, 10**6), st.integers(1, 10**6)),
+        ),
+        st.integers(1, 100),
+        st.sampled_from([1, 2]),
+    )
+    def test_size_pair(self, size, index, gos):
+        # the pair is the size's lowest terms, read once; equality, hash and
+        # repr see only the three fields, and replace() recomputes the pair
+        job, exact = Job(index, size, gos), Fraction(size)
+        assert job.size == exact
+        assert (job.size_num, job.size_den) == exact.as_integer_ratio()
+        twin = Job(index, exact, gos)
+        object.__setattr__(twin, "size_num", job.size_num + 1)
+        assert twin == job and hash(twin) == hash(job)
+        assert repr(twin) == repr(job) == f"Job(index={index}, size={exact!r}, gos={gos})"
+        moved = dataclasses.replace(job, size=exact * 7 / 3)
+        assert (moved.size_num, moved.size_den) == (exact * 7 / 3).as_integer_ratio()
+        assert (moved.index, moved.gos) == (index, gos)
+        with pytest.raises(ParseError, match=f"job {index} has non-positive size 0"):
+            dataclasses.replace(job, size="0/3")
+
+    @pytest.mark.parametrize(
+        "index, size, gos, message",
+        [
+            (0, 1, 2, "job index must be an int >= 1, got 0"),
+            (True, 1, 2, "job index must be an int >= 1, got True"),
+            ("1", 1, 2, "job index must be an int >= 1, got '1'"),
+            (3, "0/7", 2, "job 3 has non-positive size 0"),
+            (3, Fraction(-1, 3), 2, "job 3 has non-positive size -1/3"),
+            (3, "x", 2, "bad rational literal 'x'"),
+            (3, 0.5, 2, "not a rational: 0.5"),
+            (3, None, 2, "not a rational: None"),
+            (3, 1, 2.0, "job 3 has bad grade of service 2.0"),
+            (3, 1, True, "job 3 has bad grade of service True"),
+        ],
+    )
+    def test_malformed_field_messages(self, index, size, gos, message):
+        with pytest.raises(ParseError) as info:
+            Job(index, size, gos)
+        assert str(info.value) == message
 
 
 class TestToUnits:
@@ -294,7 +340,7 @@ class TestScheduleState:
         den, scaled = ratio_bound(m).units
         for size in (None, Fraction(1, 7919), Fraction(3, 14)):
             if size is not None:
-                state.units_of(size)
+                state.units_of(Job(1, size, 2))
             factor, rest = divmod(state.unit, den)
             assert rest == 0
             assert [getattr(state, name) for name in ScheduleState.SCALED[3:]] == [
@@ -307,7 +353,7 @@ class TestScheduleState:
         scaled = [getattr(state, name) for name in ScheduleState.SCALED]
         unit = state.unit
         twin = state.copy()
-        twin.units_of(Fraction(1, 7919))
+        twin.units_of(Job(3, Fraction(1, 7919), 2))
         assert twin.unit == 7919 * unit and state.unit == unit
         assert [getattr(state, name) for name in ScheduleState.SCALED] == scaled
         assert twin == state
@@ -386,7 +432,7 @@ class TestKernel:
         for name, fn in SCHEDULERS.items():
             m = Fraction(data.draw(st.sampled_from(KERNEL_M.get(name, ["0", "1/4", "3"]))))
             fresh, primed = ScheduleState(m), ScheduleState(m)
-            primed.units_of(Fraction(1, 7919))
+            primed.units_of(Job(1, Fraction(1, 7919), 2))
             runs = []
             for state in (fresh, primed):
                 ledger = MigrationLedger()
@@ -418,7 +464,7 @@ class TestKernel:
         def holds(state):
             assert state.sizes.keys() == state.jobs.keys()
             for i, job in state.jobs.items():
-                assert state.sizes[i] == state.units_of(job.size)
+                assert state.sizes[i] == state.units_of(job)
                 assert Fraction(state.sizes[i], state.unit) == job.size
 
         state, ledger = ScheduleState(m), MigrationLedger()
@@ -431,17 +477,17 @@ class TestKernel:
             twin = state.copy()
             holds(twin)
             # the memo holds the arrival's units; the original extends
-            assert state.units_of(job.size) == twin.units_of(job.size)
-            state.units_of(Fraction(1, next(primes)))
+            assert state.units_of(job) == twin.units_of(job)
+            state.units_of(Job(1, Fraction(1, next(primes)), 2))
             holds(state)
             holds(twin)
             for side in (state, twin):
-                assert Fraction(side.units_of(job.size), side.unit) == job.size
+                assert Fraction(side.units_of(job), side.unit) == job.size
             # and the other way round: the copy extends, the original keeps
-            twin.units_of(job.size)
-            twin.units_of(Fraction(1, 7829))
+            twin.units_of(job)
+            twin.units_of(Job(1, Fraction(1, 7829), 2))
             holds(twin)
-            assert Fraction(state.units_of(job.size), state.unit) == job.size
+            assert Fraction(state.units_of(job), state.unit) == job.size
 
     def test_copy_is_a_snapshot(self):
         state, ledger = ScheduleState(1), MigrationLedger()

@@ -142,6 +142,72 @@ class TestRunMachinery:
             "conservation broken: loads sum to 1/2, arrived 3/4"
         ]
 
+    def test_conservation_is_independent_of_the_kernel_conversion(self, monkeypatch):
+        # a conversion that makes arrival 2 one unit too large also grows
+        # state.sizes and the loads; the check sums each placed job's own
+        # size_num and size_den, so it still sees the extra unit
+        original = core.ScheduleState.units_of
+
+        def inflating(state, job):
+            return original(state, job) + (job.index == 2)
+
+        monkeypatch.setattr(core.ScheduleState, "units_of", inflating)
+        jobs = stream(("1/2", 2), ("1/4", 1), ("1/4", 2))
+        result = run_stream(jobs, SCHEDULERS["baseline"], Fraction(0))
+        assert result.violations == [
+            "conservation broken: loads sum to 5/4, arrived 1"
+        ]
+
+    @pytest.mark.parametrize(
+        "name, m, big", [("A", 3, None), ("B", 1, 1), ("C", "3/5", 1), ("D", "7/10", 1)]
+    )
+    def test_run_stream_reads_no_fraction_per_arrival(self, name, m, big, monkeypatch):
+        # once the jobs exist, a run reads Fraction's numerator, denominator
+        # and as_integer_ratio as often at 1,000 arrivals as at 100: every
+        # conversion of a size reads the job's size_num and size_den
+        def deck(n):
+            # n grade-2 jobs just under 1/(2n), over denominators that keep
+            # extending the unit; then ``big``, which B, C and D rebalance
+            # for in one migrating arrival; then n grade-1 jobs of 1/(4n)
+            pairs = [
+                (Fraction(1, 2 * n) - Fraction(1, 2 * n * (5, 7, 11, 13)[i % 4]), 2)
+                for i in range(n)
+            ]
+            pairs += [(big, 2)] if big is not None else []
+            return stream(*pairs, *[(Fraction(1, 4 * n), 1)] * n)
+
+        decks = {n: deck(n) for n in (100, 1000)}
+        bound = ratio_bound(m).bound
+        core.ScheduleState(m)  # fill the caches of m's bound for both runs
+        reads: dict[int, dict[str, int]] = {}
+        counts: dict[str, int] = {}
+
+        def counting(attr, read):
+            def counted(self, *args):
+                counts[attr] = counts.get(attr, 0) + 1
+                return read(self, *args)
+            return counted
+
+        for attr in ("numerator", "denominator"):
+            read = counting(attr, getattr(Fraction, attr).fget)
+            monkeypatch.setattr(Fraction, attr, property(read))
+        monkeypatch.setattr(
+            Fraction, "as_integer_ratio", counting("as_integer_ratio", Fraction.as_integer_ratio)
+        )
+        results = {}
+        for n, jobs in decks.items():
+            counts.clear()
+            results[n] = run_stream(jobs, SCHEDULERS[name], m, bound, per_arrival_bound=True)
+            reads[n] = dict(counts)
+        monkeypatch.undo()
+        for n, result in results.items():
+            assert result.violations == []
+            assert len(result.ledger.jobs) == len(decks[n])
+            assert len(result.ledger.migrated) == (big is not None)
+        # m and the bound are parsed once: the counters are live
+        assert reads[100]["numerator"] > 0
+        assert reads[100] == reads[1000]
+
     def test_conservation_on_a_one_shot_iterator(self):
         # the end-of-run sum reads the jobs placed, not the consumed input
         jobs = stream(("1/2", 2), ("1/2", 1), ("1/3", 2))

@@ -46,10 +46,12 @@ SchedulerFn = Callable[[ScheduleState, Job], AssignmentDecision]
 M1 = MachineId.M1
 M2 = MachineId.M2
 
-# the window's decisions carry no migrations, so one frozen record of each
-# serves every arrival
+# the window's decisions, and the naive opponents', carry no migrations,
+# so one frozen record of each serves every arrival
 _WINDOW_M1 = AssignmentDecision(M1, step=2)
 _WINDOW_M2 = AssignmentDecision(M2, step=3)
+_PLAIN_M1 = AssignmentDecision(M1)
+_PLAIN_M2 = AssignmentDecision(M2)
 
 
 def select_max_subset(sizes: Sequence[int], cap: int) -> tuple[tuple[int, ...], int]:
@@ -303,21 +305,19 @@ def baseline_nomig(state: ScheduleState, job: Job) -> AssignmentDecision:
 
 def greedy_to_m2(state: ScheduleState, job: Job) -> AssignmentDecision:
     """Send every grade-2 job to machine 2, never migrate."""
-    return AssignmentDecision(M2 if job.gos == 2 else M1)
+    return _PLAIN_M2 if job.gos == 2 else _PLAIN_M1
 
 
 def greedy_least_loaded(state: ScheduleState, job: Job) -> AssignmentDecision:
     """Grade-2 jobs join the currently smaller machine (ties to machine 2)."""
-    if job.gos == 1:
-        return AssignmentDecision(M1)
-    return AssignmentDecision(
-        M1 if state.x_units + state.z_units < state.y_units else M2
-    )
+    if job.gos == 1 or state.x_units + state.z_units < state.y_units:
+        return _PLAIN_M1
+    return _PLAIN_M2
 
 
 def all_to_m1(state: ScheduleState, job: Job) -> AssignmentDecision:
     """Pile everything onto machine 1."""
-    return AssignmentDecision(M1)
+    return _PLAIN_M1
 
 
 SCHEDULERS: dict[str, SchedulerFn] = {
@@ -339,7 +339,8 @@ REGIME_ALGORITHM: dict[Regime, str] = {
 
 
 def scheduler_for_regime(m) -> tuple[str, SchedulerFn]:
-    """Name and function of the guaranteed scheduler for this m."""
+    """Name and function of the guaranteed scheduler for this m (or its
+    :class:`RegimeBound`)."""
     name = REGIME_ALGORITHM[ratio_bound(m).regime]
     return name, SCHEDULERS[name]
 

@@ -5,8 +5,8 @@ Everything is exact: sizes, loads, budgets, and bounds cross the API as
 :class:`ScheduleState` is bound to one migration factor m: it holds its
 loads and m's constants (:attr:`RegimeBound.units`, scaled once per m)
 over one common unit, and is updated in place by :func:`apply_decision`,
-one arrival at a time; the exponential searches scale their input once
-(:func:`job_units`).  A :class:`Job` reads its size's numerator and
+one arrival at a time; the exponential searches scale their input in
+one pass over the jobs.  A :class:`Job` reads its size's numerator and
 denominator once, when it is made, and every conversion of the size reads
 those two ints; the state keeps each placed job's size in units, so an
 arrival converts only its own size, once.  A :class:`MigrationLedger`
@@ -237,7 +237,8 @@ class ScheduleState:
     one migration factor m, fixed for the schedule.
 
     ``ScheduleState(m)`` parses m once (a negative m raises
-    :class:`NegativeM`) and keeps it with its tight bound ``tight``.
+    :class:`NegativeM`) and keeps it with its tight bound ``tight``; m may
+    be that :class:`RegimeBound` itself.
     ``jobs`` holds the arrived jobs in arrival order, ``assignment``
     their machines and ``sizes`` their sizes in units.  The ints named in
     ``SCALED`` and ``sizes`` share one ``unit``, the lcm of every
@@ -262,7 +263,7 @@ class ScheduleState:
 
     SCALED = ("x_units", "y_units", "z_units", "r", "low", "m_units")
 
-    def __init__(self, m: RationalLike) -> None:
+    def __init__(self, m: RationalLike | RegimeBound) -> None:
         self.tight = tight = ratio_bound(m)
         self.m = tight.m
         self.jobs: dict[int, Job] = {}
@@ -522,12 +523,16 @@ def _ratio_bound_cached(num: int, den: int) -> RegimeBound:
     return RegimeBound(m, Regime.NO_MIG, Fraction(3, 2))
 
 
-def ratio_bound(m: RationalLike) -> RegimeBound:
+def ratio_bound(m: RationalLike | RegimeBound) -> RegimeBound:
     """Tight competitive ratio as a function of the migration factor.
 
     (2m+5)/(2m+3) for m >= 5/2; 5/4 on [3/4, 5/2); 2-m on [1/2, 3/4);
     3/2 below 1/2.  Non-increasing in m and continuous at every boundary.
+    A :class:`RegimeBound` is returned as it is, so a caller that holds
+    one can pass it wherever an m is taken.
     """
+    if isinstance(m, RegimeBound):
+        return m
     m = as_migration_factor(m)
     return _ratio_bound_cached(m.numerator, m.denominator)
 
@@ -565,8 +570,9 @@ class Instance:
                     f"job indices must be 1..n in order; position {pos} has {job.index}"
                 )
 
-    @property
+    @cached_property
     def total_size(self) -> Fraction:
+        """The sum of the job sizes, computed on the first read and kept."""
         units, unit = job_units(self.jobs)
         return Fraction(sum(units), unit)
 
@@ -657,11 +663,16 @@ def validate_instance(instance: Instance, check_opt: bool = False) -> Validation
     """
     report = ValidationReport()
     jobs, opt = instance.jobs, instance.declared_opt
-    # both totals as ints over one unit, compared with opt = num/den by
-    # cross-multiplication; a Fraction is built only for a failure message
-    units, unit = job_units(jobs)
-    total = sum(units)
-    gos1 = sum([size for size, job in zip(units, jobs) if job.gos == 1])
+    # both totals as ints over one unit, summed in one pass and compared
+    # with opt = num/den by cross-multiplication; a Fraction is built only
+    # for a failure message
+    unit = math.lcm(*[job.size_den for job in jobs])
+    total = gos1 = 0
+    for job in jobs:
+        size = job.size_num * (unit // job.size_den)
+        total += size
+        if job.gos == 1:
+            gos1 += size
     num, den = opt.as_integer_ratio()
     if total * den > 2 * num * unit:
         report.failures.append(

@@ -138,15 +138,17 @@ def run_stream(
 ) -> RunResult:
     """Feed jobs through a scheduler with full budget/hierarchy enforcement.
 
-    A negative ``m`` raises :class:`NegativeM` and a ``bound`` that is not
-    rational (see :func:`as_fraction`) :class:`ParseError`, both before
-    the first arrival.  Records a violation (and stops) if the scheduler
-    produces an illegal decision; optionally checks the makespan against
-    ``bound`` after every arrival, as ints against the bound in units
-    rounded down.  Conservation of total size is always verified at the
-    end, against a separate int sum of the input jobs placed (the
-    ledger's), each read from its own ``size_num`` and ``size_den``
-    rather than the state's units, so ``jobs`` may be a one-shot iterator.
+    ``m`` is a migration factor or its :class:`RegimeBound`, which is
+    used as it is.  A negative ``m`` raises :class:`NegativeM` and a
+    ``bound`` that is not rational (see :func:`as_fraction`)
+    :class:`ParseError`, both before the first arrival.  Records a
+    violation (and stops) if the scheduler produces an illegal decision;
+    optionally checks the makespan against ``bound`` after every arrival,
+    as ints against the bound in units rounded down.  Conservation of
+    total size is always verified at the end, against a separate int sum
+    of the input jobs placed (the ledger's), each read from its own
+    ``size_num`` and ``size_den`` rather than the state's units, so
+    ``jobs`` may be a one-shot iterator.
     """
     state = ScheduleState(m)  # a negative m raises NegativeM here
     ledger = MigrationLedger()
@@ -329,17 +331,17 @@ def guarantee_suite(seed: int, count: int) -> SuiteSummary:
     arrival, then :func:`run_violations`: no illegal decision, migration
     within ``migration_cap`` * p_j (m, or 3/4 for scheduler B), and at most
     one rebalancing step per run for schedulers B, C, and D.  The twelve
-    bounds are computed once, in ``ACCEPTANCE_BOUNDS``, and their
-    schedulers once per call; per run, the margin to the bound is kept as
-    an int pair over the run's unit, and the note's Fraction is built
-    once at the end.  A ``count`` that is not an int >= 0 raises
+    bounds are computed once, in ``ACCEPTANCE_BOUNDS``, and passed as
+    they are to the scheduler lookup, once per call, and to every run;
+    per run, the margin to the bound is kept as an int pair over the
+    run's unit, and the note's Fraction is built once at the end.  A ``count`` that is not an int >= 0 raises
     :class:`ParseError`.
     """
     _check_count(count)
     summary = SuiteSummary(name="guarantees")
     # looked up per call, so a rebound scheduler_for_regime or SCHEDULERS
     # entry (a wrapper, a probe) is the one that runs
-    plans = [(tight, *scheduler_for_regime(tight.m)) for tight in ACCEPTANCE_BOUNDS]
+    plans = [(tight, *scheduler_for_regime(tight)) for tight in ACCEPTANCE_BOUNDS]
     # the smallest bound - makespan so far, as (num, den) with den > 0
     worst: tuple[int, int] | None = None
     max_step45: dict[str, int] = {}
@@ -347,7 +349,7 @@ def guarantee_suite(seed: int, count: int) -> SuiteSummary:
         for tight, name, fn in plans:
             m, bound = tight.m, tight.bound
             result = run_stream(
-                instance.jobs, fn, m, bound=bound, per_arrival_bound=True
+                instance.jobs, fn, tight, bound=bound, per_arrival_bound=True
             )
             summary.runs += 1
             violations = run_violations(result, name, tight)

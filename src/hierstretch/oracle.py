@@ -1,29 +1,32 @@
 """Exact offline optimum and prefix loads, used as ground truth.
 
-Each call scales its sizes once to integer units and works on ints;
-a Fraction is built only for a value it returns.  Grade-1 jobs are
-pinned to machine 1, so the optimum is fixed by y, the machine-2 load:
-the makespan is max(T - y, y) over the total T.  When the grade-2 total
-is at most ``BITSET_LIMIT`` units, the loads y the grade-2 jobs can reach
-are the set bits of one int, built with one shift-or per job; the best y
-is the largest reachable one up to T/2 or the smallest from T/2 up.
-:func:`brute_opt` keeps only that one int.  The least optimal split keeps
-the reach of every suffix, and one walk in arrival order picks its
-machine vector; :func:`opt_prefix_loads` then runs the prefix loads as
-ints.  Larger totals (sizes with huge denominators, such as the
-known-total-size adversary's sand) fall back to a branch-and-bound over
-the 2^k placements.  Both paths refuse more than ``EXACT_SEARCH_LIMIT``
-grade-2 jobs and return the same split.  Deliberately a different
-computation path from any scheduler, so tests can use it as an
-independent oracle.
+Each call scales its sizes to integer units in one pass over the jobs,
+after one lcm of their denominators, which also sums the total, picks
+out the grade-2 sizes and checks their count before any search; the
+work runs on ints and a Fraction is built only for a value it returns.
+Grade-1 jobs are pinned to machine 1, so the optimum is fixed by y, the
+machine-2 load: the makespan is max(T - y, y) over the total T.  When
+the grade-2 total is at most ``BITSET_LIMIT`` units, the loads y the
+grade-2 jobs can reach are the set bits of one int, built with one
+shift-or per job; the best y is the largest reachable one up to T/2 or
+the smallest from T/2 up.  :func:`brute_opt` keeps only that one int.
+The least optimal split keeps the reach of every suffix, and one walk in
+arrival order picks its machine vector; :func:`opt_prefix_loads` then
+runs the prefix loads as ints.  Larger totals (sizes with huge
+denominators, such as the known-total-size adversary's sand) fall back
+to a branch-and-bound over the 2^k placements.  Both paths refuse more
+than ``EXACT_SEARCH_LIMIT`` grade-2 jobs and return the same split.
+Deliberately a different computation path from any scheduler, so tests
+can use it as an independent oracle.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
-from .core import EXACT_SEARCH_LIMIT, Job, MachineId, ZERO, job_units
+from .core import EXACT_SEARCH_LIMIT, Job, MachineId, ZERO
 from .errors import SizeLimit
 
 # largest grade-2 total, in units, whose reachable loads are kept as the
@@ -36,18 +39,25 @@ M1 = MachineId.M1
 M2 = MachineId.M2
 
 
-def _grade2_units(jobs: Sequence[Job]) -> tuple[list[int], int, list[int]]:
-    """``(units, unit, sizes)``: every job's size over one unit, and the
-    grade-2 sizes among them in arrival order; more than
-    ``EXACT_SEARCH_LIMIT`` grade-2 jobs raise :class:`SizeLimit`."""
-    units, unit = job_units(jobs)
-    sizes = [size for size, job in zip(units, jobs) if job.gos == 2]
+def _grade2_sizes(jobs: Sequence[Job]) -> tuple[int, int, list[int]]:
+    """``(unit, total, sizes)`` in one pass over the jobs: the lcm of
+    their denominators, every job's size summed in units and the grade-2
+    sizes in arrival order; more than ``EXACT_SEARCH_LIMIT`` grade-2 jobs
+    raise :class:`SizeLimit` before any search."""
+    unit = lcm(*[job.size_den for job in jobs])
+    total = 0
+    sizes: list[int] = []
+    for job in jobs:
+        size = job.size_num * (unit // job.size_den)
+        total += size
+        if job.gos == 2:
+            sizes.append(size)
     if len(sizes) > EXACT_SEARCH_LIMIT:
         raise SizeLimit(
             f"{len(sizes)} grade-2 jobs exceed the exact-search limit "
             f"{EXACT_SEARCH_LIMIT}"
         )
-    return units, unit, sizes
+    return unit, total, sizes
 
 
 def _best_load(reach: int, total: int, grade2: int) -> tuple[int, int]:
@@ -124,20 +134,20 @@ def _search_split(
 
 def _least_optimal_split(
     jobs: Sequence[Job],
-) -> tuple[Fraction, tuple[MachineId, ...], list[int], int]:
+) -> tuple[Fraction, tuple[MachineId, ...], int]:
     """The least optimal assignment of the grade-2 jobs, exact.
 
-    Returns the optimal makespan and the machine of each grade-2 job in
-    arrival order, then every job's size in units and the unit.  Among
+    Returns the optimal makespan, the machine of each grade-2 job in
+    arrival order and the unit the sizes were scaled to.  Among
     optimal assignments the least is the one with the smallest machine-2
     load, then the lexicographically smallest machine vector (machine 1
     before machine 2).  Grade-1 jobs are pinned to machine 1; empty input
     gives makespan 0.
     """
-    units, unit, sizes = _grade2_units(jobs)
+    unit, total, sizes = _grade2_sizes(jobs)
     split = _bitset_split if sum(sizes) <= BITSET_LIMIT else _search_split
-    best, vector = split(sizes, sum(units))
-    return Fraction(best, unit), vector, units, unit
+    best, vector = split(sizes, total)
+    return Fraction(best, unit), vector, unit
 
 
 def brute_opt(jobs: Sequence[Job]) -> Fraction:
@@ -147,8 +157,8 @@ def brute_opt(jobs: Sequence[Job]) -> Fraction:
     as the module docstring describes; only the optimum is computed, not
     the split that reaches it.  Empty input gives 0.
     """
-    units, unit, sizes = _grade2_units(jobs)
-    total, grade2 = sum(units), sum(sizes)
+    unit, total, sizes = _grade2_sizes(jobs)
+    grade2 = sum(sizes)
     if grade2 > BITSET_LIMIT:
         return Fraction(_search_split(sizes, total)[0], unit)
     reach = 1  # bit y set: some grade-2 jobs seen so far sum to y
@@ -177,15 +187,17 @@ def opt_prefix_loads(jobs: Sequence[Job]) -> OptimalPrefixLoads:
     then the lexicographically smallest machine vector over grade-2 jobs
     in arrival order (machine 1 before machine 2).
     """
-    opt, vector, units, unit = _least_optimal_split(jobs)
+    opt, vector, unit = _least_optimal_split(jobs)
     gos2_machines = iter(vector)
     machines: dict[int, MachineId] = {}
     loads = []
-    # the loads run as ints; each prefix builds a Fraction only for the
-    # load that changed and shares the other one's
+    # the loads run as ints, each job converted as it is placed; each
+    # prefix builds a Fraction only for the load that changed and shares
+    # the other one's
     load1 = load2 = 0
     frac1 = frac2 = ZERO
-    for job, size in zip(jobs, units):
+    for job in jobs:
+        size = job.size_num * (unit // job.size_den)
         machine = M1 if job.gos == 1 else next(gos2_machines)
         machines[job.index] = machine
         if machine is M1:
@@ -215,8 +227,12 @@ def prefix_opt_monotone_check(jobs: Sequence[Job]) -> PrefixMonotoneReport:
     # a rebound oracle.brute_opt (a probe, a test) sees every prefix
     prefix_opts = [brute_opt(jobs[:j]) for j in range(1, len(jobs) + 1)]
     failures: list[str] = []
-    for j in range(1, len(prefix_opts)):
-        if prefix_opts[j] < prefix_opts[j - 1]:
+    # each optimum as a (num, den) pair, den > 0, compared by
+    # cross-multiplication rather than through Fraction.__lt__
+    ratios = [opt.as_integer_ratio() for opt in prefix_opts]
+    for j in range(1, len(ratios)):
+        (num0, den0), (num, den) = ratios[j - 1], ratios[j]
+        if num * den0 < num0 * den:
             failures.append(
                 f"prefix optimum drops at job {j + 1}: "
                 f"{prefix_opts[j - 1]} -> {prefix_opts[j]}"

@@ -609,6 +609,12 @@ class TestRatioBound:
             with pytest.raises(NegativeM):
                 ratio_bound(m)
 
+    def test_a_bound_is_returned_as_it_is(self):
+        for m in ("0", "3/5", "7/10", "1", "3"):
+            bound = ratio_bound(m)
+            assert ratio_bound(bound) is bound
+            assert ScheduleState(bound).tight is bound
+
     def test_cached_once_per_value(self):
         # one cached bound per m in lowest terms, however m is written
         assert ratio_bound(3) is ratio_bound("6/2") is ratio_bound(Fraction(3))
@@ -731,6 +737,16 @@ class TestInstanceTotals:
         instance = Instance(jobs=())
         assert instance.total_size == 0
         assert in_lowest_terms(instance.total_size)
+
+    def test_total_size_is_computed_once(self):
+        instance = Instance(jobs=stream(("1/2", 2), ("1/3", 1)))
+        total = instance.total_size
+        assert total == Fraction(5, 6)
+        assert instance.total_size is total
+        # replace builds a new Instance, which sums its own jobs
+        grown = dataclasses.replace(instance, jobs=stream(("1/2", 2), ("1/3", 1), ("1/6", 2)))
+        assert grown.total_size == 1
+        assert instance.total_size is total
 
 
 class TestInstanceJson:

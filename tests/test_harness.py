@@ -86,6 +86,21 @@ class TestRunMachinery:
         assert "IllegalDecision" in result.violations[0]
         assert reason in result.violations[0]
 
+    @pytest.mark.parametrize("m", ["1/4", "11/20", "7/10", "1", "3"])
+    def test_run_stream_takes_a_regime_bound(self, m):
+        # the caller's RegimeBound is used as it is, with the same outcome
+        # as the m it was made from
+        tight = ratio_bound(m)
+        jobs = generate(GenConfig(seed=7, n_gos2=9, n_gos1=3)).jobs
+        name, fn = algorithms.scheduler_for_regime(tight)
+        assert (name, fn) == algorithms.scheduler_for_regime(tight.m)
+        by_bound = run_stream(jobs, fn, tight, bound=tight.bound, per_arrival_bound=True)
+        by_m = run_stream(jobs, fn, tight.m, bound=tight.bound, per_arrival_bound=True)
+        assert by_bound.final_state.tight is tight
+        assert by_bound.final_state == by_m.final_state
+        assert by_bound.ledger.entries == by_m.ledger.entries
+        assert by_bound.violations == by_m.violations == []
+
     def test_run_stream_coerces_bound(self):
         # a 'num/den' string is a bound; floats and bools are not rationals
         jobs = stream(("1/2", 2), ("1", 2), ("1/2", 1))

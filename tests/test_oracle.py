@@ -1,6 +1,7 @@
 """Brute-force optimum, prefix loads, and their invariants."""
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -61,6 +62,40 @@ class TestBruteOpt:
     def test_size_limit(self):
         with pytest.raises(SizeLimit):
             brute_opt(stream(*[("1/100", 2)] * 25))
+
+    def test_size_limit_before_any_search(self, monkeypatch):
+        # 25 grade-2 jobs are refused by the conversion pass: no search
+        # helper is reached, on either side of BITSET_LIMIT
+        def unreachable(*args):
+            raise AssertionError("a search ran before the size check")
+
+        for name in ("_best_load", "_bitset_split", "_search_split"):
+            monkeypatch.setattr(oracle, name, unreachable)
+        for size in ("1/100", "1/10000007"):
+            jobs = stream(*[(size, 2)] * 25, ("1/2", 1))
+            for call in (brute_opt, _least_optimal_split, opt_prefix_loads):
+                with pytest.raises(SizeLimit, match="25 grade-2 jobs"):
+                    call(jobs)
+
+    def test_one_lcm_per_call(self, monkeypatch):
+        # the sizes are scaled in one pass after a single lcm of their
+        # denominators, whatever the mix of grades and denominators
+        calls = []
+
+        def counting(*dens):
+            calls.append(dens)
+            return math.lcm(*dens)
+
+        monkeypatch.setattr(oracle, "lcm", counting)
+        jobs = stream(("1/2", 2), ("1/3", 1), ("2/7", 2), ("5/9", 2), ("1/4", 1))
+        assert brute_opt(jobs) == Fraction(19, 18)
+        assert calls == [(2, 3, 7, 9, 4)]
+        calls.clear()
+        assert _least_optimal_split(jobs)[0] == Fraction(19, 18)
+        assert calls == [(2, 3, 7, 9, 4)]
+        calls.clear()
+        assert opt_prefix_loads(jobs).opt == Fraction(19, 18)
+        assert len(calls) == 1
 
     @settings(max_examples=120)
     @given(
@@ -238,6 +273,10 @@ class TestPrefixMonotone:
             ),
             (["1", "1/2", "2"], ["prefix optimum drops at job 2: 1 -> 1/2"]),
             (["1", "1", "3/2"], []),
+            (["1", "1", "1"], []),
+            # optima over different denominators: a drop by 1/35, then none
+            (["3/7", "2/5", "9/10"], ["prefix optimum drops at job 2: 3/7 -> 2/5"]),
+            (["2/5", "3/7", "5/7"], []),
         ],
     )
     def test_reports_a_dropping_optimum(self, opts, failures, monkeypatch):

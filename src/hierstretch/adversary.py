@@ -21,10 +21,12 @@ from typing import Protocol, Union
 
 from .core import (
     EXACT_SEARCH_LIMIT,
+    M1,
+    M2,
     Job,
-    MachineId,
     MigrationLedger,
     ONE,
+    Regime,
     ScheduleState,
     ZERO,
     apply_decision,
@@ -89,9 +91,10 @@ class AdvHigh:
 
     def __init__(self, m, gamma=None) -> None:
         self.m = as_migration_factor(m)
-        if self.m < Fraction(5, 2):
+        tight = ratio_bound(self.m)
+        if tight.regime is not Regime.HIGH:
             raise RegimeMismatch(f"high adversary needs m >= 5/2, got {self.m}")
-        mu = ratio_bound(self.m).mu
+        mu = tight.mu
         self.gamma = (
             mu * (1 - Fraction(1, 1000)) if gamma is None else as_fraction(gamma)
         )
@@ -101,7 +104,6 @@ class AdvHigh:
             )
         # the co-located pair must weigh at least 1 + mu
         assert 2 - 3 * self.gamma >= 1 + mu
-        self.mu = mu
 
     def params(self) -> dict:
         return {"gamma": self.gamma}
@@ -118,7 +120,7 @@ class AdvHigh:
             first, second = state.assignment[1], state.assignment[2]
             if first == second:
                 return Job(3, g / 2, 2)  # sand branch
-            if first is MachineId.M1:
+            if first is M1:
                 return Job(3, 2 * g, 1)
             return Job(3, 2 * g, 2)
         # the third job's shape encodes which branch was taken
@@ -168,8 +170,8 @@ class OpenerGame:
         if n == 0:
             return Job(1, s, 2)
         if n == 1:
-            return Job(2, ONE, 1 if state.assignment[1] is MachineId.M1 else 2)
-        if n == 2 and state.jobs[2].gos == 2 and state.assignment[2] is MachineId.M1:
+            return Job(2, ONE, 1 if state.assignment[1] is M1 else 2)
+        if n == 2 and state.jobs[2].gos == 2 and state.assignment[2] is M1:
             return Job(3, 1 - s, 1)
         return Stop(ONE, 2 - s)
 
@@ -193,7 +195,7 @@ class AdvMid(OpenerGame):
     def __init__(self, m, eps=Fraction(1, 1000)) -> None:
         self.m = as_migration_factor(m)
         self.eps = as_fraction(eps)
-        if not Fraction(1, 2) <= self.m < Fraction(3, 4):
+        if ratio_bound(self.m).regime not in (Regime.LOW_C, Regime.LOW_D):
             raise RegimeMismatch(
                 f"mid adversary needs 1/2 <= m < 3/4, got {self.m}"
             )
@@ -218,7 +220,7 @@ class AdvLow(OpenerGame):
 
     def __init__(self, m) -> None:
         self.m = as_migration_factor(m)
-        if self.m >= Fraction(1, 2):
+        if ratio_bound(self.m).regime is not Regime.NO_MIG:
             raise RegimeMismatch(f"low adversary needs m < 1/2, got {self.m}")
 
     def params(self) -> dict:
@@ -288,10 +290,7 @@ class AdvTotalSize:
         if n == 1:
             return Job(2, self.theta, 2)
         if n == 2:
-            both_on_m2 = (
-                state.assignment[1] is MachineId.M2
-                and state.assignment[2] is MachineId.M2
-            )
+            both_on_m2 = state.assignment[1] is M2 and state.assignment[2] is M2
             sand_gos = 2 if both_on_m2 else 1
             return Job(3, self.sand_size, sand_gos)
         if n < 2 + self.sand_count:

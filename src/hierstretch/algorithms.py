@@ -32,6 +32,8 @@ from collections.abc import Callable, Sequence
 from .core import (
     EXACT_SEARCH_LIMIT,
     AssignmentDecision,
+    M1,
+    M2,
     Job,
     MachineId,
     Regime,
@@ -42,9 +44,6 @@ from .core import (
 from .errors import ParseError, RegimeMismatch, SizeLimit
 
 SchedulerFn = Callable[[ScheduleState, Job], AssignmentDecision]
-
-M1 = MachineId.M1
-M2 = MachineId.M2
 
 # the window's decisions, and the naive opponents', carry no migrations,
 # so one frozen record of each serves every arrival
@@ -163,9 +162,9 @@ def _window(name: str, state: ScheduleState, job: Job) -> AssignmentDecision | N
     return None
 
 
-def _to_m1(order: list[tuple[int, int]]) -> tuple[tuple[int, MachineId], ...]:
-    """Migrations moving these (-units, index) machine-2 jobs to machine 1."""
-    return tuple([(idx, M1) for _, idx in order])
+def _to_m1(indices: list[int]) -> tuple[tuple[int, MachineId], ...]:
+    """Migrations moving these machine-2 jobs to machine 1."""
+    return tuple([(idx, M1) for idx in indices])
 
 
 def _clear_prefix(state: ScheduleState, p: int, budget: int) -> AssignmentDecision:
@@ -173,11 +172,11 @@ def _clear_prefix(state: ScheduleState, p: int, budget: int) -> AssignmentDecisi
     machine-2 prefix within ``budget`` (the caller's migration cap times
     p, in units rounded down) moves to machine 1 so the arrival fits under
     r; if it still does not fit, it takes machine 1."""
-    order = state.y_order()
-    k, total = select_prefix_max([-neg for neg, _ in order], budget)
+    sizes, indices = state.y_order()
+    k, total = select_prefix_max(sizes, budget)
     if state.y_units - total + p > state.r:
         return AssignmentDecision(M1, step=4)
-    return AssignmentDecision(M2, _to_m1(order[:k]), step=4)
+    return AssignmentDecision(M2, _to_m1(indices[:k]), step=4)
 
 
 def alg_a(state: ScheduleState, job: Job) -> AssignmentDecision:
@@ -220,21 +219,21 @@ def alg_b(state: ScheduleState, job: Job) -> AssignmentDecision:
         return _clear_prefix(state, p, budget)
 
     # medium arrival (1/2 < p < 3/4); machine 2 holds more than 1/2
-    order = state.y_order()
-    p_max = -order[0][0]
+    sizes, indices = state.y_order()
+    p_max = sizes[0]
     if p + p_max > state.r:
         return AssignmentDecision(M1, step=5)
     if 2 * p_max >= state.y_units:
-        moved = order[1:]
+        moved = indices[1:]
     elif 4 * p_max >= state.unit:  # p_max >= 1/4
-        moved = order[:1]
+        moved = indices[:1]
     else:
         # the shortest prefix of total at least 1/4, rounded up to a unit
-        k, total = select_prefix_min([-neg for neg, _ in order], -(-state.unit // 4))
+        k, total = select_prefix_min(sizes, -(-state.unit // 4))
         if total > budget:
-            moved = order[k:]
+            moved = indices[k:]
         else:
-            moved = order[:k]
+            moved = indices[:k]
     return AssignmentDecision(M2, _to_m1(moved), step=5)
 
 
@@ -249,13 +248,13 @@ def alg_c(state: ScheduleState, job: Job) -> AssignmentDecision:
     if decision is not None:
         return decision
     p = state.units_of(job)
-    order = state.y_order()
-    if order and -order[0][0] > state.m_units * p // state.unit:
+    sizes, indices = state.y_order()
+    if sizes and sizes[0] > state.m_units * p // state.unit:
         return AssignmentDecision(M1, step=4)
 
     deficit = p + state.y_units - state.r
-    k, _ = select_prefix_min([-neg for neg, _ in order], deficit)
-    return AssignmentDecision(M2, _to_m1(order[:k]), step=5)
+    k, _ = select_prefix_min(sizes, deficit)
+    return AssignmentDecision(M2, _to_m1(indices[:k]), step=5)
 
 
 def alg_d(state: ScheduleState, job: Job) -> AssignmentDecision:
@@ -276,11 +275,11 @@ def alg_d(state: ScheduleState, job: Job) -> AssignmentDecision:
 
     # a prefix of total at least m/3 and at most 2m/3 and the budget, with
     # m/3 rounded up and 2m/3 down to a unit
-    order = state.y_order()
-    k, w_total = select_prefix_min([-neg for neg, _ in order], -(-m_units // 3))
-    moved = order[:k]
+    sizes, indices = state.y_order()
+    k, w_total = select_prefix_min(sizes, -(-m_units // 3))
+    moved = indices[:k]
     if w_total > min(2 * m_units // 3, budget):
-        moved, w_total = order[k:], state.y_units - w_total
+        moved, w_total = indices[k:], state.y_units - w_total
     if state.y_units - w_total + p > state.r:
         return AssignmentDecision(M1, step=5)
     return AssignmentDecision(M2, _to_m1(moved), step=5)

@@ -1,17 +1,9 @@
 """Domain types, schedule bookkeeping, migration budgets, and tight bounds.
 
 Everything is exact: sizes, loads, budgets, and bounds cross the API as
-:class:`fractions.Fraction` values, while the work runs on ints.  A
-:class:`ScheduleState` is bound to one migration factor m: it holds its
-loads and m's constants (:attr:`RegimeBound.units`, scaled once per m)
-over one common unit, and is updated in place by :func:`apply_decision`,
-one arrival at a time; the exponential searches scale their input in
-one pass over the jobs.  A :class:`Job` reads its size's numerator and
-denominator once, when it is made, and every conversion of the size reads
-those two ints; the state keeps each placed job's size in units, so an
-arrival converts only its own size, once.  A :class:`MigrationLedger`
-keeps the arrivals as columns and builds its :class:`LedgerEntry` records
-only when they are read.
+:class:`fractions.Fraction` values, while the work runs on ints over a
+common unit (see :class:`Job`, :class:`ScheduleState` and
+:class:`MigrationLedger`).
 Every guarantee in this package is a decidable comparison rather than a
 float tolerance.  JSON output goes through one codec, :func:`json_ready`,
 which writes each Fraction as its 'num/den' string.
@@ -24,7 +16,7 @@ from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Iterable, NamedTuple, Sequence, Union
+from typing import Iterable, NamedTuple, Union
 
 from .errors import (
     BudgetExceeded,
@@ -78,13 +70,6 @@ def to_units(values: list[Fraction]) -> tuple[list[int], int]:
     return [num * (unit // den) for num, den in ratios], unit
 
 
-def job_units(jobs: Sequence[Job]) -> tuple[list[int], int]:
-    """:func:`to_units` of the jobs' sizes, from each job's ``size_num``
-    and ``size_den``."""
-    unit = math.lcm(*[job.size_den for job in jobs])
-    return [job.size_num * (unit // job.size_den) for job in jobs], unit
-
-
 def fraction_str(value: Fraction) -> str:
     """Canonical 'num/den' form: lowest terms, positive denominator."""
     return f"{value.numerator}/{value.denominator}"
@@ -111,8 +96,9 @@ class MachineId(IntEnum):
 
 
 # a member read through its enum class costs a metaclass lookup; the hot
-# paths read this module global instead
-_M2 = MachineId.M2
+# paths here and in the other modules read these module globals instead
+M1 = MachineId.M1
+M2 = MachineId.M2
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -160,6 +146,14 @@ _set_index, _set_size, _set_gos, _set_num, _set_den = [
     getattr(Job, name).__set__
     for name in ("index", "size", "gos", "size_num", "size_den")
 ]
+
+
+def require_jobs(items: Iterable, start: int = 1) -> None:
+    """Raise :class:`ParseError` naming the first position, counted from
+    ``start``, whose item is not a :class:`Job`."""
+    for pos, item in enumerate(items, start=start):
+        if not isinstance(item, Job):
+            raise ParseError(f"position {pos} holds {item!r}, not a Job")
 
 
 @dataclass(frozen=True)
@@ -252,13 +246,12 @@ class ScheduleState:
     scheduler and :func:`apply_decision` convert an arrival once between
     them; :meth:`y_order` sorts the machine-2 jobs.
 
-    ``x``: total size of grade-1 jobs (all on machine 1).
-    ``y``: total size of grade-2 jobs on machine 2.
-    ``z``: total size of grade-2 jobs on machine 1.
-    These and the loads are Fraction views in lowest terms.
-    :func:`apply_decision` updates a state in place; :meth:`copy` takes a
-    snapshot.  States compare by their m, jobs, assignment and loads, not
-    by their unit.
+    ``x_units`` is the grade-1 total (all on machine 1), ``y_units`` the
+    grade-2 total on machine 2 and ``z_units`` the grade-2 total on
+    machine 1; ``load1``, ``load2`` and ``makespan`` are their Fraction
+    views in lowest terms.  :func:`apply_decision` updates a state in
+    place; :meth:`copy` takes a snapshot.  States compare by their m, jobs
+    and assignment, which fix the loads, not by their unit.
     """
 
     SCALED = ("x_units", "y_units", "z_units", "r", "low", "m_units")
@@ -286,15 +279,15 @@ class ScheduleState:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ScheduleState):
             return NotImplemented
-        return (self.m, self.jobs, self.assignment, self.x, self.y, self.z) == (
-            other.m, other.jobs, other.assignment, other.x, other.y, other.z
+        return (self.m, self.jobs, self.assignment) == (
+            other.m, other.jobs, other.assignment
         )
 
     def __repr__(self) -> str:
         return (
             f"ScheduleState(m={self.m!r}, jobs={self.jobs!r}, "
-            f"assignment={self.assignment!r}, x={self.x!r}, y={self.y!r}, "
-            f"z={self.z!r})"
+            f"assignment={self.assignment!r}, load1={self.load1!r}, "
+            f"load2={self.load2!r})"
         )
 
     def units_of(self, job: Job) -> int:
@@ -327,24 +320,12 @@ class ScheduleState:
         self.m_units *= factor
 
     @property
-    def x(self) -> Fraction:
-        return Fraction(self.x_units, self.unit)
-
-    @property
-    def y(self) -> Fraction:
-        return Fraction(self.y_units, self.unit)
-
-    @property
-    def z(self) -> Fraction:
-        return Fraction(self.z_units, self.unit)
-
-    @property
     def load1(self) -> Fraction:
         return Fraction(self.x_units + self.z_units, self.unit)
 
     @property
     def load2(self) -> Fraction:
-        return self.y
+        return Fraction(self.y_units, self.unit)
 
     @property
     def makespan_units(self) -> int:
@@ -358,15 +339,16 @@ class ScheduleState:
     def arrived_total(self) -> Fraction:
         return Fraction(self.x_units + self.y_units + self.z_units, self.unit)
 
-    def y_order(self) -> list[tuple[int, int]]:
-        """Machine-2 jobs as (-units, index), sorted: the largest job first,
-        ties to the smaller index."""
+    def y_order(self) -> tuple[list[int], list[int]]:
+        """Machine-2 jobs as ``(sizes, indices)``, two parallel lists: the
+        largest job first, ties to the smaller index; sizes in units."""
         sizes = self.sizes
-        return sorted([
+        order = sorted([
             (-sizes[idx], idx)
             for idx, machine in self.assignment.items()
-            if machine is _M2
+            if machine is M2
         ])
+        return [-neg for neg, _ in order], [idx for _, idx in order]
 
 
 def apply_decision(
@@ -397,7 +379,7 @@ def apply_decision(
     target = decision.target
     if not isinstance(target, MachineId):
         raise IllegalDecision(f"job {job.index} sent to unknown machine {target!r}")
-    if job.gos == 1 and target is _M2:
+    if job.gos == 1 and target is M2:
         raise HierarchyViolation(
             f"grade-1 job {job.index} cannot run on machine 2"
         )
@@ -431,13 +413,13 @@ def apply_decision(
                 raise IllegalDecision(
                     f"migration of job {idx} does not change machines"
                 )
-            if moved.gos == 1 and new_machine is _M2:
+            if moved.gos == 1 and new_machine is M2:
                 raise HierarchyViolation(
                     f"grade-1 job {idx} cannot migrate to machine 2"
                 )
             size = sizes[idx]
             migrated += size
-            to_m2 += size if new_machine is _M2 else -size
+            to_m2 += size if new_machine is M2 else -size
         migrated_total = Fraction(migrated, state.unit)
         if migrated * state.unit > state.m_units * p:
             raise BudgetExceeded(
@@ -459,7 +441,7 @@ def apply_decision(
     sizes[idx] = p
     if job.gos == 1:
         state.x_units += p
-    elif target is _M2:
+    elif target is M2:
         state.y_units += p
     else:
         state.z_units += p
@@ -562,9 +544,8 @@ class Instance:
             raise ParseError(
                 f"declared_opt must be positive, got {self.declared_opt}"
             )
+        require_jobs(self.jobs)
         for pos, job in enumerate(self.jobs, start=1):
-            if not isinstance(job, Job):
-                raise ParseError(f"position {pos} holds {job!r}, not a Job")
             if job.index != pos:
                 raise ParseError(
                     f"job indices must be 1..n in order; position {pos} has {job.index}"
@@ -573,8 +554,10 @@ class Instance:
     @cached_property
     def total_size(self) -> Fraction:
         """The sum of the job sizes, computed on the first read and kept."""
-        units, unit = job_units(self.jobs)
-        return Fraction(sum(units), unit)
+        unit = math.lcm(*[job.size_den for job in self.jobs])
+        return Fraction(
+            sum([job.size_num * (unit // job.size_den) for job in self.jobs]), unit
+        )
 
     def normalized(self) -> "Instance":
         """Rescale sizes by 1/declared_opt so the declared optimum is 1."""

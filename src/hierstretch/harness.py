@@ -53,6 +53,7 @@ from .core import (
     json_ready,
     load_instance,
     ratio_bound,
+    require_jobs,
     validate_instance,
 )
 from .errors import HierStretchError, ParseError, RegimeMismatch
@@ -148,7 +149,8 @@ def run_stream(
     total size is always verified at the end, against a separate int sum
     of the input jobs placed (the ledger's), each read from its own
     ``size_num`` and ``size_den`` rather than the state's units, so
-    ``jobs`` may be a one-shot iterator.
+    ``jobs`` may be a one-shot iterator.  An item that is not a :class:`Job`
+    raises :class:`ParseError` naming its position.
     """
     state = ScheduleState(m)  # a negative m raises NegativeM here
     ledger = MigrationLedger()
@@ -165,6 +167,10 @@ def run_stream(
             decision = scheduler_fn(state, job)
             state = apply_decision(state, job, decision, ledger)
         except RegimeMismatch:
+            raise
+        except AttributeError:
+            # checked only here, not per arrival: an item that is not a Job
+            require_jobs([job], start=len(ledger.jobs) + 1)
             raise
         except HierStretchError as exc:
             violations.append(f"arrival {job.index}: {type(exc).__name__}: {exc}")

@@ -26,25 +26,25 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
-from .core import EXACT_SEARCH_LIMIT, Job, MachineId, ZERO
+from .core import EXACT_SEARCH_LIMIT, M1, M2, Job, MachineId, ZERO, require_jobs
 from .errors import SizeLimit
 
 # largest grade-2 total, in units, whose reachable loads are kept as the
 # bits of one int (128 KiB); larger totals take the branch-and-bound
 BITSET_LIMIT = 1 << 20
 
-# a member read through its enum class costs a metaclass lookup; the
-# per-job loops read these module globals instead
-M1 = MachineId.M1
-M2 = MachineId.M2
-
 
 def _grade2_sizes(jobs: Sequence[Job]) -> tuple[int, int, list[int]]:
     """``(unit, total, sizes)`` in one pass over the jobs: the lcm of
     their denominators, every job's size summed in units and the grade-2
     sizes in arrival order; more than ``EXACT_SEARCH_LIMIT`` grade-2 jobs
-    raise :class:`SizeLimit` before any search."""
-    unit = lcm(*[job.size_den for job in jobs])
+    raise :class:`SizeLimit` before any search, and an item that is not a
+    :class:`Job` raises :class:`ParseError` naming its position."""
+    try:
+        unit = lcm(*[job.size_den for job in jobs])
+    except AttributeError:
+        require_jobs(jobs)  # checked only when a size cannot be read
+        raise
     total = 0
     sizes: list[int] = []
     for job in jobs:

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from hierstretch.adversary import AdvTotalSize, refine_theta
 from hierstretch.core import (
+    M1,
+    M2,
     AssignmentDecision,
-    MachineId,
     MigrationLedger,
     ScheduleState,
     apply_decision,
@@ -44,9 +45,9 @@ def emitting(later):
 
     def scheduler(state, job):
         if not state.jobs:
-            return AssignmentDecision(MachineId.M2)
+            return AssignmentDecision(M2)
         if isinstance(later, tuple):
-            return AssignmentDecision(MachineId.M1, later)
+            return AssignmentDecision(M1, later)
         return later
 
     return scheduler

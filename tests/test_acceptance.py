@@ -201,9 +201,9 @@ def test_criterion_7_prefix_load_floor(capsys):
         steps = replay(instance.jobs, SCHEDULERS["A"], m)
         for j, (_, _, _, state) in enumerate(steps, start=1):
             o_j2 = prefix.loads[j - 1][1]
-            if state.y < min(floor_cap, o_j2):
+            if state.load2 < min(floor_cap, o_j2):
                 violations.append(
-                    f"run {runs} arrival {j}: y={state.y} < "
+                    f"run {runs} arrival {j}: y={state.load2} < "
                     f"min(1-mu, o_j2)={min(floor_cap, o_j2)}"
                 )
     with capsys.disabled():

@@ -17,15 +17,13 @@ from hierstretch.adversary import (
     refine_theta,
 )
 from hierstretch.algorithms import SCHEDULERS
-from hierstretch.core import AssignmentDecision, Job, MachineId, ratio_bound
+from hierstretch.core import M1, M2, AssignmentDecision, Job, ratio_bound
 from hierstretch.errors import (
     BadCertificate, BadEps, BadGamma, BadTheta, NegativeM, ParseError, RegimeMismatch
 )
 from hierstretch.harness import main
 from hierstretch.oracle import brute_opt
 from helpers import emitting
-
-M1, M2 = MachineId.M1, MachineId.M2
 
 THETA = refine_theta()
 
@@ -123,7 +121,9 @@ class TestMidAdversary:
         with pytest.raises(BadEps):
             AdvMid(Fraction(3, 5), Fraction(1, 5))
         with pytest.raises(BadEps):
-            AdvMid(Fraction(3, 5), Fraction(2, 15))  # 1/eps not integral
+            AdvMid(Fraction(3, 5), Fraction(2, 15))  # above 1/10 as well
+        with pytest.raises(BadEps, match="1/eps must be an integer"):
+            AdvMid(Fraction(3, 5), Fraction(3, 100))
         with pytest.raises(RegimeMismatch):
             AdvMid(Fraction(3, 4), Fraction(1, 100))
 
@@ -186,6 +186,13 @@ class TestTotalSizeAdversary:
             AdvTotalSize(Fraction(1), Fraction(3, 5) + Fraction(1, 10))
         with pytest.raises(RegimeMismatch):
             AdvTotalSize(Fraction(0), THETA)
+        # one Newton step towards the negative root, (-1 - sqrt(33)) / 8:
+        # close enough to a root, but outside (1/2, 2/3)
+        t = Fraction(-84307, 100000)
+        negative = t - (4 * t * t + t - 2) / (8 * t + 1)
+        assert abs(4 * negative * negative + negative - 2) < Fraction(1, 10**12)
+        with pytest.raises(BadTheta, match=r"theta must lie in \(1/2, 2/3\)"):
+            AdvTotalSize(Fraction(1), negative)
 
     def test_refined_theta_is_close(self):
         residual = 4 * THETA * THETA + THETA - 2

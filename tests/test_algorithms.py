@@ -18,7 +18,7 @@ from hierstretch.algorithms import (
     select_prefix_max,
     select_prefix_min,
 )
-from hierstretch.core import Job, MachineId, ScheduleState, ratio_bound, to_units
+from hierstretch.core import M1, M2, Job, ScheduleState, ratio_bound, to_units
 from hierstretch.errors import ParseError, RegimeMismatch, SizeLimit
 from hierstretch.generators import generate, random_config
 from hierstretch.harness import run_stream
@@ -28,8 +28,6 @@ from helpers import (
     replay,
     stream,
 )
-
-M1, M2 = MachineId.M1, MachineId.M2
 
 small_fractions = st.fractions(min_value="1/40", max_value=1, max_denominator=40)
 
@@ -433,15 +431,15 @@ def _window_checks(jobs, m):
             (pre.jobs[i].size for i, _ in decision.migrations), Fraction(0)
         )
         if name == "B" and decision.step == 5 and decision.target is M2:
-            deficit = pre.y + job.size - Fraction(5, 4)
-            assert job.size + Fraction(-pre.y_order()[0][0], pre.unit) <= Fraction(5, 4)
+            deficit = pre.load2 + job.size - Fraction(5, 4)
+            assert job.size + Fraction(pre.y_order()[0][0], pre.unit) <= Fraction(5, 4)
             assert deficit <= moved <= Fraction(3, 4) * job.size
             assert moved < Fraction(1, 2)
         if name == "C" and decision.step == 5:
-            deficit = job.size + pre.y - (2 - m)
+            deficit = job.size + pre.load2 - (2 - m)
             assert deficit <= moved <= m * job.size
         if name == "D" and decision.step == 5 and decision.target is M2:
-            assert m <= post.y <= 2 - m
+            assert m <= post.load2 <= 2 - m
         # no scheduler ever migrates a grade-1 job
         for idx, _ in decision.migrations:
             assert pre.jobs[idx].gos == 2

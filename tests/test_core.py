@@ -13,6 +13,8 @@ from hypothesis import given, settings, strategies as st
 from hierstretch.adversary import AdvHigh, play_duel
 from hierstretch.algorithms import SCHEDULERS, alg_b, select_max_subset
 from hierstretch.core import (
+    M1,
+    M2,
     AssignmentDecision,
     Instance,
     Job,
@@ -45,8 +47,6 @@ from hierstretch.generators import GenConfig, generate
 from hierstretch.harness import guarantee_suite, run_stream
 from hierstretch.oracle import brute_opt, opt_prefix_loads, prefix_opt_monotone_check
 from helpers import in_lowest_terms, mixed_sizes, stream
-
-M1, M2 = MachineId.M1, MachineId.M2
 
 
 class TestJob:
@@ -142,7 +142,8 @@ def _state_with(pairs, machines, m=10):
 def _y_sizes(state):
     """The machine-2 jobs of :meth:`ScheduleState.y_order` as (index, size)
     with Fraction sizes, which do not depend on the state's unit."""
-    return [(idx, Fraction(-neg, state.unit)) for neg, idx in state.y_order()]
+    sizes, indices = state.y_order()
+    return [(idx, Fraction(size, state.unit)) for size, idx in zip(sizes, indices)]
 
 
 def _columns(ledger):
@@ -166,7 +167,7 @@ class TestApplyDecision:
         state = ScheduleState(0)
         job = Job(1, Fraction(1, 2), 2)
         new = apply_decision(state, job, AssignmentDecision(M2), MigrationLedger())
-        assert new.y == Fraction(1, 2)
+        assert new.load2 == Fraction(1, 2)
         assert new.load1 == 0
 
     def test_accepted_migration_is_ledgered(self):
@@ -199,6 +200,14 @@ class TestApplyDecision:
         decision = AssignmentDecision(M1, migrations=((9, M1),))
         with pytest.raises(UnknownJob):
             apply_decision(ScheduleState(10), job, decision, MigrationLedger())
+
+    def test_migration_to_an_int_machine_rejected(self):
+        # 2 equals MachineId.M2 but is not a MachineId
+        state = _state_with([("1/2", 2)], [M1])
+        job = Job(2, Fraction(1), 2)
+        decision = AssignmentDecision(M1, migrations=((1, 2),))
+        with pytest.raises(IllegalDecision, match="migrated to unknown machine 2"):
+            apply_decision(state, job, decision, MigrationLedger())
 
     def test_noop_migration_rejected(self):
         state = _state_with([("1/2", 2)], [M2])
@@ -304,19 +313,29 @@ class TestScheduleState:
             [("1/4", 1), ("1/2", 2), ("1/3", 2), ("1/5", 2)],
             [M1, M2, M2, M1],
         )
-        assert state.x == Fraction(1, 4)
-        assert state.y == Fraction(1, 2) + Fraction(1, 3)
-        assert state.z == Fraction(1, 5)
+        unit = state.unit
+        assert (state.x_units, state.y_units, state.z_units) == (
+            unit // 4, unit // 2 + unit // 3, unit // 5
+        )
+        assert state.load2 == Fraction(1, 2) + Fraction(1, 3)
         assert state.load1 == Fraction(1, 4) + Fraction(1, 5)
         assert state.makespan == state.load2
         # machine 2 holds jobs 2 and 3, largest first; job 4 stays on machine 1
-        unit = state.unit
-        assert state.y_order() == [(-unit // 2, 2), (-unit // 3, 3)]
+        assert state.y_order() == ([unit // 2, unit // 3], [2, 3])
 
     def test_max_jobs_default_to_zero(self):
-        assert ScheduleState(1).y_order() == []
+        assert ScheduleState(1).y_order() == ([], [])
         one = _state_with([("1/2", 2)], [M2])
-        assert one.y_order() == [(-one.unit // 2, 1)]
+        assert one.y_order() == ([one.unit // 2], [1])
+
+    def test_repr_shows_the_two_loads(self):
+        state = _state_with([("1/2", 2), ("1/4", 1)], [M2, M1])
+        assert repr(state) == (
+            "ScheduleState(m=Fraction(10, 1), jobs={1: Job(index=1, "
+            "size=Fraction(1, 2), gos=2), 2: Job(index=2, size=Fraction(1, 4), "
+            "gos=1)}, assignment={1: <MachineId.M2: 2>, 2: <MachineId.M1: 1>}, "
+            "load1=Fraction(1, 4), load2=Fraction(1, 2))"
+        )
 
     def test_states_are_unhashable(self):
         # a class that defines __eq__ without __hash__ gets no hash
@@ -326,7 +345,7 @@ class TestScheduleState:
     def test_sorted_y_breaks_ties_by_arrival(self):
         state = _state_with([("1/2", 2), ("1/2", 2)], [M2, M2])
         half = state.unit // 2
-        assert state.y_order() == [(-half, 1), (-half, 2)]
+        assert state.y_order() == ([half, half], [1, 2])
 
     def test_negative_m(self):
         with pytest.raises(NegativeM):
@@ -400,9 +419,12 @@ class TestKernel:
             x = sum(j.size for j in jobs.values() if j.gos == 1)
             y = sum(jobs[i].size for i in on_m2)
             z = sum(j.size for i, j in jobs.items() if j.gos == 2 and where[i] is M1)
-            views = (state.x, state.y, state.z, state.load1, state.load2,
-                     state.makespan, state.arrived_total)
-            assert views == (x, y, z, x + z, y, max(x + z, y), x + y + z)
+            unit = state.unit
+            assert (state.x_units, state.y_units, state.z_units) == (
+                x * unit, y * unit, z * unit
+            )
+            views = (state.load1, state.load2, state.makespan, state.arrived_total)
+            assert views == (x + z, y, max(x + z, y), x + y + z)
             assert all(in_lowest_terms(view) for view in views)
             fresh = sorted(((i, jobs[i].size) for i in on_m2), key=lambda e: (-e[1], e[0]))
             assert _y_sizes(state) == fresh
@@ -495,9 +517,9 @@ class TestKernel:
         apply_decision(state, jobs[0], AssignmentDecision(M2), ledger)
         snapshot = state.copy()
         assert apply_decision(state, jobs[1], AssignmentDecision(M2), ledger) is state
-        assert snapshot.jobs == {1: jobs[0]} and snapshot.y == Fraction(1, 2)
+        assert snapshot.jobs == {1: jobs[0]} and snapshot.load2 == Fraction(1, 2)
         assert snapshot.sizes == {1: snapshot.unit // 2}
-        assert state != snapshot and state.y == Fraction(5, 6)
+        assert state != snapshot and state.load2 == Fraction(5, 6)
 
 
 CALLS = {
@@ -780,6 +802,10 @@ class TestInstanceJson:
     def test_parse_errors(self, data):
         with pytest.raises(ParseError):
             instance_from_json_dict(data)
+
+    def test_jobs_object_is_not_a_list(self):
+        with pytest.raises(ParseError, match="'jobs' must be a list"):
+            instance_from_json_dict({"declared_opt": "1", "jobs": {}})
 
     @settings(max_examples=200, deadline=None)
     @given(

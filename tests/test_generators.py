@@ -92,6 +92,11 @@ class TestDeterminismAndLimits:
         instance = generate(config)
         assert all(job.size.denominator <= 64 for job in instance.jobs)
 
+    def test_unknown_fill_mode(self):
+        config = GenConfig(seed=0, n_gos2=2, n_gos1=1, fill_mode="bogus")
+        with pytest.raises(InfeasibleConfig, match="unknown fill mode 'bogus'"):
+            generate(config)
+
     def test_denominator_bound_too_small(self):
         with pytest.raises(InfeasibleConfig):
             generate(GenConfig(seed=0, n_gos2=5, n_gos1=0, denominator_bound=3))

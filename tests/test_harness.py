@@ -14,13 +14,15 @@ import pytest
 
 import hierstretch
 from hierstretch import algorithms, core, harness
+from hierstretch.adversary import Stop, play_duel
 from hierstretch.algorithms import SCHEDULERS
 from hierstretch.core import (
+    M1,
+    M2,
     AssignmentDecision,
     Instance,
     Job,
     LedgerEntry,
-    MachineId,
     fraction_str,
     jobs_from_pairs,
     ratio_bound,
@@ -31,6 +33,7 @@ from hierstretch.harness import (
     ACCEPTANCE_M_VALUES,
     FOREIGN_SCHEDULERS,
     DEFAULT_SEED,
+    adversary_suite,
     guarantee_suite,
     iter_suite_instances,
     main,
@@ -44,7 +47,6 @@ from hierstretch.harness import (
 )
 from helpers import emitting, stream
 
-M1, M2 = MachineId.M1, MachineId.M2
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -139,6 +141,15 @@ class TestRunMachinery:
         assert result.violations == [
             "arrival 3: makespan 3/4 > bound 7/10", "final makespan 3/4 > bound 7/10"
         ]
+
+    @pytest.mark.parametrize("name", ["A", "all-m1"])
+    def test_an_item_that_is_not_a_job_is_a_parse_error(self, name):
+        # A reads the item's grade, all-m1 leaves it to apply_decision
+        with pytest.raises(ParseError, match="position 1 holds 'x', not a Job"):
+            run_stream(["x"], SCHEDULERS[name], 3)
+        jobs = [*stream(("1/2", 2)), None]
+        with pytest.raises(ParseError, match="position 2 holds None, not a Job"):
+            run_stream(jobs, SCHEDULERS[name], 3)
 
     def test_conservation_catches_a_dropped_load_update(self, monkeypatch):
         # an apply_decision that forgets the grade-1 arrival's load
@@ -341,6 +352,27 @@ class TestGuaranteeSuite:
         assert not summary.ok
         assert any("> bound" in violation for violation in summary.violations)
 
+    def test_oracle_suite_reports_a_wrong_optimum(self, monkeypatch, capsys):
+        # the lower-bound streams are checked through harness.brute_opt
+        monkeypatch.setattr(harness, "brute_opt", lambda jobs: Fraction(2))
+        summary = oracle_suite(1, 2)
+        assert summary.violations == [
+            f"lower-bound stream {name!r}: optimum 2, expected 1"
+            for name in harness.LOWER_BOUND_STREAMS
+        ]
+        assert main(["suite", "oracle", "--seed", "1", "--count", "2"]) == 1
+        assert "  - lower-bound stream 'high': optimum 2, expected 1\n" in (
+            capsys.readouterr().out
+        )
+
+    def test_adversary_suite_reports_a_broken_scheduler(self, monkeypatch):
+        # piling everything onto machine 1 lets the high games go above 1 + mu
+        monkeypatch.setitem(SCHEDULERS, "A", SCHEDULERS["all-m1"])
+        summary = adversary_suite()
+        assert not summary.ok
+        assert summary.violations[0].startswith("high vs A @ m=5/2: ratio ")
+        assert all(v.startswith("high vs A @ ") for v in summary.violations)
+
     @pytest.mark.parametrize("seed, count", [(3, 30), (17, 40), (2024, 50)])
     def test_margin_matches_a_fraction_recount(self, seed, count):
         smallest = min(
@@ -396,6 +428,14 @@ class TestCli:
         assert rows[0] == ["m", "regime", "bound_num", "bound_den", "bound_decimal"]
         assert rows[1][:4] == ["1/2", "lowC", "3", "2"]
         assert rows[2][:4] == ["3/1", "high", "11", "9"]
+
+    def test_curve_table(self, capsys):
+        assert main(["curve", "1/2", "3"]) == 0
+        assert capsys.readouterr().out == (
+            "           m  regime       bound       decimal\n"
+            "         1/2  lowC           3/2    1.50000000\n"
+            "         3/1  high          11/9    1.22222222\n"
+        )
 
     def test_run_baseline_lower_bound_instance(self, capsys, instance_file):
         code = main(
@@ -480,6 +520,14 @@ class TestCli:
         seeded = ["gen", "--seed", str(DEFAULT_SEED), "--gos2", "4", "--gos1", "1"]
         assert main(seeded) == 0
         assert capsys.readouterr().out == first
+
+    def test_verify_oracle_text(self, capsys, instance_file):
+        assert main(["verify", instance_file, "--oracle"]) == 0
+        assert capsys.readouterr().out == (
+            f"instance : {instance_file}\n"
+            "valid    : True\n"
+            "oracle   : optimum 1/1 (~1.000000)\n"
+        )
 
     def test_verify_invalid_instance(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -587,3 +635,52 @@ def test_cli_output_is_pinned(golden, seed, argv, tmp_path, monkeypatch, capsys)
         capsys.readouterr()
     assert main(argv) == 0
     assert capsys.readouterr().out == (GOLDEN / golden).read_text()
+
+
+class TwoHalves:
+    """Issues two grade-2 jobs of size 1/2 at m = 1, then stops with
+    optimum 1/2."""
+
+    name = "two-halves"
+    m = Fraction(1)
+
+    def params(self):
+        return {}
+
+    def next(self, state):
+        if len(state.jobs) < 2:
+            return Job(len(state.jobs) + 1, Fraction(1, 2), 2)
+        return Stop(Fraction(1, 2), Fraction(1))
+
+    def migration_proof_checks(self):
+        return []
+
+
+class TestTranscriptText:
+    # no built-in scheduler migrates or plays illegally against the
+    # built-in games, so a scripted one drives these lines
+    def test_moved_line(self, capsys):
+        transcript = play_duel(TwoHalves(), "mover", emitting(((1, M1),)), 1)
+        harness._print_transcript(transcript, as_json=False)
+        assert capsys.readouterr().out == (
+            "duel       : two-halves adversary vs mover (m = 1/1)\n"
+            "jobs issued: 2\n"
+            "  job1   p=1/2          g=2 -> m2\n"
+            "  job2   p=1/2          g=2 -> m1  moved job1->m1\n"
+            "loads      : machine1 1/1 (~1.000000), machine2 0/1 (~0.000000)\n"
+            "certified  : optimum 1/2 (~0.500000)  [oracle-checked]\n"
+            "achieved   : ratio 2/1 (~2.000000)\n"
+            "claimed    : at least 1/1 (~1.000000)\n"
+            "tight bound: 5/4 (~1.250000)\n"
+        )
+
+    def test_illegal_play_ends_the_text(self, capsys):
+        transcript = play_duel(TwoHalves(), "stayer", emitting(((1, M2),)), 1)
+        harness._print_transcript(transcript, as_json=False)
+        assert capsys.readouterr().out == (
+            "duel       : two-halves adversary vs stayer (m = 1/1)\n"
+            "jobs issued: 2\n"
+            "  job1   p=1/2          g=2 -> m2\n"
+            "scheduler played illegally: IllegalDecision: migration of job 1 "
+            "does not change machines\n"
+        )

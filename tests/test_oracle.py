@@ -9,8 +9,8 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hierstretch.core import MachineId
-from hierstretch.errors import SizeLimit
+from hierstretch.core import M1, M2
+from hierstretch.errors import ParseError, SizeLimit
 from hierstretch.generators import generate, random_config
 from hierstretch import oracle
 from hierstretch.oracle import (
@@ -23,8 +23,6 @@ from hierstretch.oracle import (
     prefix_opt_monotone_check,
 )
 from helpers import in_lowest_terms, mixed_sizes, stream
-
-M1, M2 = MachineId.M1, MachineId.M2
 
 small_streams = st.lists(
     st.tuples(
@@ -183,7 +181,7 @@ class TestOptPrefixLoads:
     def test_tie_breaks_toward_small_second_load(self):
         result = opt_prefix_loads(stream(("1", 2)))
         assert result.loads == ((Fraction(1), Fraction(0)),)
-        assert result.machines[1] is MachineId.M1
+        assert result.machines[1] is M1
 
     def test_equal_jobs_fill_machine_one_first(self):
         result = opt_prefix_loads(stream(*[("1/2", 2)] * 4))
@@ -242,6 +240,23 @@ class TestOptPrefixLoads:
                 assert pair[0] >= prev[0] and pair[1] >= prev[1]
                 prev = pair
             assert max(prev) == result.opt
+
+
+class TestNotAJob:
+    # an item that is not a Job is named by its position, not met with a
+    # raw AttributeError from the first size read
+    def test_brute_opt(self):
+        with pytest.raises(ParseError, match="position 1 holds None, not a Job"):
+            brute_opt([None])
+
+    def test_opt_prefix_loads(self):
+        with pytest.raises(ParseError, match="position 2 holds None, not a Job"):
+            opt_prefix_loads([*stream(("1/2", 2)), None])
+
+    def test_prefix_opt_monotone_check(self):
+        jobs = [*stream(("1/2", 2), ("1/3", 1)), "job"]
+        with pytest.raises(ParseError, match="position 3 holds 'job', not a Job"):
+            prefix_opt_monotone_check(jobs)
 
 
 class TestPrefixMonotone:

@@ -203,8 +203,6 @@ class AdvMid(OpenerGame):
             raise BadEps(f"eps must be in (0, 1/10), got {self.eps}")
         if self.eps.numerator != 1:
             raise BadEps(f"1/eps must be an integer, got {self.eps}")
-        if self.m + self.eps >= 1:
-            raise BadEps(f"m + eps must stay below 1, got {self.m + self.eps}")
         self.opener = self.m + self.eps
 
     def params(self) -> dict:
@@ -269,8 +267,7 @@ class AdvTotalSize:
 
         sand_total = 2 - 2 * self.theta
         step = min(self.theta / (2 * self.m), sand_total / 10)
-        count = -((-sand_total) // step)  # ceil division on Fractions
-        count = int(count)
+        count = -((-sand_total) // step)  # ceil division on Fractions: an int
         if count % 2:
             count += 1  # an even count lets the optimum split the sand evenly
         self.sand_count = count

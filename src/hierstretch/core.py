@@ -250,8 +250,8 @@ class ScheduleState:
     grade-2 total on machine 2 and ``z_units`` the grade-2 total on
     machine 1; ``load1``, ``load2`` and ``makespan`` are their Fraction
     views in lowest terms.  :func:`apply_decision` updates a state in
-    place; :meth:`copy` takes a snapshot.  States compare by their m, jobs
-    and assignment, which fix the loads, not by their unit.
+    place; :meth:`copy` takes a snapshot.  States compare by their m, jobs,
+    assignment and loads, not by their unit.
     """
 
     SCALED = ("x_units", "y_units", "z_units", "r", "low", "m_units")
@@ -279,8 +279,12 @@ class ScheduleState:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ScheduleState):
             return NotImplemented
+        # the loads compare across units by cross-multiplying
+        mine, theirs = self.unit, other.unit
         return (self.m, self.jobs, self.assignment) == (
             other.m, other.jobs, other.assignment
+        ) and (self.x_units * theirs, self.y_units * theirs, self.z_units * theirs) == (
+            other.x_units * mine, other.y_units * mine, other.z_units * mine
         )
 
     def __repr__(self) -> str:

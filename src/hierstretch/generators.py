@@ -40,15 +40,8 @@ class GenConfig:
 
 
 def _break_units(rng: random.Random, total_units: int, parts: int) -> list[int]:
-    """Split total_units into `parts` positive integers, uniformly at random."""
-    if parts == 0:
-        if total_units != 0:
-            raise InfeasibleConfig("cannot place size without jobs")
-        return []
-    if parts > total_units:
-        raise InfeasibleConfig(
-            f"cannot break {total_units} units into {parts} positive pieces"
-        )
+    """Split total_units into `parts` positive integers, uniformly at random;
+    every caller has checked 1 <= parts <= total_units."""
     cuts = sorted(rng.sample(range(1, total_units), parts - 1))
     pieces = []
     prev = 0

@@ -385,6 +385,16 @@ class TestScheduleState:
         assert ScheduleState(1) == ScheduleState("1")
         assert ScheduleState(1) != ScheduleState(Fraction(5, 2))
 
+    @pytest.mark.parametrize("name", ["x_units", "y_units", "z_units"])
+    def test_equality_reads_each_load(self, name):
+        state = _state_with([("1/2", 1), ("1/3", 2), ("1/4", 2)], [M1, M2, M1], 1)
+        twin = state.copy()
+        twin.units_of(Job(4, Fraction(1, 7919), 2))
+        assert twin == state and twin.unit != state.unit
+        # one unit too many on a load the jobs and assignment do not show
+        setattr(twin, name, getattr(twin, name) + 1)
+        assert twin != state and state != twin
+
 
 # migration factors each scheduler accepts, with assorted denominators
 KERNEL_M = {

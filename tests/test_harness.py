@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -45,6 +46,7 @@ from hierstretch.harness import (
     soundness_adversaries,
     tightness_duels,
 )
+from hierstretch.oracle import PrefixMonotoneReport
 from helpers import emitting, stream
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -364,6 +366,20 @@ class TestGuaranteeSuite:
         assert "  - lower-bound stream 'high': optimum 2, expected 1\n" in (
             capsys.readouterr().out
         )
+
+    def test_oracle_suite_reports_a_bad_prefix_check(self, monkeypatch):
+        # the planted instances are checked through harness.prefix_opt_monotone_check
+        report = PrefixMonotoneReport([Fraction(1), Fraction(3, 2)], ["dropped"])
+        monkeypatch.setattr(harness, "prefix_opt_monotone_check", lambda jobs: report)
+        summary = oracle_suite(1, 2)
+        assert summary.runs == 2 + len(harness.LOWER_BOUND_STREAMS)
+        assert len(summary.violations) == 4
+        for i in range(2):
+            optimum, failure = summary.violations[2 * i : 2 * i + 2]
+            assert re.fullmatch(
+                rf"instance#{i}\(seed=\d+\): planted optimum is 3/2, not 1", optimum
+            )
+            assert failure == optimum.split(": ")[0] + ": dropped"
 
     def test_adversary_suite_reports_a_broken_scheduler(self, monkeypatch):
         # piling everything onto machine 1 lets the high games go above 1 + mu

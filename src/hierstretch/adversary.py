@@ -84,7 +84,9 @@ class AdvHigh:
     the same machine, six grains of sand of size gamma/2 make the optimum
     1 while the co-located pair already weighs 2-3*gamma.  Otherwise one
     or two closing jobs of grade chosen by the observed split leave some
-    machine at 1+gamma.
+    machine at 1+gamma; the game stops after the first of them when the
+    reply to it already reaches 1+gamma, for instance by migrating one
+    large job onto the other.
     """
 
     name = "high"
@@ -102,8 +104,6 @@ class AdvHigh:
             raise BadGamma(
                 f"gamma must satisfy 0 < gamma < mu = {mu}, got {self.gamma}"
             )
-        # the co-located pair must weigh at least 1 + mu
-        assert 2 - 3 * self.gamma >= 1 + mu
 
     def params(self) -> dict:
         return {"gamma": self.gamma}
@@ -129,7 +129,7 @@ class AdvHigh:
             if n < 8:
                 return Job(n + 1, g / 2, 2)
             return Stop(Fraction(1), claimed)
-        if third.gos == 1:
+        if third.gos == 1 or state.makespan >= claimed:
             return Stop(Fraction(1), claimed)
         if n == 3:
             return Job(4, g, 1)

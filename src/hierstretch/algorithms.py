@@ -15,11 +15,11 @@ arrival that would push machine 2 above r:
 
 Each is called as ``fn(state, job)``: the state carries its migration
 factor m and m's constants.  All of them decide as deterministic
-functions of the visible state, on ints over the state's unit: the
-arrival's size from :meth:`ScheduleState.units_of` and the placed jobs'
-from ``state.sizes`` (the only change they make to a state is to extend
-that unit and fill the conversion memo); the three subset selectors take
-and return ints over that unit too.  Schedulers A-D check the state's
+functions of the visible state, on ints over the state's unit: every
+job's size, the arrival's and the placed jobs', from
+:meth:`ScheduleState.units_of` (the only change they make to a state is
+to extend that unit); the three subset selectors take and return ints
+over that unit too.  Schedulers A-D check the state's
 regime in their shared window.  The enforcement of budgets and hierarchy
 stays in :func:`core.apply_decision`.
 Three deliberately naive opponents used by adversary tests live at the
@@ -193,15 +193,15 @@ def alg_a(state: ScheduleState, job: Job) -> AssignmentDecision:
 
     # rebalance: machine 2 gets a max-total subset of Z u Y u {j} capped at 1
     p = state.units_of(job)
-    candidates = [idx for idx, other in state.jobs.items() if other.gos == 2]
-    sizes = [state.sizes[idx] for idx in candidates] + [p]
+    candidates = [other for other in state.jobs.values() if other.gos == 2]
+    sizes = [state.units_of(other) for other in candidates] + [p]
     chosen, _ = select_max_subset(sizes, state.unit)
     picked = set(chosen)
     migrations = []
-    for pos, idx in enumerate(candidates):
+    for pos, other in enumerate(candidates):
         new_machine = M2 if pos in picked else M1
-        if state.assignment[idx] is not new_machine:
-            migrations.append((idx, new_machine))
+        if state.assignment[other.index] is not new_machine:
+            migrations.append((other.index, new_machine))
     target = M2 if len(candidates) in picked else M1  # the arrival is last
     return AssignmentDecision(target, tuple(migrations), step=4)
 
@@ -309,7 +309,7 @@ def greedy_to_m2(state: ScheduleState, job: Job) -> AssignmentDecision:
 
 def greedy_least_loaded(state: ScheduleState, job: Job) -> AssignmentDecision:
     """Grade-2 jobs join the currently smaller machine (ties to machine 2)."""
-    if job.gos == 1 or state.x_units + state.z_units < state.y_units:
+    if job.gos == 1 or state.load1_units < state.y_units:
         return _PLAIN_M1
     return _PLAIN_M2
 

@@ -227,53 +227,44 @@ class MigrationLedger:
 
 
 class ScheduleState:
-    """Assignment of all arrived jobs plus running load aggregates under
-    one migration factor m, fixed for the schedule.
+    """Assignment of all arrived jobs plus the two machine loads under one
+    migration factor m, fixed for the schedule.
 
     ``ScheduleState(m)`` parses m once (a negative m raises
     :class:`NegativeM`) and keeps it with its tight bound ``tight``; m may
     be that :class:`RegimeBound` itself.
-    ``jobs`` holds the arrived jobs in arrival order, ``assignment``
-    their machines and ``sizes`` their sizes in units.  The ints named in
-    ``SCALED`` and ``sizes`` share one ``unit``, the lcm of every
-    denominator among them and the sizes seen: the loads ``x_units``,
-    ``y_units`` and ``z_units``, then the constants every arrival reads,
-    ``r`` (the tight bound), ``low`` (2 - r) and ``m_units`` (m).  A new
-    denominator rescales all of them once, so read them from the state
-    where they are used; a rule that needs another threshold works it out
-    from these and ``unit`` where it reads it.  :meth:`units_of` gives a
-    job's size in units and remembers the last job it converted, so a
-    scheduler and :func:`apply_decision` convert an arrival once between
-    them; :meth:`y_order` sorts the machine-2 jobs.
+    ``jobs`` holds the arrived jobs in arrival order and ``assignment``
+    their machines.  The ints named in ``SCALED`` share one ``unit``, the
+    lcm of every denominator among them and the sizes seen: the loads
+    ``load1_units`` (machine 1) and ``y_units`` (machine 2), then the
+    constants every arrival reads, ``r`` (the tight bound), ``low``
+    (2 - r) and ``m_units`` (m).  A new denominator rescales all of them
+    once, so read them from the state where they are used; a rule that
+    needs another threshold works it out from these and ``unit`` where it
+    reads it.  :meth:`units_of` gives any job's size in units, placed or
+    arriving, and :meth:`y_order` sorts the machine-2 jobs.
 
-    ``x_units`` is the grade-1 total (all on machine 1), ``y_units`` the
-    grade-2 total on machine 2 and ``z_units`` the grade-2 total on
-    machine 1; ``load1``, ``load2`` and ``makespan`` are their Fraction
-    views in lowest terms.  :func:`apply_decision` updates a state in
-    place; :meth:`copy` takes a snapshot.  States compare by their m, jobs,
+    ``load1``, ``load2`` and ``makespan`` are the loads' Fraction views in
+    lowest terms.  :func:`apply_decision` updates a state in place;
+    :meth:`copy` takes a snapshot.  States compare by their m, jobs,
     assignment and loads, not by their unit.
     """
 
-    SCALED = ("x_units", "y_units", "z_units", "r", "low", "m_units")
+    SCALED = ("load1_units", "y_units", "r", "low", "m_units")
 
     def __init__(self, m: RationalLike | RegimeBound) -> None:
         self.tight = tight = ratio_bound(m)
         self.m = tight.m
         self.jobs: dict[int, Job] = {}
         self.assignment: dict[int, MachineId] = {}
-        self.sizes: dict[int, int] = {}
         self.unit, (self.r, self.low, self.m_units) = tight.units
-        self.x_units = self.y_units = self.z_units = 0
-        # units_of's memo: the last job converted and its units
-        self._last_job: Job | None = None
-        self._last_units = 0
+        self.load1_units = self.y_units = 0
 
     def copy(self) -> ScheduleState:
         twin = object.__new__(ScheduleState)
-        for name in ("m", "tight", "unit", "_last_job", "_last_units", *self.SCALED):
+        for name in ("m", "tight", "unit", *self.SCALED):
             setattr(twin, name, getattr(self, name))
         twin.jobs, twin.assignment = dict(self.jobs), dict(self.assignment)
-        twin.sizes = dict(self.sizes)
         return twin
 
     def __eq__(self, other: object) -> bool:
@@ -283,8 +274,8 @@ class ScheduleState:
         mine, theirs = self.unit, other.unit
         return (self.m, self.jobs, self.assignment) == (
             other.m, other.jobs, other.assignment
-        ) and (self.x_units * theirs, self.y_units * theirs, self.z_units * theirs) == (
-            other.x_units * mine, other.y_units * mine, other.z_units * mine
+        ) and (self.load1_units * theirs, self.y_units * theirs) == (
+            other.load1_units * mine, other.y_units * mine
         )
 
     def __repr__(self) -> str:
@@ -296,36 +287,26 @@ class ScheduleState:
 
     def units_of(self, job: Job) -> int:
         """``job``'s size in units, first extending the unit to its
-        denominator; reads the job's ``size_num`` and ``size_den``.
-
-        The last Job object converted is remembered with its units and
-        served again without arithmetic; every other job, the only kind
-        that can extend the unit, replaces it."""
-        if job is self._last_job:
-            return self._last_units
+        denominator; reads the job's ``size_num`` and ``size_den``."""
         den = job.size_den
         if self.unit % den:
             self._extend(den)
-        units = job.size_num * (self.unit // den)
-        self._last_job, self._last_units = job, units
-        return units
+        return job.size_num * (self.unit // den)
 
     def _extend(self, den: int) -> None:
-        """Rescale every ``SCALED`` int and each job's units once, so the
-        unit becomes a multiple of den."""
+        """Rescale every ``SCALED`` int once, so the unit becomes a
+        multiple of den."""
         factor = math.lcm(self.unit, den) // self.unit
         self.unit *= factor
-        self.sizes = {idx: size * factor for idx, size in self.sizes.items()}
-        self.x_units *= factor
+        self.load1_units *= factor
         self.y_units *= factor
-        self.z_units *= factor
         self.r *= factor
         self.low *= factor
         self.m_units *= factor
 
     @property
     def load1(self) -> Fraction:
-        return Fraction(self.x_units + self.z_units, self.unit)
+        return Fraction(self.load1_units, self.unit)
 
     @property
     def load2(self) -> Fraction:
@@ -333,7 +314,7 @@ class ScheduleState:
 
     @property
     def makespan_units(self) -> int:
-        return max(self.x_units + self.z_units, self.y_units)
+        return max(self.load1_units, self.y_units)
 
     @property
     def makespan(self) -> Fraction:
@@ -341,14 +322,14 @@ class ScheduleState:
 
     @property
     def arrived_total(self) -> Fraction:
-        return Fraction(self.x_units + self.y_units + self.z_units, self.unit)
+        return Fraction(self.load1_units + self.y_units, self.unit)
 
     def y_order(self) -> tuple[list[int], list[int]]:
         """Machine-2 jobs as ``(sizes, indices)``, two parallel lists: the
         largest job first, ties to the smaller index; sizes in units."""
-        sizes = self.sizes
+        jobs, units_of = self.jobs, self.units_of
         order = sorted([
-            (-sizes[idx], idx)
+            (-units_of(jobs[idx]), idx)
             for idx, machine in self.assignment.items()
             if machine is M2
         ])
@@ -390,7 +371,6 @@ def apply_decision(
 
     p = state.units_of(job)
     assignment = state.assignment
-    sizes = state.sizes
     migrations = decision.migrations
     if migrations:
         migrated = to_m2 = 0  # to_m2: net units moved onto machine 2
@@ -421,7 +401,7 @@ def apply_decision(
                 raise HierarchyViolation(
                     f"grade-1 job {idx} cannot migrate to machine 2"
                 )
-            size = sizes[idx]
+            size = state.units_of(moved)
             migrated += size
             to_m2 += size if new_machine is M2 else -size
         migrated_total = Fraction(migrated, state.unit)
@@ -433,7 +413,7 @@ def apply_decision(
         for idx, new_machine in migrations:
             assignment[idx] = new_machine
         state.y_units += to_m2
-        state.z_units -= to_m2
+        state.load1_units -= to_m2
         ledger.migrated[len(ledger.jobs)] = migrated_total
         ratio = Fraction(migrated, p)
         if ratio > ledger.max_ratio:
@@ -442,13 +422,10 @@ def apply_decision(
     idx = job.index
     state.jobs[idx] = job
     assignment[idx] = target
-    sizes[idx] = p
-    if job.gos == 1:
-        state.x_units += p
-    elif target is M2:
+    if target is M2:
         state.y_units += p
     else:
-        state.z_units += p
+        state.load1_units += p
     ledger.jobs.append(job)
     ledger.decisions.append(decision)
     ledger.ms.append(state.m)
@@ -486,7 +463,7 @@ class RegimeBound:
     def units(self) -> tuple[int, tuple[int, ...]]:
         """``(den, scaled)``: the bound, 2 - bound and m, the constants of
         a :class:`ScheduleState` under m in the order of its ``SCALED``
-        after the three loads, as ints over their common denominator
+        after the two loads, as ints over their common denominator
         ``den``; computed once per cached bound, so once per m."""
         scaled, den = to_units([self.bound, 2 - self.bound, self.m])
         return den, tuple(scaled)

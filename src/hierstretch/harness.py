@@ -49,7 +49,6 @@ from .core import (
     as_fraction,
     dump_instance,
     fraction_str,
-    jobs_from_pairs,
     json_ready,
     load_instance,
     ratio_bound,
@@ -77,27 +76,6 @@ ACCEPTANCE_M_VALUES = (
     Fraction(3),
     Fraction(5),
 )
-
-# explicit streams from the lower-bound constructions, all with optimum 1
-LOWER_BOUND_STREAMS = {
-    "high": (
-        (Fraction(4, 5), 2),
-        (Fraction(3, 5), 2),
-        (Fraction(2, 5), 2),
-        (Fraction(1, 5), 1),
-    ),
-    "mid": (
-        (Fraction(61, 100), 2),
-        (Fraction(1), 2),
-        (Fraction(39, 100), 1),
-    ),
-    "low": (
-        (Fraction(1, 2), 2),
-        (Fraction(1), 2),
-        (Fraction(1, 2), 1),
-    ),
-}
-
 
 def _fmt(value: Fraction) -> str:
     return f"{fraction_str(value)} (~{float(value):.6f})"
@@ -180,7 +158,7 @@ def run_stream(
             if state.unit != limit_unit:
                 limit_unit = state.unit
                 limit = bound_num * limit_unit // bound_den
-            if state.x_units + state.z_units > limit or state.y_units > limit:
+            if state.load1_units > limit or state.y_units > limit:
                 violations.append(
                     f"arrival {job.index}: makespan {state.makespan} > bound {bound}"
                 )
@@ -190,7 +168,7 @@ def run_stream(
     arrived = 0
     for job in ledger.jobs:
         arrived += job.size_num * (unit // job.size_den)
-    if state.x_units + state.y_units + state.z_units != arrived:
+    if state.load1_units + state.y_units != arrived:
         violations.append(
             f"conservation broken: loads sum to {state.arrived_total}, "
             f"arrived {Fraction(arrived, unit)}"
@@ -456,14 +434,6 @@ def oracle_suite(seed: int, count: int) -> SuiteSummary:
             )
         for failure in report.failures:
             summary.add_violation(f"instance#{i}(seed={config.seed}): {failure}")
-    for name, stream in LOWER_BOUND_STREAMS.items():
-        summary.runs += 1
-        jobs = jobs_from_pairs(stream)
-        opt = brute_opt(jobs)
-        if opt != 1:
-            summary.add_violation(
-                f"lower-bound stream {name!r}: optimum {opt}, expected 1"
-            )
     return summary
 
 

@@ -111,6 +111,28 @@ class TestHighAdversary:
         assert transcript.achieved_ratio == 1 + gamma
         assert transcript.oracle_checked
 
+    @pytest.mark.parametrize("m", ["5/2", "3", "10", "100"])
+    def test_a_budget_keeping_dodger_is_held_to_the_claim(self, m):
+        # a scheduler that keeps the budget yet stays at makespan 1 if the
+        # game goes on after arrival 3, which puts both large jobs on
+        # machine 1: they already weigh 2 - 3*gamma >= 1 + gamma
+        script = {
+            1: AssignmentDecision(M1),
+            2: AssignmentDecision(M1, ((1, M2),)),
+            3: AssignmentDecision(M2, ((1, M1),)),
+            4: AssignmentDecision(M1, ((2, M2),)),
+        }
+
+        def dodger(state, job):
+            return script[job.index]
+
+        adv = AdvHigh(Fraction(m))
+        transcript = play_duel(adv, "dodger", dodger, adv.m)
+        assert transcript.failures() == []
+        assert len(transcript.jobs) == 3
+        assert transcript.achieved_ratio == 2 - 3 * adv.gamma
+        assert transcript.oracle_checked
+
     def test_migration_proof_checks(self):
         transcript = duel(AdvHigh(Fraction(3), Fraction(1, 9)), "A")
         assert all(holds for _, holds in transcript.proof_checks)

@@ -314,8 +314,8 @@ class TestScheduleState:
             [M1, M2, M2, M1],
         )
         unit = state.unit
-        assert (state.x_units, state.y_units, state.z_units) == (
-            unit // 4, unit // 2 + unit // 3, unit // 5
+        assert (state.load1_units, state.y_units) == (
+            unit // 4 + unit // 5, unit // 2 + unit // 3
         )
         assert state.load2 == Fraction(1, 2) + Fraction(1, 3)
         assert state.load1 == Fraction(1, 4) + Fraction(1, 5)
@@ -362,7 +362,7 @@ class TestScheduleState:
                 state.units_of(Job(1, size, 2))
             factor, rest = divmod(state.unit, den)
             assert rest == 0
-            assert [getattr(state, name) for name in ScheduleState.SCALED[3:]] == [
+            assert [getattr(state, name) for name in ScheduleState.SCALED[2:]] == [
                 value * factor for value in scaled
             ]
         assert (state.m, state.tight) == (Fraction(m), ratio_bound(m))
@@ -385,7 +385,7 @@ class TestScheduleState:
         assert ScheduleState(1) == ScheduleState("1")
         assert ScheduleState(1) != ScheduleState(Fraction(5, 2))
 
-    @pytest.mark.parametrize("name", ["x_units", "y_units", "z_units"])
+    @pytest.mark.parametrize("name", ["load1_units", "y_units"])
     def test_equality_reads_each_load(self, name):
         state = _state_with([("1/2", 1), ("1/3", 2), ("1/4", 2)], [M1, M2, M1], 1)
         twin = state.copy()
@@ -430,9 +430,7 @@ class TestKernel:
             y = sum(jobs[i].size for i in on_m2)
             z = sum(j.size for i, j in jobs.items() if j.gos == 2 and where[i] is M1)
             unit = state.unit
-            assert (state.x_units, state.y_units, state.z_units) == (
-                x * unit, y * unit, z * unit
-            )
+            assert (state.load1_units, state.y_units) == ((x + z) * unit, y * unit)
             views = (state.load1, state.load2, state.makespan, state.arrived_total)
             assert views == (x + z, y, max(x + z, y), x + y + z)
             assert all(in_lowest_terms(view) for view in views)
@@ -484,8 +482,8 @@ class TestKernel:
     @given(st.data())
     def test_sizes_follow_the_unit(self, data):
         # each placed job's units stay its size over the state's unit after
-        # every arrival, every extension and every copy; a copy and its
-        # original each serve the memo only over their own unit
+        # every arrival, every extension and every copy, and converting a
+        # placed job never extends the unit
         name = data.draw(st.sampled_from(sorted(SCHEDULERS)))
         m = Fraction(data.draw(st.sampled_from(KERNEL_M.get(name, ["0", "1/4", "3"]))))
         pairs = data.draw(
@@ -494,10 +492,10 @@ class TestKernel:
         primes = iter([7919, 7907, 7901, 7883, 7879, 7877, 7873, 7867, 7853, 7841])
 
         def holds(state):
-            assert state.sizes.keys() == state.jobs.keys()
-            for i, job in state.jobs.items():
-                assert state.sizes[i] == state.units_of(job)
-                assert Fraction(state.sizes[i], state.unit) == job.size
+            unit = state.unit
+            for job in state.jobs.values():
+                assert Fraction(state.units_of(job), unit) == job.size
+            assert state.unit == unit
 
         state, ledger = ScheduleState(m), MigrationLedger()
         for job in stream(*pairs):
@@ -508,15 +506,13 @@ class TestKernel:
             holds(state)
             twin = state.copy()
             holds(twin)
-            # the memo holds the arrival's units; the original extends
-            assert state.units_of(job) == twin.units_of(job)
+            # the original extends, the copy keeps
             state.units_of(Job(1, Fraction(1, next(primes)), 2))
             holds(state)
             holds(twin)
             for side in (state, twin):
                 assert Fraction(side.units_of(job), side.unit) == job.size
             # and the other way round: the copy extends, the original keeps
-            twin.units_of(job)
             twin.units_of(Job(1, Fraction(1, 7829), 2))
             holds(twin)
             assert Fraction(state.units_of(job), state.unit) == job.size
@@ -528,7 +524,7 @@ class TestKernel:
         snapshot = state.copy()
         assert apply_decision(state, jobs[1], AssignmentDecision(M2), ledger) is state
         assert snapshot.jobs == {1: jobs[0]} and snapshot.load2 == Fraction(1, 2)
-        assert snapshot.sizes == {1: snapshot.unit // 2}
+        assert (snapshot.load1_units, snapshot.y_units) == (0, snapshot.unit // 2)
         assert state != snapshot and state.load2 == Fraction(5, 6)
 
 

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import hierstretch
-from hierstretch import algorithms, core, harness
+from hierstretch import algorithms, core, harness, oracle
 from hierstretch.adversary import Stop, play_duel
 from hierstretch.algorithms import SCHEDULERS
 from hierstretch.core import (
@@ -160,7 +160,7 @@ class TestRunMachinery:
         def dropping(state, job, decision, ledger):
             original(state, job, decision, ledger)
             if job.gos == 1:
-                state.x_units -= state.sizes[job.index]
+                state.load1_units -= state.units_of(job)
             return state
 
         monkeypatch.setattr(harness, "apply_decision", dropping)
@@ -172,7 +172,7 @@ class TestRunMachinery:
 
     def test_conservation_is_independent_of_the_kernel_conversion(self, monkeypatch):
         # a conversion that makes arrival 2 one unit too large also grows
-        # state.sizes and the loads; the check sums each placed job's own
+        # the loads; the check sums each placed job's own
         # size_num and size_den, so it still sees the extra unit
         original = core.ScheduleState.units_of
 
@@ -355,24 +355,24 @@ class TestGuaranteeSuite:
         assert any("> bound" in violation for violation in summary.violations)
 
     def test_oracle_suite_reports_a_wrong_optimum(self, monkeypatch, capsys):
-        # the lower-bound streams are checked through harness.brute_opt
-        monkeypatch.setattr(harness, "brute_opt", lambda jobs: Fraction(2))
+        # the planted instances' prefix optima come from oracle.brute_opt:
+        # a constant 2 never drops, so only the planted optimum is wrong
+        monkeypatch.setattr(oracle, "brute_opt", lambda jobs: Fraction(2))
         summary = oracle_suite(1, 2)
-        assert summary.violations == [
-            f"lower-bound stream {name!r}: optimum 2, expected 1"
-            for name in harness.LOWER_BOUND_STREAMS
-        ]
+        assert len(summary.violations) == 2
+        for i, violation in enumerate(summary.violations):
+            assert re.fullmatch(
+                rf"instance#{i}\(seed=\d+\): planted optimum is 2, not 1", violation
+            )
         assert main(["suite", "oracle", "--seed", "1", "--count", "2"]) == 1
-        assert "  - lower-bound stream 'high': optimum 2, expected 1\n" in (
-            capsys.readouterr().out
-        )
+        assert f"  - {summary.violations[0]}\n" in capsys.readouterr().out
 
     def test_oracle_suite_reports_a_bad_prefix_check(self, monkeypatch):
         # the planted instances are checked through harness.prefix_opt_monotone_check
         report = PrefixMonotoneReport([Fraction(1), Fraction(3, 2)], ["dropped"])
         monkeypatch.setattr(harness, "prefix_opt_monotone_check", lambda jobs: report)
         summary = oracle_suite(1, 2)
-        assert summary.runs == 2 + len(harness.LOWER_BOUND_STREAMS)
+        assert summary.runs == 2
         assert len(summary.violations) == 4
         for i in range(2):
             optimum, failure = summary.violations[2 * i : 2 * i + 2]

@@ -385,14 +385,22 @@ class TestScheduleState:
         assert ScheduleState(1) == ScheduleState("1")
         assert ScheduleState(1) != ScheduleState(Fraction(5, 2))
 
-    @pytest.mark.parametrize("name", ["load1_units", "y_units"])
-    def test_equality_reads_each_load(self, name):
+    # the paper's loads x (grade 1) and z (grade 2 on machine 1) both live in
+    # load1_units, y in y_units; z's case moves a grade-2 unit from machine 2
+    # to machine 1, so the total stays and only the split differs
+    @pytest.mark.parametrize(
+        "shift",
+        [(1, 0), (0, 1), (1, -1)],
+        ids=["x_units", "y_units", "z_units"],
+    )
+    def test_equality_reads_each_load(self, shift):
         state = _state_with([("1/2", 1), ("1/3", 2), ("1/4", 2)], [M1, M2, M1], 1)
         twin = state.copy()
         twin.units_of(Job(4, Fraction(1, 7919), 2))
         assert twin == state and twin.unit != state.unit
-        # one unit too many on a load the jobs and assignment do not show
-        setattr(twin, name, getattr(twin, name) + 1)
+        # a unit the jobs and assignment do not show
+        twin.load1_units += shift[0]
+        twin.y_units += shift[1]
         assert twin != state and state != twin
 
 

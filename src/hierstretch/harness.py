@@ -148,7 +148,10 @@ def run_stream(
             raise
         except AttributeError:
             # an item that is not a Job, checked only here: an isinstance
-            # per arrival costs 1-3% of a long stream's time
+            # per arrival timed 0.3-0.9% slower over the first 400 ops of
+            # the seed-1 `guarantees` benchmark deck (median of 8
+            # alternating subprocess pairs, two rounds; 2-CPU Xeon,
+            # CPython 3.11.7), inside the spread of those runs
             require_jobs([job], start=len(ledger.jobs) + 1)
             raise
         except HierStretchError as exc:
@@ -528,11 +531,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_duel(args: argparse.Namespace) -> int:
     m = as_fraction(args.m)
-    # only the chosen adversary's own option is passed; the others are ignored
-    options = {"high": args.gamma, "mid": args.eps, "totalsize": args.theta}
-    option = options.get(args.adversary)
-    params = () if option is None else (option,)
-    adv = ADVERSARIES[args.adversary](m, *params)
+    # each game takes at most its own option, and low takes none
+    own = {"high": "gamma", "mid": "eps", "totalsize": "theta"}.get(args.adversary)
+    for flag in ("gamma", "eps", "theta"):
+        if flag != own and getattr(args, flag) is not None:
+            raise ParseError(f"the {args.adversary} adversary takes no --{flag}")
+    option = vars(args).get(own)
+    adv = ADVERSARIES[args.adversary](m, *([] if option is None else [option]))
     transcript = play_duel(adv, args.algorithm, SCHEDULERS[args.algorithm], m)
     _print_transcript(transcript, args.json)
     return 1 if transcript.failures() else 0

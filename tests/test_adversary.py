@@ -8,6 +8,7 @@ import pytest
 
 from hierstretch.adversary import (
     ADVERSARIES,
+    Adversary,
     AdvHigh,
     AdvLow,
     AdvMid,
@@ -39,7 +40,7 @@ def cheat(state, job):
     return AssignmentDecision(M2)
 
 
-class OneJob:
+class OneJob(Adversary):
     """Issues one grade-2 job of size 1/2, then stops with the given
     certificate and proof checks."""
 
@@ -48,9 +49,6 @@ class OneJob:
     def __init__(self, m, certified=Fraction(1, 2), claimed=Fraction(1), checks=()):
         self.m = Fraction(m)
         self.certified, self.claimed, self.checks = certified, claimed, list(checks)
-
-    def params(self):
-        return {}
 
     def next(self, state):
         if not state.jobs:
@@ -133,10 +131,6 @@ class TestHighAdversary:
         assert transcript.achieved_ratio == 2 - 3 * adv.gamma
         assert transcript.oracle_checked
 
-    def test_migration_proof_checks(self):
-        transcript = duel(AdvHigh(Fraction(3), Fraction(1, 9)), "A")
-        assert all(holds for _, holds in transcript.proof_checks)
-
 
 class TestMidAdversary:
     def test_parameter_gates(self):
@@ -197,7 +191,6 @@ class TestLowAdversary:
         for name in ("baseline", "greedy-m2", "least-loaded", "all-m1"):
             transcript = duel(AdvLow(Fraction(49, 100)), name)
             assert transcript.achieved_ratio >= Fraction(3, 2)
-            assert all(holds for _, holds in transcript.proof_checks)
 
 
 class TestTotalSizeAdversary:
@@ -324,20 +317,14 @@ class TestDuelMechanics:
         assert transcript.achieved_ratio is None
 
     def test_reused_job_index_recorded_as_loss(self):
-        class Repeater:
+        class Repeater(Adversary):
             name = "repeater"
             m = Fraction(1)
-
-            def params(self):
-                return {}
 
             def next(self, state):
                 if len(state.jobs) < 2:
                     return Job(1, Fraction(1, 2), 2)
                 return Stop(Fraction(1), Fraction(1))
-
-            def migration_proof_checks(self):
-                return []
 
         transcript = play_duel(
             Repeater(), "greedy-m2", SCHEDULERS["greedy-m2"], Fraction(1)

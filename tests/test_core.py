@@ -385,6 +385,11 @@ class TestScheduleState:
         assert ScheduleState(1) == ScheduleState("1")
         assert ScheduleState(1) != ScheduleState(Fraction(5, 2))
 
+    def test_a_state_never_equals_another_type(self):
+        state = ScheduleState(1)
+        assert state.__eq__(1) is NotImplemented
+        assert (state == 1) is False and state != 1
+
     # the paper's loads x (grade 1) and z (grade 2 on machine 1) both live in
     # load1_units, y in y_units; z's case moves a grade-2 unit from machine 2
     # to machine 1, so the total stays and only the split differs

@@ -12,9 +12,11 @@ oracle confirms the certified optimum and the ratio must reach the claim.
 """
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 
-from hierstretch.adversary import AdvTotalSize, Stop
+from hierstretch.adversary import AdvHigh, AdvMid, AdvTotalSize, Stop
 from hierstretch.core import (
     EXACT_SEARCH_LIMIT,
     M1,
@@ -34,10 +36,22 @@ MAX_NODES = 20_000
 
 # AdvTotalSize at m = 10 and 100 emits 28 and 276 sand jobs after its two
 # large ones: past the oracle's limit and past any walk that fits in a
-# test run
+# test run.  The games carry no hand-written migration-proof check, so
+# the walk also covers parameters other than the defaults: a gamma well
+# below mu, gamma = mu/2 at m = 5/2, a large m, and eps = 1/20 and 1/100
 GAMES = [
     adv for adv in soundness_adversaries()
     if not (adv.name == AdvTotalSize.name and adv.m >= 10)
+] + [
+    pytest.param(adv, id=f"{adv.name}@{adv.m},{name}={value}")
+    for adv in (
+        AdvHigh(3, Fraction(1, 9)),
+        AdvHigh(Fraction(5, 2), Fraction(1, 8)),
+        AdvHigh(10, Fraction(1, 100)),
+        AdvMid(Fraction(3, 5), Fraction(1, 20)),
+        AdvMid(Fraction(73, 100), Fraction(1, 100)),
+    )
+    for name, value in adv.params().items()
 ]
 
 

@@ -15,7 +15,7 @@ import pytest
 
 import hierstretch
 from hierstretch import algorithms, core, harness, oracle
-from hierstretch.adversary import Stop, play_duel
+from hierstretch.adversary import Adversary, Stop, play_duel
 from hierstretch.algorithms import SCHEDULERS
 from hierstretch.core import (
     M1,
@@ -152,6 +152,15 @@ class TestRunMachinery:
         jobs = [*stream(("1/2", 2)), None]
         with pytest.raises(ParseError, match="position 2 holds None, not a Job"):
             run_stream(jobs, SCHEDULERS[name], 3)
+
+    def test_a_schedulers_own_attribute_error_propagates(self):
+        # every item is a Job, so the failure-path check finds nothing and
+        # the error is neither a ParseError nor a recorded violation
+        def broken(state, job):
+            return job.weight
+
+        with pytest.raises(AttributeError, match="weight"):
+            run_stream(stream(("1/2", 2)), broken, 3)
 
     def test_conservation_catches_a_dropped_load_update(self, monkeypatch):
         # an apply_decision that forgets the grade-1 arrival's load
@@ -489,13 +498,28 @@ class TestCli:
         out = capsys.readouterr().out
         assert "3/2" in out
 
-    def test_duel_ignores_options_of_other_adversaries(self, capsys):
-        assert main(["duel", "low", "baseline", "--m", "1/4"]) == 0
-        plain = capsys.readouterr().out
-        assert main(
-            ["duel", "low", "baseline", "--m", "1/4", "--gamma", "1/5"]
-        ) == 0
-        assert capsys.readouterr().out == plain
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["mid", "C", "--m", "3/5", "--gamma", "1/5"], "gamma"),
+            (["low", "baseline", "--m", "1/4", "--eps", "1/3"], "eps"),
+            (["low", "baseline", "--m", "1/4", "--gamma", "1/5"], "gamma"),
+            (["high", "A", "--m", "3", "--gamma", "1/9", "--theta", "3/5"], "theta"),
+            (["totalsize", "A", "--m", "1", "--eps", "1/100"], "eps"),
+        ],
+        ids=["mid-gamma", "low-eps", "low-gamma", "high-theta", "totalsize-eps"],
+    )
+    def test_duel_refuses_options_of_other_adversaries(self, argv, flag, capsys):
+        assert main(["duel", *argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: ParseError: the {argv[0]} adversary takes no --{flag}\n"
+
+    def test_duel_mid_takes_its_eps(self, capsys):
+        assert main(["duel", "mid", "C", "--m", "3/5", "--eps", "1/20", "--json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["adversary_params"] == {"eps": "1/20"}
+        assert data["claimed_min_ratio"] == "27/20"
 
     def test_duel_high_outside_regime(self, capsys):
         assert main(["duel", "high", "A", "--m", "1"]) == 2
@@ -653,23 +677,17 @@ def test_cli_output_is_pinned(golden, seed, argv, tmp_path, monkeypatch, capsys)
     assert capsys.readouterr().out == (GOLDEN / golden).read_text()
 
 
-class TwoHalves:
+class TwoHalves(Adversary):
     """Issues two grade-2 jobs of size 1/2 at m = 1, then stops with
     optimum 1/2."""
 
     name = "two-halves"
     m = Fraction(1)
 
-    def params(self):
-        return {}
-
     def next(self, state):
         if len(state.jobs) < 2:
             return Job(len(state.jobs) + 1, Fraction(1, 2), 2)
         return Stop(Fraction(1, 2), Fraction(1))
-
-    def migration_proof_checks(self):
-        return []
 
 
 class TestTranscriptText:

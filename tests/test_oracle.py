@@ -9,7 +9,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hierstretch.core import M1, M2
+from hierstretch.core import M1, M2, Job
 from hierstretch.errors import ParseError, SizeLimit
 from hierstretch.generators import generate, random_config
 from hierstretch import oracle
@@ -257,6 +257,11 @@ class TestNotAJob:
         jobs = [*stream(("1/2", 2), ("1/3", 1)), "job"]
         with pytest.raises(ParseError, match="position 3 holds 'job', not a Job"):
             prefix_opt_monotone_check(jobs)
+
+    def test_a_job_without_its_fields_keeps_its_attribute_error(self):
+        # the failure-path check finds a Job, so the size read's error stands
+        with pytest.raises(AttributeError):
+            brute_opt([object.__new__(Job)])
 
 
 class TestPrefixMonotone:

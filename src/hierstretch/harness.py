@@ -141,18 +141,13 @@ def run_stream(
     # floor in units: recomputed when the unit grows
     limit_unit = limit = 0
     for job in jobs:
+        if not isinstance(job, Job):
+            # every earlier arrival was placed, or the loop would have ended
+            require_jobs([job], start=len(ledger.jobs) + 1)
         try:
             decision = scheduler_fn(state, job)
             state = apply_decision(state, job, decision, ledger)
         except RegimeMismatch:
-            raise
-        except AttributeError:
-            # an item that is not a Job, checked only here: an isinstance
-            # per arrival timed 0.3-0.9% slower over the first 400 ops of
-            # the seed-1 `guarantees` benchmark deck (median of 8
-            # alternating subprocess pairs, two rounds; 2-CPU Xeon,
-            # CPython 3.11.7), inside the spread of those runs
-            require_jobs([job], start=len(ledger.jobs) + 1)
             raise
         except HierStretchError as exc:
             violations.append(f"arrival {job.index}: {type(exc).__name__}: {exc}")

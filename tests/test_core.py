@@ -4,12 +4,16 @@ from __future__ import annotations
 import dataclasses
 import gc
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hierstretch import oracle
 from hierstretch.adversary import AdvHigh, play_duel
 from hierstretch.algorithms import SCHEDULERS, alg_b, select_max_subset
 from hierstretch.core import (
@@ -47,6 +51,8 @@ from hierstretch.generators import GenConfig, generate
 from hierstretch.harness import guarantee_suite, run_stream
 from hierstretch.oracle import brute_opt, opt_prefix_loads, prefix_opt_monotone_check
 from helpers import in_lowest_terms, mixed_sizes, stream
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestJob:
@@ -727,6 +733,40 @@ class TestValidateInstance:
         report = validate_instance(inst, check_opt=True)
         assert report.valid
         assert report.oracle_opt == 1
+
+    def test_calls_the_oracle_through_its_module(self, monkeypatch):
+        # a rebound oracle.brute_opt (the benchmark's probe, a test) must
+        # see validate_instance's call
+        seen = []
+
+        def rebound(jobs):
+            seen.append(jobs)
+            return Fraction(7)
+
+        monkeypatch.setattr(oracle, "brute_opt", rebound)
+        inst = Instance(jobs=stream(("1/2", 2)), declared_opt=Fraction(1, 2))
+        report = validate_instance(inst, check_opt=True)
+        assert seen == [inst.jobs]
+        assert report.oracle_opt == 7
+        assert report.failures == ["brute-force optimum 7 differs from declared 1/2"]
+
+    @pytest.mark.parametrize("first", ["hierstretch.oracle", "hierstretch.core"])
+    def test_oracle_check_after_either_import_order(self, first):
+        # core binds the oracle module last, since the oracle imports core
+        code = (
+            f"import {first}\n"
+            "from fractions import Fraction\n"
+            "from hierstretch.core import Instance, jobs_from_pairs, validate_instance\n"
+            "jobs = jobs_from_pairs([('1/2', 2), ('1/2', 2), ('1/3', 1)])\n"
+            "report = validate_instance(Instance(jobs=jobs, declared_opt=Fraction(5, 6)), check_opt=True)\n"
+            "print(report.valid, report.oracle_opt)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env
+        )
+        assert (result.returncode, result.stderr) == (0, "")
+        assert result.stdout == "True 5/6\n"
 
     def test_gos1_overflow(self):
         inst = Instance(jobs=stream(("3/2", 1)), declared_opt=Fraction(1))

@@ -10,6 +10,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -153,9 +154,21 @@ class TestRunMachinery:
         with pytest.raises(ParseError, match="position 2 holds None, not a Job"):
             run_stream(jobs, SCHEDULERS[name], 3)
 
+    @pytest.mark.parametrize("name, m", [("A", 3), ("B", 1), ("all-m1", 3)])
+    def test_an_item_with_a_jobs_fields_is_still_a_parse_error(self, name, m):
+        # every field a scheduler or apply_decision reads is there, so only
+        # the type check tells this item from a Job
+        item = SimpleNamespace(
+            index=1, size=Fraction(1, 2), size_num=1, size_den=2, gos=2
+        )
+        with pytest.raises(ParseError, match=r"position 1 holds namespace\("):
+            run_stream([item], SCHEDULERS[name], m)
+        with pytest.raises(ParseError, match=r"position 2 holds namespace\("):
+            run_stream([*stream(("1/4", 2)), item], SCHEDULERS[name], m)
+
     def test_a_schedulers_own_attribute_error_propagates(self):
-        # every item is a Job, so the failure-path check finds nothing and
-        # the error is neither a ParseError nor a recorded violation
+        # every item is a Job, so the type check passes and the error is
+        # neither a ParseError nor a recorded violation
         def broken(state, job):
             return job.weight
 

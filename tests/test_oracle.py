@@ -22,7 +22,7 @@ from hierstretch.oracle import (
     opt_prefix_loads,
     prefix_opt_monotone_check,
 )
-from helpers import in_lowest_terms, mixed_sizes, stream
+from helpers import MIXED_DENOMINATORS, in_lowest_terms, mixed_sizes, stream
 
 small_streams = st.lists(
     st.tuples(
@@ -240,6 +240,35 @@ class TestOptPrefixLoads:
                 assert pair[0] >= prev[0] and pair[1] >= prev[1]
                 prev = pair
             assert max(prev) == result.opt
+
+
+class TestInternedResults:
+    # equal results are one shared Fraction, built once per (num, unit)
+    @pytest.mark.parametrize("limit", [BITSET_LIMIT, 0], ids=["bitset", "search"])
+    def test_equal_results_are_one_fraction(self, limit, monkeypatch):
+        monkeypatch.setattr(oracle, "BITSET_LIMIT", limit)
+        pairs = (("1/2", 2), ("1/3", 1), ("2/7", 2), ("5/9", 2))
+        assert brute_opt(stream(*pairs)) is brute_opt(stream(*pairs))
+        first, again = opt_prefix_loads(stream(*pairs)), opt_prefix_loads(stream(*pairs))
+        assert first.opt is again.opt
+        assert first.loads[-1][0] is again.loads[-1][0] == Fraction(5, 6)
+
+    @settings(max_examples=300)
+    @given(
+        st.integers(0, 10**15) | st.just(0),
+        st.sampled_from(MIXED_DENOMINATORS) | st.integers(1, 2 * 10**13 + 10**6),
+    )
+    def test_values_are_fractions_in_lowest_terms(self, num, den):
+        value = oracle._fraction(num, den)
+        exact = Fraction(num, den)
+        assert in_lowest_terms(value)
+        assert (value.numerator, value.denominator) == (exact.numerator, exact.denominator)
+
+    def test_cache_stays_bounded(self):
+        maxsize = oracle._fraction.cache_info().maxsize
+        for k in range(1, maxsize + 100):
+            assert brute_opt([Job(1, Fraction(k, 10**6), 2)]) == Fraction(k, 10**6)
+        assert oracle._fraction.cache_info().currsize <= maxsize
 
 
 class TestNotAJob:

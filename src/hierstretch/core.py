@@ -627,10 +627,14 @@ def validate_instance(instance: Instance, check_opt: bool = False) -> Validation
     """
     report = ValidationReport()
     jobs, opt = instance.jobs, instance.declared_opt
-    # both totals as ints over one unit, summed in one pass and compared
-    # with opt = num/den by cross-multiplication; a Fraction is built only
-    # for a failure message
-    unit = math.lcm(*[job.size_den for job in jobs])
+    # both totals as ints over one unit, which grows only on a denominator
+    # that does not divide it, compared with opt = num/den by
+    # cross-multiplication; a Fraction is built only for a failure message
+    unit = 1
+    for job in jobs:
+        den = job.size_den
+        if unit % den:
+            unit = math.lcm(unit, den)
     total = gos1 = 0
     for job in jobs:
         size = job.size_num * (unit // job.size_den)

@@ -1,9 +1,10 @@
 """Exact offline optimum and prefix loads, used as ground truth.
 
-Each call scales its sizes to integer units in one pass over the jobs,
-after one lcm of their denominators, which also sums the total, picks
-out the grade-2 sizes and checks their count before any search; the
-work runs on ints and a Fraction is made only for a value it returns.
+Each call scales its sizes to integer units over a unit that grows
+only on a denominator that does not divide it, then sums the total,
+picks out the grade-2 sizes and checks their count before any search;
+the work runs on ints and a Fraction is made only for a value it
+returns.
 Every such Fraction comes from one bounded cache keyed on (num, unit),
 so equal results are one shared, immutable Fraction in lowest terms.
 Grade-1 jobs are pinned to machine 1, so the optimum is fixed by y, the
@@ -43,20 +44,27 @@ _fraction = lru_cache(maxsize=4096)(Fraction)
 
 
 def _grade2_sizes(jobs: Sequence[Job]) -> tuple[int, int, list[int]]:
-    """``(unit, total, sizes)`` in one pass over the jobs: the lcm of
-    their denominators, every job's size summed in units and the grade-2
-    sizes in arrival order; more than ``EXACT_SEARCH_LIMIT`` grade-2 jobs
-    raise :class:`SizeLimit` before any search.  Items are read through
-    their :class:`Job` fields (``size_num``, ``size_den``, ``gos``): one
-    that lacks them raises :class:`ParseError` naming its position, and
-    one that has them is read as a Job without a check of its type."""
+    """``(unit, total, sizes)``: the lcm of the jobs' denominators, every
+    job's size summed in units and the grade-2 sizes in arrival order;
+    more than ``EXACT_SEARCH_LIMIT`` grade-2 jobs raise
+    :class:`SizeLimit` before any search.  Items are read through their
+    :class:`Job` fields (``size_num``, ``size_den``, ``gos``): one that
+    lacks them raises :class:`ParseError` naming its position, and one
+    that has them is read as a Job without a check of its type."""
+    # the unit grows only on a denominator it is not yet a multiple of:
+    # the `oracle` benchmark deck takes 1.6 lcm calls per oracle call this
+    # way, and one lcm over a list of all the denominators costs more
+    unit = 1
     try:
-        unit = lcm(*[job.size_den for job in jobs])
+        for job in jobs:
+            den = job.size_den
+            if unit % den:
+                unit = lcm(unit, den)
     except AttributeError:
-        # checked only when a size cannot be read: a scan per call timed
-        # 5-7% slower over the first 700 ops of the seed-1 `oracle`
-        # benchmark deck (median of 8 alternating subprocess pairs, two
-        # rounds; 2-CPU Xeon, CPython 3.11.7)
+        # checked only when a size cannot be read: a type check per job
+        # in this loop cost 2.5-5.6% of the `oracle` benchmark's ops_per_s
+        # (medians of 6-9 alternating 20-second runs, `type(job)` and
+        # `job.__class__` forms; 2-CPU Xeon, CPython 3.11.7)
         require_jobs(jobs)
         raise
     total = 0
@@ -77,15 +85,19 @@ def _grade2_sizes(jobs: Sequence[Job]) -> tuple[int, int, list[int]]:
 def _best_load(reach: int, total: int, grade2: int) -> tuple[int, int]:
     """The least makespan over the machine-2 loads y set in ``reach``
     (grade-2 total ``grade2``, all jobs ``total``), and its smallest y."""
-    # y <= total // 2 has makespan total - y: take the largest such y; the
-    # mask is sized by the grade-2 total, since total may be huge
+    # y <= total // 2 has makespan total - y: take the largest such y
     half = total // 2
-    y = (reach & ((2 << min(half, grade2)) - 1)).bit_length() - 1
+    if grade2 <= half:
+        # bit grade2 is always set, and no y above it is reachable
+        return total - grade2, grade2
+    # the mask is sized by half < grade2, since total may be huge
+    y = (reach & ((2 << half) - 1)).bit_length() - 1
     best = total - y
-    # y >= total - half has makespan y: take the smallest, if it is better
-    rest = total - half
-    if rest <= grade2:  # bit grade2 is set, so some such y is reachable
-        upper = reach >> rest
+    # y >= total - half has makespan y: take the smallest, if it is
+    # better; at y == half, best is total - half and none can be
+    if y < half:
+        rest = total - half
+        upper = reach >> rest  # nonzero: rest <= grade2, whose bit is set
         up = rest + (upper & -upper).bit_length() - 1
         if up < best:
             best = y = up

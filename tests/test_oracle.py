@@ -7,7 +7,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hierstretch.core import M1, M2, Job
 from hierstretch.errors import ParseError, SizeLimit
@@ -15,7 +15,9 @@ from hierstretch.generators import generate, random_config
 from hierstretch import oracle
 from hierstretch.oracle import (
     BITSET_LIMIT,
+    _best_load,
     _bitset_split,
+    _grade2_sizes,
     _least_optimal_split,
     _search_split,
     brute_opt,
@@ -75,9 +77,10 @@ class TestBruteOpt:
                 with pytest.raises(SizeLimit, match="25 grade-2 jobs"):
                     call(jobs)
 
-    def test_one_lcm_per_call(self, monkeypatch):
-        # the sizes are scaled in one pass after a single lcm of their
-        # denominators, whatever the mix of grades and denominators
+    def test_lcm_only_on_a_new_denominator(self, monkeypatch):
+        # the unit grows only on a denominator that does not divide it, so
+        # a stream whose denominators all divide the first one's takes a
+        # single lcm per call, whatever the mix of grades
         calls = []
 
         def counting(*dens):
@@ -85,15 +88,26 @@ class TestBruteOpt:
             return math.lcm(*dens)
 
         monkeypatch.setattr(oracle, "lcm", counting)
+        divisors = stream(
+            ("1/1000", 2), ("1/2", 1), ("3/500", 2), ("1/8", 2), ("7/40", 1)
+        )
+        for call in (brute_opt, _least_optimal_split, opt_prefix_loads):
+            calls.clear()
+            call(divisors)
+            assert len(calls) == 1
+        # a new denominator grows it: the unit is the lcm of them all
         jobs = stream(("1/2", 2), ("1/3", 1), ("2/7", 2), ("5/9", 2), ("1/4", 1))
         assert brute_opt(jobs) == Fraction(19, 18)
-        assert calls == [(2, 3, 7, 9, 4)]
-        calls.clear()
-        assert _least_optimal_split(jobs)[0] == Fraction(19, 18)
-        assert calls == [(2, 3, 7, 9, 4)]
-        calls.clear()
         assert opt_prefix_loads(jobs).opt == Fraction(19, 18)
-        assert len(calls) == 1
+        opt, _, unit = _least_optimal_split(jobs)
+        assert opt == Fraction(19, 18)
+        assert unit == math.lcm(2, 3, 7, 9, 4)
+
+    @settings(max_examples=200)
+    @given(st.lists(st.tuples(mixed_sizes, st.sampled_from([1, 2])), max_size=12))
+    def test_unit_is_the_lcm_of_the_denominators(self, pairs):
+        jobs = stream(*pairs)
+        assert _grade2_sizes(jobs)[0] == math.lcm(*[j.size_den for j in jobs])
 
     @settings(max_examples=120)
     @given(
@@ -127,17 +141,46 @@ class TestBruteOpt:
 
 
 class TestBitsetAgainstSearch:
-    """The bitset path and the branch-and-bound, called directly."""
+    """The bitset path, its best load and the branch-and-bound, called
+    directly."""
 
     @settings(max_examples=60, deadline=None)
     @given(
         st.lists(st.integers(1, 1000), min_size=8, max_size=18),
-        st.one_of(st.just(0), st.integers(1, 3000), st.integers(1, 10**15)),
+        # grade-1 totals near the grade-2 total put half the total on
+        # either side of it, so _best_load's short cuts fire and do not
+        st.one_of(
+            st.just(0),
+            st.integers(1, 3000),
+            st.integers(3000, 20000),
+            st.integers(1, 10**15),
+        ),
     )
     def test_same_split_at_thousandths(self, sizes, grade1):
         # sizes in units of 1/1000, beside a grade-1 total of any size
         total = grade1 + sum(sizes)
         assert _bitset_split(sizes, total) == _search_split(sizes, total)
+
+    @settings(max_examples=300)
+    @given(st.lists(st.integers(1, 60), max_size=8), st.integers(0, 400))
+    # the short cuts: the grade-2 total fits under half the total (even
+    # and odd), or the largest y up to half is half itself (even and odd)
+    @example([2], 4)
+    @example([2], 5)
+    @example([3, 3], 0)
+    @example([3, 4], 0)
+    # the search from the top half: y = 0 below, 5 above
+    @example([5], 1)
+    def test_best_load_against_every_reachable_load(self, sizes, grade1):
+        grade2 = sum(sizes)
+        total = grade1 + grade2
+        reach = 1
+        for size in sizes:
+            reach |= reach << size
+        expected = min(
+            (max(total - y, y), y) for y in range(grade2 + 1) if reach >> y & 1
+        )
+        assert _best_load(reach, total, grade2) == expected
 
     @pytest.mark.parametrize("grade2", [BITSET_LIMIT, BITSET_LIMIT + 1])
     def test_path_boundary(self, grade2, monkeypatch):

@@ -5,7 +5,8 @@ keep machine 2 inside [2-r, r], and differ in how they rebalance an
 arrival that would push machine 2 above r:
 
 * ``alg_a`` (m >= 5/2, r = 1+mu with mu = 2/(2m+3)) repartitions all
-  grade-2 jobs via an exact max-subset-sum.
+  grade-2 jobs via an exact max-subset-sum, :func:`select_max_subset`, on
+  the oracle's one reach and walk or its one branch-and-bound.
 * ``alg_b`` (3/4 <= m < 5/2, r = 5/4) never migrates more than
   (3/4) * p_j, whatever m is.
 * ``alg_c`` (1/2 <= m < 2/3) and ``alg_d`` (2/3 <= m < 3/4), both with
@@ -18,9 +19,9 @@ factor m and m's constants.  All of them decide as deterministic
 functions of the visible state, on ints over the state's unit: every
 job's size, the arrival's and the placed jobs', from
 :meth:`ScheduleState.units_of` (the only change they make to a state is
-to extend that unit); the three subset selectors take and return ints
-over that unit too.  Schedulers A-D check the state's
-regime in their shared window.  The enforcement of budgets and hierarchy
+to extend that unit); the subset selectors take and return ints over
+that unit too.  Schedulers A-D check the state's regime in their shared
+window.  The enforcement of budgets and hierarchy
 stays in :func:`core.apply_decision`.
 Three deliberately naive opponents used by adversary tests live at the
 bottom.
@@ -30,7 +31,7 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 
 from .core import (
-    EXACT_SEARCH_LIMIT,
+    EXACT_SEARCH_LIMIT,  # re-exported: A refuses past it, through select_max_subset
     AssignmentDecision,
     M1,
     M2,
@@ -41,7 +42,8 @@ from .core import (
     ScheduleState,
     ratio_bound,
 )
-from .errors import ParseError, RegimeMismatch, SizeLimit
+from .errors import RegimeMismatch
+from .oracle import select_max_subset
 
 SchedulerFn = Callable[[ScheduleState, Job], AssignmentDecision]
 
@@ -51,55 +53,6 @@ _WINDOW_M1 = AssignmentDecision(M1, step=2)
 _WINDOW_M2 = AssignmentDecision(M2, step=3)
 _PLAIN_M1 = AssignmentDecision(M1)
 _PLAIN_M2 = AssignmentDecision(M2)
-
-
-def select_max_subset(sizes: Sequence[int], cap: int) -> tuple[tuple[int, ...], int]:
-    """Positions and total of a subset of maximum total size not exceeding
-    ``cap``, exact.
-
-    Sizes are a sequence of ints > 0 and the cap an int >= 0, all over
-    one unit; anything else raises ParseError.  Depth-first in input order,
-    include before exclude, pruned by suffix sums; among equal-total
-    optima this visits the lexicographically smallest index set first,
-    which is the tie-break.
-    """
-    if type(cap) is not int or cap < 0:
-        raise ParseError(f"cap must be an int >= 0, got {cap!r}")
-    if not isinstance(sizes, Sequence):
-        raise ParseError(f"sizes must be a sequence, got {sizes!r}")
-    n = len(sizes)
-    if n > EXACT_SEARCH_LIMIT:
-        raise SizeLimit(
-            f"{n} candidates exceed the exact-search limit {EXACT_SEARCH_LIMIT}"
-        )
-    suffix = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        size = sizes[i]
-        if type(size) is not int or size <= 0:
-            raise ParseError(f"sizes must be ints > 0, got {size!r}")
-        suffix[i] = suffix[i + 1] + size
-
-    best_total = 0
-    best: tuple[int, ...] = ()
-
-    def search(i: int, total: int, chosen: tuple[int, ...]) -> None:
-        nonlocal best_total, best
-        reach = total + suffix[i]
-        if reach <= best_total:
-            return  # cannot strictly improve; equal totals are lex-larger
-        if reach <= cap:  # always so at i == n, as total <= cap
-            best_total = reach
-            best = chosen + tuple(range(i, n))
-            return
-        if total + sizes[i] <= cap:
-            search(i + 1, total + sizes[i], chosen + (i,))
-            if best_total == cap:
-                return
-        search(i + 1, total, chosen)
-
-    search(0, 0, ())
-    del search  # its cell refers to it: leave no cycle for the collector
-    return best, best_total
 
 
 def select_prefix_max(sizes: Sequence[int], cap: int) -> tuple[int, int]:
@@ -195,8 +148,7 @@ def alg_a(state: ScheduleState, job: Job) -> AssignmentDecision:
     p = state.units_of(job)
     candidates = [other for other in state.jobs.values() if other.gos == 2]
     sizes = [state.units_of(other) for other in candidates] + [p]
-    chosen, _ = select_max_subset(sizes, state.unit)
-    picked = set(chosen)
+    picked = set(select_max_subset(sizes, state.unit)[0])
     migrations = []
     for pos, other in enumerate(candidates):
         new_machine = M2 if pos in picked else M1

@@ -1,37 +1,37 @@
-"""Exact offline optimum and prefix loads, used as ground truth.
+"""Exact offline optimum and prefix loads, and the one exact subset search
+that scheduler A shares.
 
-Each call scales its sizes to integer units over a unit that grows
-only on a denominator that does not divide it, then sums the total,
-picks out the grade-2 sizes and checks their count before any search;
-the work runs on ints and a Fraction is made only for a value it
-returns.
-Every such Fraction comes from one bounded cache keyed on (num, unit),
-so equal results are one shared, immutable Fraction in lowest terms.
-Grade-1 jobs are pinned to machine 1, so the optimum is fixed by y, the
-machine-2 load: the makespan is max(T - y, y) over the total T.  When
-the grade-2 total is at most ``BITSET_LIMIT`` units, the loads y the
-grade-2 jobs can reach are the set bits of one int, built with one
-shift-or per job; the best y is the largest reachable one up to T/2 or
-the smallest from T/2 up.  :func:`brute_opt` keeps only that one int.
-The least optimal split keeps the reach of every suffix, and one walk in
-arrival order picks its machine vector; :func:`opt_prefix_loads` then
-runs the prefix loads as ints.  Larger totals (sizes with huge
-denominators, such as the known-total-size adversary's sand) fall back
-to a branch-and-bound over the 2^k placements.  Both paths refuse more
-than ``EXACT_SEARCH_LIMIT`` grade-2 jobs and return the same split.
-Deliberately a different computation path from any scheduler, so tests
-can use it as an independent oracle.
+Each call scales its sizes to integer units over a unit that grows only
+on a new denominator, refuses more than ``EXACT_SEARCH_LIMIT`` grade-2
+jobs before any search, and runs on ints; each Fraction it returns comes
+from one bounded cache.  Grade-1 jobs are pinned to machine 1, so the
+optimum is fixed by y, the machine-2 load: the makespan is max(T - y, y)
+over the total T, and the best y is the largest reachable one up to T/2
+or the smallest from T/2 up.
+
+Subset sums take one of two paths, by one test: is the grade-2 total at
+most ``BITSET_LIMIT`` units?  Up to it, the sums the jobs from each
+position on can reach are the set bits of one int, and a walk in arrival
+order that puts a job on machine 1 whenever the later jobs can still make
+up y gives the least machine vector for y.  Above it, one depth-first
+branch-and-bound, include before exclude, finds the largest total under a
+cap and the least position set for it.  Scheduler A's
+:func:`select_max_subset` takes the largest total under its cap, as the
+machine-1 jobs of the walk to its complement.  As A and the oracle share
+this search, their independent check is the tests' exhaustive
+enumerators, ``brute_force_max_subset`` and ``least_split_by_enumeration``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import lcm
 from typing import Sequence
 
 from .core import EXACT_SEARCH_LIMIT, M1, M2, Job, MachineId, ZERO, require_jobs
-from .errors import SizeLimit
+from .errors import ParseError, SizeLimit
 
 # largest grade-2 total, in units, whose reachable loads are kept as the
 # bits of one int (128 KiB); larger totals take the branch-and-bound
@@ -104,18 +104,17 @@ def _best_load(reach: int, total: int, grade2: int) -> tuple[int, int]:
     return best, y
 
 
-def _bitset_split(
-    sizes: list[int], total: int
-) -> tuple[int, tuple[MachineId, ...]]:
-    """The least optimal split of grade-2 ``sizes`` (ints) when all jobs sum
-    to ``total``: its makespan and the machine of each grade-2 job."""
-    # suffix[i]: bit y set when jobs i.. can put exactly y on machine 2
+def _suffix_reach(sizes: Sequence[int]) -> list[int]:
+    """``suffix[i]``: bit y set when the sizes from position i on can put
+    exactly y on machine 2; ``suffix[0]`` holds every reachable sum."""
     suffix = [1]
     for size in reversed(sizes):
-        reach = suffix[-1]
-        suffix.append(reach | reach << size)
-    suffix.reverse()
-    best, y = _best_load(suffix[0], total, sum(sizes))
+        suffix.append(suffix[-1] | suffix[-1] << size)
+    return suffix[::-1]
+
+
+def _walk(sizes: Sequence[int], suffix: list[int], y: int) -> tuple[MachineId, ...]:
+    """The least machine vector that puts exactly ``y`` on machine 2."""
     # machine 1 first, whenever the later jobs can still make up y
     vector = []
     for size, later in zip(sizes, suffix[1:]):
@@ -124,38 +123,80 @@ def _bitset_split(
         else:
             vector.append(M2)
             y -= size
-    return best, tuple(vector)
+    return tuple(vector)
 
 
-def _search_split(
-    sizes: list[int], total: int
-) -> tuple[int, tuple[MachineId, ...]]:
-    """:func:`_bitset_split` by branch-and-bound, for any grade-2 total."""
-    n = len(sizes)
-    # start from everything on machine 1: the least vector of all
-    best = total
-    best_y = 0
-    best_mask = 0  # bit i set: grade-2 job i on machine 2
+def _max_subset(sizes: Sequence[int], cap: int) -> tuple[tuple[int, ...], int]:
+    """:func:`select_max_subset` for checked sizes of any total: depth-first,
+    include before exclude, pruned by suffix sums, so among equal totals
+    the lexicographically smallest position set is met first."""
+    suffix = [*accumulate(reversed(sizes), initial=0)][::-1]  # suffix sums
+    best_total = 0
+    best: tuple[int, ...] = ()
 
-    def search(i: int, load1: int, y: int, mask: int) -> None:
-        nonlocal best, best_y, best_mask
-        # partial loads only grow, so (max(load1, y), y) bounds the key of
-        # every leaf below; equal keys are kept, because machine 2 is tried
-        # first and a later leaf has the lexicographically smaller vector
-        low = max(load1, y)
-        if low >= best and (low > best or y > best_y):
+    def search(i: int, total: int, chosen: tuple[int, ...]) -> None:
+        nonlocal best_total, best
+        reach = total + suffix[i]
+        if reach <= best_total:
+            return  # cannot strictly improve; equal totals are lex-larger
+        if reach <= cap:  # always so at i == len(sizes), as total <= cap
+            best_total = reach
+            best = chosen + tuple(range(i, len(sizes)))
             return
-        if i == n:
-            best, best_y, best_mask = low, y, mask
-            return
-        search(i + 1, load1, y + sizes[i], mask | (1 << i))
-        search(i + 1, load1 + sizes[i], y, mask)
+        if total + sizes[i] <= cap:
+            search(i + 1, total + sizes[i], chosen + (i,))
+            if best_total == cap:
+                return
+        search(i + 1, total, chosen)
 
-    search(0, total - sum(sizes), 0, 0)
+    search(0, 0, ())
     del search  # its cell refers to it: leave no cycle for the collector
-    return best, tuple([
-        M2 if best_mask >> i & 1 else M1 for i in range(n)
-    ])
+    return best, best_total
+
+
+def select_max_subset(sizes: Sequence[int], cap: int) -> tuple[tuple[int, ...], int]:
+    """Positions and total of a subset of maximum total size not exceeding
+    ``cap``, exact; among equal totals, the lexicographically least set.
+
+    Sizes are a sequence of ints > 0 and the cap an int >= 0, all over one
+    unit; anything else raises ParseError and more than
+    ``EXACT_SEARCH_LIMIT`` sizes raise SizeLimit, before any search."""
+    if type(cap) is not int or cap < 0:
+        raise ParseError(f"cap must be an int >= 0, got {cap!r}")
+    if not isinstance(sizes, Sequence):
+        raise ParseError(f"sizes must be a sequence, got {sizes!r}")
+    if len(sizes) > EXACT_SEARCH_LIMIT:
+        raise SizeLimit(
+            f"{len(sizes)} candidates exceed the exact-search limit {EXACT_SEARCH_LIMIT}"
+        )
+    for size in sizes:
+        if type(size) is not int or size <= 0:
+            raise ParseError(f"sizes must be ints > 0, got {size!r}")
+    grade2 = sum(sizes)
+    if cap >= grade2 or grade2 > BITSET_LIMIT:
+        # a cap that holds them all ends the search at its first node
+        return _max_subset(sizes, cap)
+    # the walk to the best total's complement puts the least subset on machine 1
+    suffix = _suffix_reach(sizes)
+    total = (suffix[0] & ((2 << cap) - 1)).bit_length() - 1
+    vector = _walk(sizes, suffix, grade2 - total)
+    return tuple([i for i, machine in enumerate(vector) if machine is M1]), total
+
+
+def _searched_load(
+    sizes: list[int], total: int, grade2: int
+) -> tuple[int, int, tuple[int, ...] | None]:
+    """:func:`_best_load` by branch-and-bound, for any grade-2 total, and
+    the machine-1 positions of its y when the search for y found them."""
+    half = total // 2
+    if grade2 <= half:
+        return total - grade2, grade2, ()
+    low = _max_subset(sizes, half)[1]
+    # the smallest y from total - half up leaves the largest complement
+    machine1, kept = _max_subset(sizes, grade2 - (total - half))
+    if grade2 - kept < total - low:
+        return grade2 - kept, grade2 - kept, machine1
+    return total - low, low, None
 
 
 def _least_optimal_split(
@@ -164,15 +205,21 @@ def _least_optimal_split(
     """The least optimal assignment of the grade-2 jobs, exact.
 
     Returns the optimal makespan, the machine of each grade-2 job in
-    arrival order and the unit the sizes were scaled to.  Among
-    optimal assignments the least is the one with the smallest machine-2
-    load, then the lexicographically smallest machine vector (machine 1
-    before machine 2).  Grade-1 jobs are pinned to machine 1; empty input
-    gives makespan 0.
+    arrival order and the unit the sizes were scaled to.  Among optima the
+    least has the smallest machine-2 load, then the lexicographically
+    smallest machine vector (machine 1 before machine 2).  Grade-1 jobs
+    are pinned to machine 1; empty input gives makespan 0.
     """
     unit, total, sizes = _grade2_sizes(jobs)
-    split = _bitset_split if sum(sizes) <= BITSET_LIMIT else _search_split
-    best, vector = split(sizes, total)
+    grade2 = sum(sizes)
+    if grade2 <= BITSET_LIMIT:
+        suffix = _suffix_reach(sizes)
+        best, y = _best_load(suffix[0], total, grade2)
+        return _fraction(best, unit), _walk(sizes, suffix, y), unit
+    best, y, machine1 = _searched_load(sizes, total, grade2)
+    # the upper y's search found its set; the lower y's takes one more
+    picked = set(_max_subset(sizes, grade2 - y)[0] if machine1 is None else machine1)
+    vector = tuple([M1 if i in picked else M2 for i in range(len(sizes))])
     return _fraction(best, unit), vector, unit
 
 
@@ -186,7 +233,7 @@ def brute_opt(jobs: Sequence[Job]) -> Fraction:
     unit, total, sizes = _grade2_sizes(jobs)
     grade2 = sum(sizes)
     if grade2 > BITSET_LIMIT:
-        return _fraction(_search_split(sizes, total)[0], unit)
+        return _fraction(_searched_load(sizes, total, grade2)[0], unit)
     reach = 1  # bit y set: some grade-2 jobs seen so far sum to y
     for size in sizes:
         reach |= reach << size

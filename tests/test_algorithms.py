@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hierstretch import oracle
 from hierstretch.algorithms import (
     SCHEDULERS,
     alg_a,
@@ -29,6 +30,10 @@ from helpers import (
     stream,
 )
 
+def unreachable(*args):
+    raise AssertionError("a search ran before the input checks")
+
+
 small_fractions = st.fractions(min_value="1/40", max_value=1, max_denominator=40)
 
 
@@ -47,6 +52,37 @@ class TestSelectMaxSubset:
     def test_size_limit(self):
         with pytest.raises(SizeLimit):
             select_max_subset([1] * 25, 1)
+
+    @pytest.mark.parametrize("size", [1, 10**12], ids=["unit", "huge"])
+    def test_size_limit_before_any_search(self, size, monkeypatch):
+        # refused with the text the benchmark's refusal check parses,
+        # before a reach or a search is built on either path
+        for name in ("_suffix_reach", "_walk", "_max_subset"):
+            monkeypatch.setattr(oracle, name, unreachable)
+        with pytest.raises(
+            SizeLimit, match="^25 candidates exceed the exact-search limit 24$"
+        ):
+            select_max_subset([size] * 25, size)
+
+    def test_cap_above_the_total_builds_no_mask(self, monkeypatch):
+        # a mask of 2^cap bits would take 125 TB here
+        monkeypatch.setattr(oracle, "_suffix_reach", unreachable)
+        assert select_max_subset([1, 2], 10**15) == ((0, 1), 3)
+
+    @pytest.mark.parametrize("grade2", [oracle.BITSET_LIMIT, oracle.BITSET_LIMIT + 1])
+    def test_path_boundary_matches_exhaustive_search(self, grade2, monkeypatch):
+        # positions 0 and 2 tie with position 1, so the tie-break is checked
+        sixth = grade2 // 6
+        sizes = [sixth, 2 * sixth, sixth, grade2 // 5]
+        sizes.append(grade2 - sum(sizes))
+        # the reach takes totals up to the limit, the search anything above
+        if grade2 <= oracle.BITSET_LIMIT:
+            monkeypatch.setattr(oracle, "_max_subset", unreachable)
+        else:
+            monkeypatch.setattr(oracle, "_suffix_reach", unreachable)
+        for cap in (2 * sixth, grade2 // 2, grade2 // 7, grade2 - 1, 1):
+            chosen, total = select_max_subset(sizes, cap)
+            assert (total, chosen) == brute_force_max_subset(sizes, cap)
 
     def test_negative_cap_rejected(self):
         with pytest.raises(ParseError):
@@ -70,11 +106,14 @@ class TestSelectMaxSubset:
             (5, 1),
             ({1: 2}, 3),
             ({2, 3}, 3),
+            ([-3], 1),  # would raise a raw ValueError from reach << size
         ],
     )
-    def test_floats_and_bad_literals_rejected(self, sizes, cap):
+    def test_floats_and_bad_literals_rejected(self, sizes, cap, monkeypatch):
         # only a sequence of ints is accepted: floats, Fractions, bools,
-        # strings, mappings and sets are not
+        # strings, mappings and sets are not, and none reaches a search
+        for name in ("_suffix_reach", "_walk", "_max_subset"):
+            monkeypatch.setattr(oracle, name, unreachable)
         with pytest.raises(ParseError):
             select_max_subset(sizes, cap)
 

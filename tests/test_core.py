@@ -551,11 +551,19 @@ CALLS = {
     "to_units": lambda: to_units([Fraction(1, 3), Fraction(2, 7)]),
     # 1/2, 1/3, 1/4 and 2/5 under the cap 1, over the unit 1/60
     "select_max_subset": lambda: select_max_subset([30, 20, 15, 24], 60),
+    # the same over the unit 1/(60 * 10^10): a total past BITSET_LIMIT
+    # takes the branch-and-bound
+    "select_max_subset_search": lambda: select_max_subset(
+        [30 * 10**10, 20 * 10**10, 15 * 10**10, 24 * 10**10], 60 * 10**10
+    ),
     "brute_opt": lambda: brute_opt(
         stream(("1/2", 2), ("1/3", 2), ("2/3", 2), ("1/2", 1))
     ),
     "opt_prefix_loads": lambda: opt_prefix_loads(
         stream(("1/2", 2), ("1/3", 2), ("2/3", 1))
+    ),
+    "opt_prefix_loads_search": lambda: opt_prefix_loads(
+        stream(("1/2", 2), ("333333333347/1000000000039", 2), ("2/3", 2), ("1/4", 1))
     ),
     "prefix_opt_monotone_check": lambda: prefix_opt_monotone_check(
         stream(("1/2", 2), ("1/3", 2), ("2/3", 1))

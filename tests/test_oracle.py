@@ -16,13 +16,13 @@ from hierstretch import oracle
 from hierstretch.oracle import (
     BITSET_LIMIT,
     _best_load,
-    _bitset_split,
     _grade2_sizes,
     _least_optimal_split,
-    _search_split,
+    _searched_load,
     brute_opt,
     opt_prefix_loads,
     prefix_opt_monotone_check,
+    select_max_subset,
 )
 from helpers import MIXED_DENOMINATORS, in_lowest_terms, mixed_sizes, stream
 
@@ -33,6 +33,22 @@ small_streams = st.lists(
     ),
     max_size=7,
 )
+
+
+def both_paths(call, *args):
+    """``call(*args)`` as it runs, then with every total above
+    ``BITSET_LIMIT``, so that the branch-and-bound takes it."""
+    first = call(*args)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "BITSET_LIMIT", 0)
+        return first, call(*args)
+
+
+def split_jobs(sizes, grade1):
+    """Grade-2 jobs of these sizes, then a grade-1 job of size ``grade1``
+    unless it is 0."""
+    pairs = [(size, 2) for size in sizes]
+    return stream(*pairs, (grade1, 1)) if grade1 else stream(*pairs)
 
 
 def least_split_by_enumeration(jobs):
@@ -69,7 +85,7 @@ class TestBruteOpt:
         def unreachable(*args):
             raise AssertionError("a search ran before the size check")
 
-        for name in ("_best_load", "_bitset_split", "_search_split"):
+        for name in ("_best_load", "_suffix_reach", "_walk", "_max_subset", "_searched_load"):
             monkeypatch.setattr(oracle, name, unreachable)
         for size in ("1/100", "1/10000007"):
             jobs = stream(*[(size, 2)] * 25, ("1/2", 1))
@@ -141,14 +157,15 @@ class TestBruteOpt:
 
 
 class TestBitsetAgainstSearch:
-    """The bitset path, its best load and the branch-and-bound, called
+    """The reach and walk against the branch-and-bound, through one entry
+    point with ``BITSET_LIMIT`` lowered, and the best loads called
     directly."""
 
     @settings(max_examples=60, deadline=None)
     @given(
         st.lists(st.integers(1, 1000), min_size=8, max_size=18),
         # grade-1 totals near the grade-2 total put half the total on
-        # either side of it, so _best_load's short cuts fire and do not
+        # either side of it, so the best loads' short cuts fire and do not
         st.one_of(
             st.just(0),
             st.integers(1, 3000),
@@ -158,8 +175,14 @@ class TestBitsetAgainstSearch:
     )
     def test_same_split_at_thousandths(self, sizes, grade1):
         # sizes in units of 1/1000, beside a grade-1 total of any size
-        total = grade1 + sum(sizes)
-        assert _bitset_split(sizes, total) == _search_split(sizes, total)
+        jobs = split_jobs([Fraction(size, 1000) for size in sizes], Fraction(grade1, 1000))
+        bitset, search = both_paths(_least_optimal_split, jobs)
+        assert bitset == search
+        assert both_paths(brute_opt, jobs) == (bitset[0], bitset[0])
+        # and A's selector, under caps on both sides of half the total
+        for cap in (0, sum(sizes) // 2, min(grade1, sum(sizes) - 1)):
+            bitset, search = both_paths(select_max_subset, sizes, cap)
+            assert bitset == search
 
     @settings(max_examples=300)
     @given(st.lists(st.integers(1, 60), max_size=8), st.integers(0, 400))
@@ -181,25 +204,59 @@ class TestBitsetAgainstSearch:
             (max(total - y, y), y) for y in range(grade2 + 1) if reach >> y & 1
         )
         assert _best_load(reach, total, grade2) == expected
+        best, y, machine1 = _searched_load(sizes, total, grade2)
+        assert (best, y) == expected
+        if machine1 is not None:
+            assert sum(sizes[i] for i in machine1) == grade2 - y
+
+    @pytest.mark.parametrize(
+        "sizes, grade1, searches",
+        [
+            ([5], 1, 2),  # the upper y wins: its search gives the split
+            ([2, 5], 0, 3),  # the lower y wins a tie: a third search
+            ([3, 3], 0, 3),  # the lower y is half, and wins the tie
+            ([1, 2], 9, 0),  # every grade-2 job fits under half
+        ],
+    )
+    def test_searches_per_split(self, sizes, grade1, searches, monkeypatch):
+        # the machine-1 set of the upper y is the set its search found
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return max_subset(*args)
+
+        max_subset = oracle._max_subset
+        monkeypatch.setattr(oracle, "BITSET_LIMIT", 0)
+        monkeypatch.setattr(oracle, "_max_subset", counting)
+        jobs = split_jobs(sizes, grade1)
+        assert _least_optimal_split(jobs)[:2] == least_split_by_enumeration(jobs)[::2]
+        assert len(calls) == searches
 
     @pytest.mark.parametrize("grade2", [BITSET_LIMIT, BITSET_LIMIT + 1])
     def test_path_boundary(self, grade2, monkeypatch):
         sizes = [grade2 // 3, grade2 // 5, grade2 - grade2 // 3 - grade2 // 5]
         for grade1 in (0, grade2 // 7, 3 * grade2):
-            total = grade1 + grade2
-            assert _bitset_split(sizes, total) == _search_split(sizes, total)
-        # the bitset takes totals up to the limit, the search anything above
-        jobs = stream(*[(size, 2) for size in sizes], (grade2 // 7, 1))
-        expected = _least_optimal_split(jobs)
+            jobs = split_jobs(sizes, grade1)
+            split = _least_optimal_split(jobs)
+            assert split[:2] == least_split_by_enumeration(jobs)[::2]
+            # the other path, with the limit moved across the total
+            other = grade2 - 1 if grade2 <= BITSET_LIMIT else grade2
+            monkeypatch.setattr(oracle, "BITSET_LIMIT", other)
+            assert _least_optimal_split(jobs) == split
+            monkeypatch.undo()
+        # the reach takes totals up to the limit, the search anything above
+        jobs = split_jobs(sizes, grade2 // 7)
+        split = _least_optimal_split(jobs)
         if grade2 <= BITSET_LIMIT:
-            unused = ["_search_split"]
+            unused = ["_max_subset", "_searched_load"]
         else:
-            unused = ["_bitset_split", "_best_load"]
+            unused = ["_suffix_reach", "_walk", "_best_load"]
         for name in unused:
             monkeypatch.setattr(oracle, name, None)
-        assert _least_optimal_split(jobs) == expected
+        assert _least_optimal_split(jobs) == split
         # brute_opt builds its own reach int, and takes the search above it
-        assert brute_opt(jobs) == expected[0]
+        assert brute_opt(jobs) == split[0]
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.tuples(mixed_sizes, st.sampled_from([1, 2, 2])), max_size=9))

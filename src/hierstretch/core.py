@@ -2,8 +2,8 @@
 
 Everything is exact: sizes, loads, budgets, and bounds cross the API as
 :class:`fractions.Fraction` values, while the work runs on ints over a
-common unit (see :class:`Job`, :class:`ScheduleState` and
-:class:`MigrationLedger`).
+common unit (see :class:`Job`, :class:`ScheduleState`,
+:class:`MigrationLedger` and :func:`job_units`, which alone scales a job list).
 Every guarantee in this package is a decidable comparison rather than a
 float tolerance.  JSON output goes through one codec, :func:`json_ready`,
 which writes each Fraction as its 'num/den' string.
@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Iterable, NamedTuple, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 from .errors import (
     BudgetExceeded,
@@ -154,6 +154,39 @@ def require_jobs(items: Iterable, start: int = 1) -> None:
     for pos, item in enumerate(items, start=start):
         if not isinstance(item, Job):
             raise ParseError(f"position {pos} holds {item!r}, not a Job")
+
+
+def job_units(jobs: Sequence[Job]) -> tuple[int, int, list[int]]:
+    """``(unit, total, grade2)`` for any number of jobs: the lcm of their
+    denominators, their total size in units and the grade-2 sizes in units,
+    in arrival order.  Items are read through a :class:`Job`'s
+    ``size_num``, ``size_den`` and ``gos``: one that lacks any of them
+    raises :class:`ParseError` naming its position, and one that has them
+    all is read as a Job without a check of its type."""
+    # the unit grows only on a denominator it is not yet a multiple of:
+    # the `oracle` benchmark deck takes 1.6 lcm calls per oracle call this
+    # way, and one lcm over a list of all the denominators costs more
+    unit = 1
+    total = 0
+    grade2: list[int] = []
+    try:
+        for job in jobs:
+            den = job.size_den
+            if unit % den:
+                unit = math.lcm(unit, den)
+        for job in jobs:
+            size = job.size_num * (unit // job.size_den)
+            total += size
+            if job.gos == 2:
+                grade2.append(size)
+    except AttributeError:
+        # checked only when a field cannot be read: a type check per job
+        # in the unit loop cost 2.5-5.6% of the `oracle` benchmark's
+        # ops_per_s (medians of 6-9 alternating 20-second runs, `type(job)`
+        # and `job.__class__` forms; 2-CPU Xeon, CPython 3.11.7)
+        require_jobs(jobs)
+        raise
+    return unit, total, grade2
 
 
 @dataclass(frozen=True)
@@ -535,10 +568,8 @@ class Instance:
     @cached_property
     def total_size(self) -> Fraction:
         """The sum of the job sizes, computed on the first read and kept."""
-        unit = math.lcm(*[job.size_den for job in self.jobs])
-        return Fraction(
-            sum([job.size_num * (unit // job.size_den) for job in self.jobs]), unit
-        )
+        unit, total, _ = job_units(self.jobs)
+        return Fraction(total, unit)
 
     def normalized(self) -> "Instance":
         """Rescale sizes by 1/declared_opt so the declared optimum is 1."""
@@ -627,20 +658,10 @@ def validate_instance(instance: Instance, check_opt: bool = False) -> Validation
     """
     report = ValidationReport()
     jobs, opt = instance.jobs, instance.declared_opt
-    # both totals as ints over one unit, which grows only on a denominator
-    # that does not divide it, compared with opt = num/den by
-    # cross-multiplication; a Fraction is built only for a failure message
-    unit = 1
-    for job in jobs:
-        den = job.size_den
-        if unit % den:
-            unit = math.lcm(unit, den)
-    total = gos1 = 0
-    for job in jobs:
-        size = job.size_num * (unit // job.size_den)
-        total += size
-        if job.gos == 1:
-            gos1 += size
+    # both totals as ints over the jobs' unit, compared with opt = num/den
+    # by cross-multiplication; a Fraction is built only for a failure message
+    unit, total, grade2 = job_units(jobs)
+    gos1 = total - sum(grade2)
     num, den = opt.as_integer_ratio()
     if total * den > 2 * num * unit:
         report.failures.append(

@@ -307,7 +307,7 @@ def _check_count(count) -> None:
 ACCEPTANCE_BOUNDS = tuple(ratio_bound(m) for m in ACCEPTANCE_M_VALUES)
 
 
-def guarantee_suite(seed: int, count: int) -> SuiteSummary:
+def guarantee_suite(seed: int = DEFAULT_SEED, count: int = 200) -> SuiteSummary:
     """Run every generated instance under the regime's scheduler for each m.
 
     Checks, all exact: the makespan within the tight bound after every
@@ -384,9 +384,11 @@ FOREIGN_SCHEDULERS = ("greedy-m2", "least-loaded", "all-m1")
 
 def adversary_suite() -> SuiteSummary:
     """Tightness against the matching algorithms plus soundness against
-    deliberately naive schedulers, all certificates oracle-confirmed."""
+    deliberately naive schedulers; the note ``oracle-checked
+    certificates`` counts the duels whose certificate the oracle checked."""
     summary = SuiteSummary(name="adversaries")
     worst_gap: Fraction | None = None
+    checked = 0
     duels = [(adv, name, True) for adv, name in tightness_duels()] + [
         (adv, name, False)
         for adv in soundness_adversaries()
@@ -395,6 +397,7 @@ def adversary_suite() -> SuiteSummary:
     for adv, name, tightness in duels:
         transcript = play_duel(adv, name, SCHEDULERS[name], adv.m)
         summary.runs += 1
+        checked += transcript.oracle_checked
         tag = f"{adv.name} vs {name} @ m={fraction_str(adv.m)}"
         for failure in transcript.failures(tightness):
             summary.add_violation(f"{tag}: {failure}")
@@ -404,10 +407,11 @@ def adversary_suite() -> SuiteSummary:
                 worst_gap = gap
     if worst_gap is not None:
         summary.notes["largest tightness gap"] = _fmt(worst_gap)
+    summary.notes["oracle-checked certificates"] = f"{checked} of {summary.runs}"
     return summary
 
 
-def oracle_suite(seed: int, count: int) -> SuiteSummary:
+def oracle_suite(seed: int = DEFAULT_SEED, count: int = 200) -> SuiteSummary:
     """Planted-optimum and prefix-monotonicity checks for the oracle; a
     ``count`` that is not an int >= 0 raises :class:`ParseError`."""
     _check_count(count)
@@ -436,8 +440,8 @@ def oracle_suite(seed: int, count: int) -> SuiteSummary:
 
 
 SUITES = {
-    "guarantees": lambda seed, count: guarantee_suite(seed, count),
-    "adversaries": lambda seed, count: adversary_suite(),
+    "guarantees": guarantee_suite,
+    "adversaries": adversary_suite,
     "oracle": oracle_suite,
 }
 
@@ -603,7 +607,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_suite(args: argparse.Namespace) -> int:
-    summary = SUITES[args.suite](args.seed, args.count)
+    # only the options given: each suite fills in its own defaults
+    given = {flag: vars(args)[flag] for flag in ("seed", "count") if flag in vars(args)}
+    if args.suite == "adversaries" and given:  # a fixed list of duels
+        raise ParseError(f"the adversaries suite takes no --{next(iter(given))}")
+    summary = SUITES[args.suite](**given)
     if args.json:
         print(json.dumps(summary.to_json_dict(), indent=2))
     else:
@@ -679,8 +687,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_suite = sub.add_parser("suite", help="run a verification suite")
     p_suite.add_argument("suite", choices=sorted(SUITES))
-    p_suite.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p_suite.add_argument("--count", type=int, default=200)
+    p_suite.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+    p_suite.add_argument("--count", type=int, default=argparse.SUPPRESS)
     p_suite.add_argument("--json", action="store_true")
     p_suite.set_defaults(func=_cmd_suite)
     return parser

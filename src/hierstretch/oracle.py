@@ -1,13 +1,13 @@
 """Exact offline optimum and prefix loads, and the one exact subset search
 that scheduler A shares.
 
-Each call scales its sizes to integer units over a unit that grows only
-on a new denominator, refuses more than ``EXACT_SEARCH_LIMIT`` grade-2
-jobs before any search, and runs on ints; each Fraction it returns comes
-from one bounded cache.  Grade-1 jobs are pinned to machine 1, so the
-optimum is fixed by y, the machine-2 load: the makespan is max(T - y, y)
-over the total T, and the best y is the largest reachable one up to T/2
-or the smallest from T/2 up.
+Each call reads its jobs in integer units from :func:`core.job_units`,
+the one place a job list is scaled, refuses more than
+``EXACT_SEARCH_LIMIT`` grade-2 jobs before any search, and runs on ints;
+each Fraction it returns comes from one bounded cache.  Grade-1 jobs are
+pinned to machine 1, so the optimum is fixed by y, the machine-2 load:
+the makespan is max(T - y, y) over the total T, and the best y is the
+largest reachable one up to T/2 or the smallest from T/2 up.
 
 Subset sums take one of two paths, by one test: is the grade-2 total at
 most ``BITSET_LIMIT`` units?  Up to it, the sums the jobs from each
@@ -27,10 +27,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import lcm
 from typing import Sequence
 
-from .core import EXACT_SEARCH_LIMIT, M1, M2, Job, MachineId, ZERO, require_jobs
+from .core import EXACT_SEARCH_LIMIT, M1, M2, Job, MachineId, ZERO, job_units
 from .errors import ParseError, SizeLimit
 
 # largest grade-2 total, in units, whose reachable loads are kept as the
@@ -41,45 +40,6 @@ BITSET_LIMIT = 1 << 20
 # a fifth of a construction, the 700 instances of a benchmark deck take
 # about 1,400 distinct pairs, and a full cache holds about 1.2 MB
 _fraction = lru_cache(maxsize=4096)(Fraction)
-
-
-def _grade2_sizes(jobs: Sequence[Job]) -> tuple[int, int, list[int]]:
-    """``(unit, total, sizes)``: the lcm of the jobs' denominators, every
-    job's size summed in units and the grade-2 sizes in arrival order;
-    more than ``EXACT_SEARCH_LIMIT`` grade-2 jobs raise
-    :class:`SizeLimit` before any search.  Items are read through their
-    :class:`Job` fields (``size_num``, ``size_den``, ``gos``): one that
-    lacks them raises :class:`ParseError` naming its position, and one
-    that has them is read as a Job without a check of its type."""
-    # the unit grows only on a denominator it is not yet a multiple of:
-    # the `oracle` benchmark deck takes 1.6 lcm calls per oracle call this
-    # way, and one lcm over a list of all the denominators costs more
-    unit = 1
-    try:
-        for job in jobs:
-            den = job.size_den
-            if unit % den:
-                unit = lcm(unit, den)
-    except AttributeError:
-        # checked only when a size cannot be read: a type check per job
-        # in this loop cost 2.5-5.6% of the `oracle` benchmark's ops_per_s
-        # (medians of 6-9 alternating 20-second runs, `type(job)` and
-        # `job.__class__` forms; 2-CPU Xeon, CPython 3.11.7)
-        require_jobs(jobs)
-        raise
-    total = 0
-    sizes: list[int] = []
-    for job in jobs:
-        size = job.size_num * (unit // job.size_den)
-        total += size
-        if job.gos == 2:
-            sizes.append(size)
-    if len(sizes) > EXACT_SEARCH_LIMIT:
-        raise SizeLimit(
-            f"{len(sizes)} grade-2 jobs exceed the exact-search limit "
-            f"{EXACT_SEARCH_LIMIT}"
-        )
-    return unit, total, sizes
 
 
 def _best_load(reach: int, total: int, grade2: int) -> tuple[int, int]:
@@ -210,7 +170,12 @@ def _least_optimal_split(
     smallest machine vector (machine 1 before machine 2).  Grade-1 jobs
     are pinned to machine 1; empty input gives makespan 0.
     """
-    unit, total, sizes = _grade2_sizes(jobs)
+    unit, total, sizes = job_units(jobs)
+    if len(sizes) > EXACT_SEARCH_LIMIT:
+        raise SizeLimit(
+            f"{len(sizes)} grade-2 jobs exceed the exact-search limit "
+            f"{EXACT_SEARCH_LIMIT}"
+        )
     grade2 = sum(sizes)
     if grade2 <= BITSET_LIMIT:
         suffix = _suffix_reach(sizes)
@@ -230,7 +195,12 @@ def brute_opt(jobs: Sequence[Job]) -> Fraction:
     as the module docstring describes; only the optimum is computed, not
     the split that reaches it.  Empty input gives 0.
     """
-    unit, total, sizes = _grade2_sizes(jobs)
+    unit, total, sizes = job_units(jobs)
+    if len(sizes) > EXACT_SEARCH_LIMIT:
+        raise SizeLimit(
+            f"{len(sizes)} grade-2 jobs exceed the exact-search limit "
+            f"{EXACT_SEARCH_LIMIT}"
+        )
     grade2 = sum(sizes)
     if grade2 > BITSET_LIMIT:
         return _fraction(_searched_load(sizes, total, grade2)[0], unit)

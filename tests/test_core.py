@@ -4,16 +4,18 @@ from __future__ import annotations
 import dataclasses
 import gc
 import json
+import math
 import os
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hierstretch import oracle
+from hierstretch import core, oracle
 from hierstretch.adversary import AdvHigh, play_duel
 from hierstretch.algorithms import SCHEDULERS, alg_b, select_max_subset
 from hierstretch.core import (
@@ -32,6 +34,7 @@ from hierstretch.core import (
     fraction_str,
     ZERO,
     instance_from_json_dict,
+    job_units,
     jobs_from_pairs,
     json_ready,
     ratio_bound,
@@ -45,11 +48,17 @@ from hierstretch.errors import (
     IllegalDecision,
     NegativeM,
     ParseError,
+    SizeLimit,
     UnknownJob,
 )
 from hierstretch.generators import GenConfig, generate
 from hierstretch.harness import guarantee_suite, run_stream
-from hierstretch.oracle import brute_opt, opt_prefix_loads, prefix_opt_monotone_check
+from hierstretch.oracle import (
+    _least_optimal_split,
+    brute_opt,
+    opt_prefix_loads,
+    prefix_opt_monotone_check,
+)
 from helpers import in_lowest_terms, mixed_sizes, stream
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -133,6 +142,60 @@ class TestToUnits:
 
     def test_empty(self):
         assert to_units([]) == ([], 1)
+
+
+class TestJobUnits:
+    @settings(max_examples=200)
+    @given(st.lists(st.tuples(mixed_sizes, st.sampled_from([1, 2])), max_size=30))
+    def test_units_are_the_sizes_over_the_lcm(self, pairs):
+        # any count: past EXACT_SEARCH_LIMIT grade-2 jobs too
+        jobs = stream(*pairs)
+        unit = math.lcm(*[job.size_den for job in jobs])
+        units = [job.size * unit for job in jobs]
+        assert all(size.denominator == 1 for size in units)
+        assert job_units(jobs) == (
+            unit,
+            sum(units),
+            [size for size, job in zip(units, jobs) if job.gos == 2],
+        )
+
+    def test_empty(self):
+        assert job_units(()) == (1, 0, [])
+
+    def test_lcm_only_on_a_new_denominator(self, monkeypatch):
+        # the unit grows only on a denominator that does not divide it, so
+        # a stream whose denominators all divide the first one's takes a
+        # single lcm per call, whatever the mix of grades and the caller
+        calls = []
+
+        def counting(*dens):
+            calls.append(dens)
+            return math.lcm(*dens)
+
+        monkeypatch.setattr(core, "math", SimpleNamespace(lcm=counting))
+        divisors = stream(
+            ("1/1000", 2), ("1/2", 1), ("3/500", 2), ("1/8", 2), ("7/40", 1)
+        )
+        instance = Instance(jobs=divisors, declared_opt=Fraction(3, 2))
+        for call in (
+            job_units,
+            brute_opt,
+            _least_optimal_split,
+            opt_prefix_loads,
+            lambda jobs: validate_instance(instance),
+            lambda jobs: Instance(jobs=jobs).total_size,
+        ):
+            calls.clear()
+            call(divisors)
+            assert len(calls) == 1
+        # a new denominator grows it: the unit is the lcm of them all
+        jobs = stream(("1/2", 2), ("1/3", 1), ("2/7", 2), ("5/9", 2), ("1/4", 1))
+        assert job_units(jobs)[0] == math.lcm(2, 3, 7, 9, 4)
+        assert brute_opt(jobs) == Fraction(19, 18)
+        assert opt_prefix_loads(jobs).opt == Fraction(19, 18)
+        opt, _, unit = _least_optimal_split(jobs)
+        assert opt == Fraction(19, 18)
+        assert unit == math.lcm(2, 3, 7, 9, 4)
 
 
 def _state_with(pairs, machines, m=10):
@@ -549,6 +612,7 @@ class TestKernel:
 
 CALLS = {
     "to_units": lambda: to_units([Fraction(1, 3), Fraction(2, 7)]),
+    "job_units": lambda: job_units(stream(("1/2", 2), ("1/3", 2), ("2/7", 1))),
     # 1/2, 1/3, 1/4 and 2/5 under the cap 1, over the unit 1/60
     "select_max_subset": lambda: select_max_subset([30, 20, 15, 24], 60),
     # the same over the unit 1/(60 * 10^10): a total past BITSET_LIMIT
@@ -802,6 +866,25 @@ class TestValidateInstance:
         assert report.failures == (
             [] if valid else ["total size 3001/1000 exceeds twice the declared optimum 3/2"]
         )
+
+    def test_totals_past_the_search_limit(self, monkeypatch):
+        # validation has no grade-2 limit; the oracle refuses the same jobs
+        # before it builds any reach
+        jobs = stream(*[("1/30", 2)] * 30, ("1/4", 1), ("1/4", 1))
+        assert validate_instance(Instance(jobs=jobs)).valid
+        report = validate_instance(Instance(jobs=jobs, declared_opt=Fraction(2, 5)))
+        assert report.failures == [
+            "total size 3/2 exceeds twice the declared optimum 2/5",
+            "grade-1 total 1/2 exceeds the declared optimum 2/5",
+        ]
+
+        def unreachable(*args):
+            raise AssertionError("a search ran before the size check")
+
+        for name in ("_best_load", "_suffix_reach", "_walk", "_max_subset", "_searched_load"):
+            monkeypatch.setattr(oracle, name, unreachable)
+        with pytest.raises(SizeLimit, match="^30 grade-2 jobs exceed the exact-search limit 24$"):
+            brute_opt(jobs)
 
     @pytest.mark.parametrize("extra, valid", [("1/2", True), ("501/1000", False)])
     def test_grade1_total_at_its_bound(self, extra, valid):

@@ -622,14 +622,32 @@ class TestCli:
         out = capsys.readouterr().out
         assert "violations : none" in out
 
-    @pytest.mark.parametrize("suite", ["guarantees", "oracle"])
+    @pytest.mark.parametrize("suite", ["adversaries", "guarantees", "oracle"])
     def test_suite_negative_count_exit_code(self, capsys, suite):
         assert main(["suite", suite, "--seed", "7", "--count", "-5"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == (
-            "error: ParseError: suite count must be >= 0, got -5\n"
+        assert captured.err == "error: ParseError: " + (
+            "the adversaries suite takes no --seed\n"
+            if suite == "adversaries"
+            else "suite count must be >= 0, got -5\n"
         )
+
+    @pytest.mark.parametrize("flag", ["seed", "count"])
+    def test_suite_adversaries_refuses_seed_and_count(self, capsys, flag):
+        # its duels are fixed: an option it would ignore is refused
+        assert main(["suite", "adversaries", f"--{flag}", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: ParseError: the adversaries suite takes no --{flag}\n"
+
+    def test_suite_options_default_in_the_suite(self, capsys):
+        # an option left out takes the suite function's own default
+        assert main(["suite", "oracle", "--json"]) == 0
+        first = capsys.readouterr().out
+        assert json.loads(first)["runs"] == 200
+        assert main(["suite", "oracle", "--seed", str(DEFAULT_SEED), "--json"]) == 0
+        assert capsys.readouterr().out == first
 
     def test_suite_guarantees_smoke(self, capsys):
         assert main(
@@ -646,6 +664,10 @@ class TestCli:
         assert data["runs"] == len(tightness_duels()) + len(
             FOREIGN_SCHEDULERS
         ) * len(soundness_adversaries())
+        # totalsize against greedy-m2 at m = 10 and 100 issues 30 and 278
+        # grade-2 jobs, past the oracle's limit
+        runs = data["runs"]
+        assert data["notes"]["oracle-checked certificates"] == f"{runs - 2} of {runs}"
 
 
 def test_closed_pipe_exits_quietly():

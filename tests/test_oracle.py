@@ -1,10 +1,10 @@
 """Brute-force optimum, prefix loads, and their invariants."""
 from __future__ import annotations
 
-import math
 import random
 from fractions import Fraction
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -16,7 +16,6 @@ from hierstretch import oracle
 from hierstretch.oracle import (
     BITSET_LIMIT,
     _best_load,
-    _grade2_sizes,
     _least_optimal_split,
     _searched_load,
     brute_opt,
@@ -92,38 +91,6 @@ class TestBruteOpt:
             for call in (brute_opt, _least_optimal_split, opt_prefix_loads):
                 with pytest.raises(SizeLimit, match="25 grade-2 jobs"):
                     call(jobs)
-
-    def test_lcm_only_on_a_new_denominator(self, monkeypatch):
-        # the unit grows only on a denominator that does not divide it, so
-        # a stream whose denominators all divide the first one's takes a
-        # single lcm per call, whatever the mix of grades
-        calls = []
-
-        def counting(*dens):
-            calls.append(dens)
-            return math.lcm(*dens)
-
-        monkeypatch.setattr(oracle, "lcm", counting)
-        divisors = stream(
-            ("1/1000", 2), ("1/2", 1), ("3/500", 2), ("1/8", 2), ("7/40", 1)
-        )
-        for call in (brute_opt, _least_optimal_split, opt_prefix_loads):
-            calls.clear()
-            call(divisors)
-            assert len(calls) == 1
-        # a new denominator grows it: the unit is the lcm of them all
-        jobs = stream(("1/2", 2), ("1/3", 1), ("2/7", 2), ("5/9", 2), ("1/4", 1))
-        assert brute_opt(jobs) == Fraction(19, 18)
-        assert opt_prefix_loads(jobs).opt == Fraction(19, 18)
-        opt, _, unit = _least_optimal_split(jobs)
-        assert opt == Fraction(19, 18)
-        assert unit == math.lcm(2, 3, 7, 9, 4)
-
-    @settings(max_examples=200)
-    @given(st.lists(st.tuples(mixed_sizes, st.sampled_from([1, 2])), max_size=12))
-    def test_unit_is_the_lcm_of_the_denominators(self, pairs):
-        jobs = stream(*pairs)
-        assert _grade2_sizes(jobs)[0] == math.lcm(*[j.size_den for j in jobs])
 
     @settings(max_examples=120)
     @given(
@@ -386,6 +353,14 @@ class TestNotAJob:
         jobs = [*stream(("1/2", 2), ("1/3", 1)), "job"]
         with pytest.raises(ParseError, match="position 3 holds 'job', not a Job"):
             prefix_opt_monotone_check(jobs)
+
+    @pytest.mark.parametrize("fields", [{"size_den": 2}, {"size_den": 2, "size_num": 1}])
+    def test_an_item_with_only_some_fields(self, fields):
+        # a denominator alone gets past the unit loop; the size loop's
+        # failed read is named by position as well
+        for call in (brute_opt, opt_prefix_loads):
+            with pytest.raises(ParseError, match="^position 2 holds namespace"):
+                call([*stream(("1/2", 2)), SimpleNamespace(**fields)])
 
     def test_a_job_without_its_fields_keeps_its_attribute_error(self):
         # the failure-path check finds a Job, so the size read's error stands
